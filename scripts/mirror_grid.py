@@ -3,18 +3,16 @@
 
 Sweeps convex-ordered slope triples (drawn from a pool) and half-integer
 shifts, runs both sides of the comparison at a truncation cutoff, and
-prints EQUAL or the first discrepancy for every combination.
+prints EQUAL or the first discrepancy for every combination.  The check is
+``torusmirror.criteria.mirror_grid``.
 """
-
-from __future__ import annotations
 
 import argparse
 import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from torusmirror.fukaya_oh import AffineLagrangian
-from torusmirror.mirror import mirror_compare
+from torusmirror.criteria import mirror_grid
 
 
 def main() -> None:
@@ -28,23 +26,11 @@ def main() -> None:
 
     pool = sorted(int(s) for s in args.slopes.split(","))
     shifts = [Fraction(s) for s in args.shifts.split(",")]
-
     t0 = time.monotonic()
-    runs = unequal = 0
-    for s0, s1, s2 in combinations(pool, 3):
-        for b0, b1, b2 in product(shifts, repeat=3):
-            ls = [
-                AffineLagrangian(((s,),), (b,), (Fraction(1),))
-                for s, b in zip((s0, s1, s2), (b0, b1, b2))
-            ]
-            rep = mirror_compare(*ls, args.cutoff)
-            runs += 1
-            verdict = "EQUAL" if rep.equal else f"DIFFER at {rep.first_discrepancy}"
-            if not rep.equal:
-                unequal += 1
-            print(f"slopes ({s0},{s1},{s2})  shifts ({b0},{b1},{b2})  {verdict}")
-    dt = time.monotonic() - t0
-    print(f"done: {runs} comparisons, {unequal} unequal, cutoff {args.cutoff}, {dt:.1f}s")
+    out = mirror_grid(list(combinations(pool, 3)), list(product(shifts, repeat=3)), args.cutoff)
+    print(*out.cases, sep="\n")
+    print(f"done: {len(out.cases)} comparisons, {len(out.failures)} unequal, "
+          f"cutoff {args.cutoff}, {time.monotonic() - t0:.1f}s")
 
 
 if __name__ == "__main__":

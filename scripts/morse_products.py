@@ -4,25 +4,14 @@
 Draws random trigonometric polynomials on the circle, keeps transversal
 triples, assembles the three pairwise complexes and the triangle product
 into one composed structure, and verifies the structure relations up to
-arity 3 together with the expected cohomology ranks.
+arity 3 together with the expected cohomology ranks.  The check is
+``torusmirror.criteria.morse_triples``.
 """
 
-from __future__ import annotations
-
 import argparse
-import random
 import time
-from fractions import Fraction
 
-from torusmirror import morse
-from torusmirror.ainfty import assemble_sequence, relation_defect
-
-
-def rand_trig(rng: random.Random) -> "morse.TrigPolynomial":
-    return morse.TrigPolynomial.from_dicts(
-        {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-        {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-    )
+from torusmirror.criteria import morse_triples
 
 
 def main() -> None:
@@ -31,36 +20,11 @@ def main() -> None:
     ap.add_argument("--count", type=int, default=20, help="transversal triples")
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
     t0 = time.monotonic()
-    done = drawn = bad = 0
-    while done < args.count:
-        f0, f1, f2 = rand_trig(rng), rand_trig(rng), rand_trig(rng)
-        drawn += 1
-        if not morse.transversal_triple(f0, f1, f2):
-            continue
-        hom = {
-            (0, 1): morse.critical_points(f0 - f1).basis(),
-            (1, 2): morse.critical_points(f1 - f2).basis(),
-            (0, 2): morse.critical_points(f0 - f2).basis(),
-        }
-        comps = {
-            (0, 1): morse.morse_differential(f0, f1),
-            (1, 2): morse.morse_differential(f1, f2),
-            (0, 2): morse.morse_differential(f0, f2),
-            (0, 1, 2): morse.m2(f0, f1, f2),
-        }
-        A = assemble_sequence((0, 1, 2), hom, comps)
-        ok = all(relation_defect(A, n).is_zero() for n in (1, 2, 3))
-        ranks = [morse.cohomology_ranks(comps[k]) for k in ((0, 1), (1, 2), (0, 2))]
-        if not ok or any(r != (1, 1) for r in ranks):
-            bad += 1
-        sizes = tuple(len(hom[k]) for k in ((0, 1), (1, 2), (0, 2)))
-        print(f"triple {done:3d}  crit points {sizes}  ranks {ranks}  "
-              f"relations {'exact' if ok else 'BROKEN'}")
-        done += 1
-    dt = time.monotonic() - t0
-    print(f"done: {done} transversal of {drawn} drawn, {bad} failures, {dt:.1f}s")
+    out = morse_triples(args.seed, args.count)
+    print(*out.cases, sep="\n")
+    print(f"done: {len(out.cases)} transversal of {out.figures['drawn']} drawn, "
+          f"{len(out.failures)} failures, {time.monotonic() - t0:.1f}s")
 
 
 if __name__ == "__main__":

@@ -4,18 +4,14 @@
 For each seeded algebra, builds an exact retraction onto cohomology,
 transfers the multiplication to a minimal model, and reports whether the
 structure relations and the comparison-morphism equations vanish exactly
-up to the requested arities, together with timings.
+up to the requested arities, together with timings.  The check is
+``torusmirror.criteria.transfer_corpus``.
 """
 
-from __future__ import annotations
-
 import argparse
-import random
 import time
 
-from torusmirror.ainfty import morphism_defect, relation_defect
-from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
-from torusmirror.transfer import transfer_morphism, transfer_structure, validate
+from torusmirror.criteria import retraction_corpus, transfer_corpus
 
 
 def main() -> None:
@@ -26,30 +22,11 @@ def main() -> None:
     ap.add_argument("--morphism-to", type=int, default=4, dest="nmor")
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
     t0 = time.monotonic()
-    bad = 0
-    for i in range(args.count):
-        A = random_dg_algebra(rng)
-        r = retraction_onto_cohomology(A, rng)
-        assert validate(r).ok
-        B = transfer_structure(r, max_arity=args.nrel)
-        ok_rel = all(
-            relation_defect(B, n).is_zero() for n in range(1, args.nrel + 1)
-        )
-        F = transfer_morphism(r, max_arity=args.nmor)
-        ok_mor = all(
-            morphism_defect(F, n).is_zero() for n in range(1, args.nmor + 1)
-        )
-        if not (ok_rel and ok_mor):
-            bad += 1
-        print(
-            f"algebra {i:3d}  dim {len(A.basis):d} -> {len(B.basis):d}  "
-            f"relations<={args.nrel} {'exact' if ok_rel else 'BROKEN'}  "
-            f"morphism<={args.nmor} {'exact' if ok_mor else 'BROKEN'}"
-        )
-    dt = time.monotonic() - t0
-    print(f"done: {args.count} algebras, {bad} failures, {dt:.1f}s")
+    out = transfer_corpus(retraction_corpus(args.seed, args.count), args.nrel, args.nmor)
+    print(*out.cases, sep="\n")
+    print(f"done: {args.count} algebras, {len(out.failures)} failures, "
+          f"{time.monotonic() - t0:.1f}s")
 
 
 if __name__ == "__main__":

@@ -3,21 +3,16 @@
 
 For each convex-ordered slope quadruple drawn from a pool, checks that the
 two bracketings of the triangle product agree exactly up to a truncation
-cutoff and that the arity-3 product vanishes for degree reasons.
+cutoff and that the arity-3 product vanishes for degree reasons.  The check
+is ``torusmirror.criteria.fukaya_associativity``.
 """
-
-from __future__ import annotations
 
 import argparse
 import time
 from fractions import Fraction
 from itertools import combinations
 
-from torusmirror.fukaya_oh import (
-    AffineLagrangian,
-    associativity_defect,
-    mk_vanishing_certificate,
-)
+from torusmirror.criteria import fukaya_associativity
 
 
 def main() -> None:
@@ -29,20 +24,10 @@ def main() -> None:
 
     pool = sorted(int(s) for s in args.slopes.split(","))
     t0 = time.monotonic()
-    runs = bad = 0
-    for quad in combinations(pool, 4):
-        ls = [AffineLagrangian(((s,),), (0,), (Fraction(1),)) for s in quad]
-        defect = associativity_defect(*ls, args.cutoff)
-        cert = mk_vanishing_certificate(ls, 3)
-        runs += 1
-        ok = not defect and cert.certified
-        if not ok:
-            bad += 1
-        print(f"slopes {quad}  associativity "
-              f"{'exact' if not defect else 'BROKEN'}  m3 "
-              f"{'certified zero' if cert.certified else 'NOT certified'}")
-    dt = time.monotonic() - t0
-    print(f"done: {runs} quadruples, {bad} failures, cutoff {args.cutoff}, {dt:.1f}s")
+    out = fukaya_associativity(list(combinations(pool, 4)), args.cutoff)
+    print(*out.cases, sep="\n")
+    print(f"done: {len(out.cases)} quadruples, {len(out.failures)} failures, "
+          f"cutoff {args.cutoff}, {time.monotonic() - t0:.1f}s")
 
 
 if __name__ == "__main__":

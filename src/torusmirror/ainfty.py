@@ -207,13 +207,14 @@ class AInftyStructure:
 
     @staticmethod
     def from_obj(obj) -> "AInftyStructure":
-        basis = GradedBasis(tuple((l, d) for l, d in obj["basis"]))
+        basis = GradedBasis(tuple((_freeze(l), d) for l, d in obj["basis"]))
         ops = {}
         for blk in obj["ops"]:
             n = blk["arity"]
             table: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
             for ins, out, c in blk["entries"]:
-                table.setdefault(tuple(ins), {})[out] = _scalar_from_obj(c)
+                key = tuple(_freeze(l) for l in ins)
+                table.setdefault(key, {})[_freeze(out)] = _scalar_from_obj(c)
             ops[n] = MultilinearOp(n, basis, basis, 2 - n, table)
         return AInftyStructure(basis, ops)
 
@@ -245,10 +246,18 @@ def _scalar_obj(c):
     return {"q": [c.numerator, c.denominator]}
 
 
+def _freeze(label):
+    """JSON label (lists for tuples) back to a hashable label."""
+    return tuple(_freeze(x) for x in label) if isinstance(label, list) else label
+
+
 def _scalar_from_obj(o):
-    if "nov" in o:
-        return NovikovElem.from_obj(o["nov"])
-    return Fraction(o["q"][0], o["q"][1])
+    try:
+        if "nov" in o:
+            return NovikovElem.from_obj(o["nov"])
+        return Fraction(o["q"][0], o["q"][1])
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {o}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 DEFAULT_SEED = 20240901
 
@@ -65,16 +64,19 @@ def _frac_obj(x: Fraction) -> List[int]:
     return [x.numerator, x.denominator]
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def _frac(v) -> Fraction:
+    """A JSON rational: [numerator, denominator] or anything Fraction reads."""
+    if isinstance(v, list) and v[1] == 0:
+        raise ValueError(f"zero denominator in {v}")
+    return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
 
 
-def _nov_obj(e) -> dict:
-    return e.to_obj()
-
-
-def _freeze(label):
-    return tuple(_freeze(x) for x in label) if isinstance(label, list) else label
+def _slope_inputs(slopes, shifts, cutoff) -> dict:
+    return {
+        "slopes": [_frac_obj(s) for s in slopes],
+        "shifts": [_frac_obj(s) for s in shifts],
+        "cutoff": _frac_obj(cutoff),
+    }
 
 
 def _label_str(label) -> str:
@@ -91,19 +93,6 @@ def cmd_check_ainfty(path: str, max_arity: Optional[int]) -> RunReport:
 
     with open(path) as f:
         obj = json.load(f)
-    obj = {
-        "basis": [[_freeze(l), d] for l, d in obj["basis"]],
-        "ops": [
-            {
-                "arity": blk["arity"],
-                "entries": [
-                    [[_freeze(l) for l in ins], _freeze(out), c]
-                    for ins, out, c in blk["entries"]
-                ],
-            }
-            for blk in obj["ops"]
-        ],
-    }
     A = AInftyStructure.from_obj(obj)
     top = max_arity or A.max_arity() + 1
     defects = []
@@ -165,10 +154,7 @@ def _trig_from_obj(obj):
     from .morse import TrigPolynomial
 
     def coeffs(part):
-        return {
-            int(k): Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
-            for k, v in obj.get(part, {}).items()
-        }
+        return {int(k): _frac(v) for k, v in obj.get(part, {}).items()}
 
     return TrigPolynomial.from_dicts(coeffs("cos"), coeffs("sin"))
 
@@ -212,7 +198,7 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
         payload = {
             "weighted": weighted,
             "entries": [
-                [list(ins), out, _nov_obj(c) if weighted else int(c)]
+                [list(ins), out, c.to_obj() if weighted else int(c)]
                 for ins, out, c in op.nonzero_entries()
             ],
         }
@@ -223,26 +209,14 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
     )
 
 
-def _lagrangians(slopes: Sequence[Fraction], shifts: Sequence[Fraction]):
-    from .fukaya_oh import AffineLagrangian
-
-    return [
-        AffineLagrangian(((Fraction(s),),), (Fraction(b),), (Fraction(1),))
-        for s, b in zip(slopes, shifts)
-    ]
-
-
 def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
+    from .criteria import circle_sections
     from .fukaya_oh import associativity_defect, mk_vanishing_certificate
 
-    inputs = {
-        "slopes": [_frac_obj(s) for s in slopes],
-        "shifts": [_frac_obj(s) for s in shifts],
-        "cutoff": _frac_obj(cutoff),
-    }
+    inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 4:
         return RunReport("fo", _digest(inputs), "ERROR", {"error": "need 4 slopes"}, 0.0)
-    ls = _lagrangians(slopes, shifts)
+    ls = circle_sections(slopes, shifts)
     defect = associativity_defect(*ls, cutoff)
     cert = mk_vanishing_certificate(ls, 3)
     payload = {
@@ -259,17 +233,14 @@ def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> 
 
 
 def cmd_mirror(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
+    from .criteria import circle_sections
     from .mirror import mirror_compare
 
-    inputs = {
-        "slopes": [_frac_obj(s) for s in slopes],
-        "shifts": [_frac_obj(s) for s in shifts],
-        "cutoff": _frac_obj(cutoff),
-    }
+    inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 3:
         return RunReport("mirror", _digest(inputs), "ERROR", {"error": "need 3 slopes"}, 0.0)
     try:
-        rep = mirror_compare(*_lagrangians(slopes, shifts), cutoff)
+        rep = mirror_compare(*circle_sections(slopes, shifts), cutoff)
     except ValueError as e:
         return RunReport("mirror", _digest(inputs), "ERROR", {"error": str(e)}, 0.0)
     payload = {
@@ -280,8 +251,8 @@ def cmd_mirror(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction)
         key, a, b = rep.first_discrepancy
         payload["first_discrepancy"] = {
             "key": _label_str(key),
-            "triangle": _nov_obj(a),
-            "theta": _nov_obj(b),
+            "triangle": a.to_obj(),
+            "theta": b.to_obj(),
         }
     return RunReport(
         "mirror", _digest(inputs), "PASS" if rep.equal else "FAIL", payload, 0.0
@@ -300,15 +271,12 @@ def cmd_legendre(path: str, tol: float) -> RunReport:
     with open(path) as f:
         obj = json.load(f)
 
-    def frac(v):
-        return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
-
     import numpy as np
 
-    box = [(frac(lo), frac(hi)) for lo, hi in obj["box"]]
-    h = frac(obj["h"])
-    dual_box = [(frac(lo), frac(hi)) for lo, hi in obj["dual_box"]]
-    dual_h = frac(obj["dual_h"])
+    box = [(_frac(lo), _frac(hi)) for lo, hi in obj["box"]]
+    h = _frac(obj["h"])
+    dual_box = [(_frac(lo), _frac(hi)) for lo, hi in obj["dual_box"]]
+    dual_h = _frac(obj["dual_h"])
     try:
         K = ConvexGridFunction(tuple(box), h, np.array(obj["values"], dtype=float))
         inv = involution_error(K, dual_box, dual_h)
@@ -334,231 +302,25 @@ def cmd_legendre(path: str, tol: float) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _novikov_property_cases(seed: int, cases: int) -> Tuple[int, List[str]]:
-    from .novikov import NovikovElem
-
-    rng = random.Random(seed)
-    failures: List[str] = []
-
-    def rand_elem():
-        # exact elements (no cutoff) with exponents in [0, 10]
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            lam = Fraction(rng.randint(0, 40), 4)
-            terms[lam] = terms.get(lam, Fraction(0)) + Fraction(
-                rng.randint(-5, 5), rng.randint(1, 3)
-            )
-        e = NovikovElem.zero()
-        for lam, c in terms.items():
-            e = e + NovikovElem.q_power(lam, c)
-        return e
-
-    for case in range(cases):
-        a, b, c = (rand_elem() for _ in range(3))
-        lam = Fraction(rng.randint(4, 48), 4)
-        checks = [
-            ((a + b) + c == a + (b + c), "add associativity"),
-            (a + b == b + a, "add commutativity"),
-            ((a * b) * c == a * (b * c), "mul associativity"),
-            (a * b == b * a, "mul commutativity"),
-            (a * (b + c) == a * b + a * c, "distributivity"),
-            (a + NovikovElem.zero() == a, "additive identity"),
-            (a * NovikovElem.one() == a, "multiplicative identity"),
-            (a + (-a) == NovikovElem.zero(), "additive inverse"),
-            (
-                (a.truncate(lam) * b.truncate(lam)).truncate(lam)
-                == (a * b).truncate(lam),
-                "truncation multiplicative homomorphism",
-            ),
-            (
-                a.truncate(lam) + b.truncate(lam) == (a + b).truncate(lam),
-                "truncation additive homomorphism",
-            ),
-        ]
-        if not a.is_zero() and not b.is_zero():
-            checks.append(((a * b).val() == a.val() + b.val(), "valuation of product"))
-            at = a.truncate(lam)
-            if not at.is_zero():
-                prod = at * at.inv()
-                checks.append(
-                    (prod == NovikovElem.one(prod.cutoff), "multiplicative inverse")
-                )
-            checks.append((
-                (a + b).is_zero() or (a + b).val() >= min(a.val(), b.val()),
-                "valuation ultrametric",
-            ))
-            if a.val() != b.val():
-                checks.append((
-                    (a + b).val() == min(a.val(), b.val()),
-                    "valuation ultrametric equality",
-                ))
-        for ok, name in checks:
-            if not ok:
-                failures.append(f"case {case}: {name}")
-    return cases, failures
-
-
-def _suite_transfer(seed: int, count: int, max_arity: int) -> dict:
-    from .ainfty import bar_check, morphism_defect, relation_defect
-    from .randomgen import corrupt_structure, random_dg_algebra, retraction_onto_cohomology
-    from .transfer import transfer_morphism, transfer_structure, validate
-
-    rng = random.Random(seed)
-    failures = []
-    for i in range(count):
-        A = random_dg_algebra(rng)
-        r = retraction_onto_cohomology(A, rng)
-        if not validate(r).ok:
-            failures.append(f"algebra {i}: invalid retraction")
-            continue
-        B = transfer_structure(r, max_arity=max_arity)
-        for n in range(1, max_arity + 1):
-            if not relation_defect(B, n).is_zero():
-                failures.append(f"algebra {i}: relation defect at arity {n}")
-        F = transfer_morphism(r, max_arity=min(max_arity, 3))
-        for n in range(1, min(max_arity, 3) + 1):
-            if not morphism_defect(F, n).is_zero():
-                failures.append(f"algebra {i}: morphism defect at arity {n}")
-    return {"count": count, "failures": failures}
-
-
-def _suite_signs(seed: int, count: int, corrupted: int) -> dict:
-    from .ainfty import bar_check, relation_defect
-    from .randomgen import corrupt_structure, random_dg_algebra
-
-    rng = random.Random(seed)
-    failures = []
-    for i in range(count):
-        A = random_dg_algebra(rng)
-        if i < corrupted:
-            A = corrupt_structure(A, rng)
-        max_n = 3
-        rel_fail = None
-        for n in range(1, max_n + 1):
-            if not relation_defect(A, n).is_zero():
-                rel_fail = n
-                break
-        bar = bar_check(A, max_n)
-        bar_fail = None
-        if not bar.ok:
-            bar_fail = min(int(f.split()[2].rstrip(":")) for f in bar.failures)
-        if rel_fail != bar_fail:
-            failures.append(f"structure {i}: relation says {rel_fail}, bar says {bar_fail}")
-    return {"count": count, "corrupted": corrupted, "failures": failures}
-
-
-def _suite_morse(seed: int, count: int) -> dict:
-    from . import morse
-    from .ainfty import assemble_sequence, relation_defect
-
-    rng = random.Random(seed)
-    failures = []
-    done = 0
-    while done < count:
-        def rand_trig():
-            return morse.TrigPolynomial.from_dicts(
-                {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-                {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-            )
-
-        f0, f1, f2 = rand_trig(), rand_trig(), rand_trig()
-        if not morse.transversal_triple(f0, f1, f2):
-            continue
-        hom = {
-            (0, 1): morse.critical_points(f0 - f1).basis(),
-            (1, 2): morse.critical_points(f1 - f2).basis(),
-            (0, 2): morse.critical_points(f0 - f2).basis(),
-        }
-        comps = {
-            (0, 1): morse.morse_differential(f0, f1),
-            (1, 2): morse.morse_differential(f1, f2),
-            (0, 2): morse.morse_differential(f0, f2),
-            (0, 1, 2): morse.m2(f0, f1, f2),
-        }
-        A = assemble_sequence((0, 1, 2), hom, comps)
-        for n in (1, 2, 3):
-            if not relation_defect(A, n).is_zero():
-                failures.append(f"triple {done}: relation fails at arity {n}")
-        for key in ((0, 1), (1, 2), (0, 2)):
-            if morse.cohomology_ranks(comps[key]) != (1, 1):
-                failures.append(f"triple {done}: cohomology ranks != (1,1) on {key}")
-        done += 1
-    return {"count": count, "failures": failures}
-
-
-def _suite_mirror(cutoff: Fraction) -> dict:
-    from .mirror import mirror_compare
-
-    failures = []
-    runs = 0
-    for s0 in (0, 1):
-        for s1 in (s0 + 1, s0 + 2):
-            for s2 in (s1 + 1,):
-                for b in (Fraction(0), Fraction(1, 2)):
-                    ls = _lagrangians([s0, s1, s2], [0, b, 0])
-                    rep = mirror_compare(*ls, cutoff)
-                    runs += 1
-                    if not rep.equal:
-                        failures.append(f"slopes ({s0},{s1},{s2}) shift {b}: {rep.status}")
-    return {"count": runs, "failures": failures}
-
-
-def _suite_fo(cutoff: Fraction) -> dict:
-    from .fukaya_oh import associativity_defect, mk_vanishing_certificate
-
-    failures = []
-    for slopes in ((0, 1, 2, 3), (0, 1, 3, 4)):
-        ls = _lagrangians(slopes, [0, 0, 0, 0])
-        if associativity_defect(*ls, cutoff):
-            failures.append(f"quadruple {slopes}: associativity defect")
-        if not mk_vanishing_certificate(ls, 3).certified:
-            failures.append(f"quadruple {slopes}: m3 certificate refused")
-    return {"count": 2, "failures": failures}
-
-
-def _suite_trees() -> dict:
-    from .trees import enumerate_binary, enumerate_trees
-
-    failures = []
-    schroeder = [1, 1, 3, 11, 45, 197]
-    catalan = [1, 1, 2, 5, 14, 42]
-    for n in range(1, 7):
-        if len(enumerate_trees(n)) != schroeder[n - 1]:
-            failures.append(f"enumerate({n}) != little Schroeder")
-        if len(enumerate_binary(n)) != catalan[n - 1]:
-            failures.append(f"enumerate_binary({n}) != Catalan")
-    return {"count": 6, "failures": failures}
-
-
-def _suite_legendre() -> dict:
-    import numpy as np
-
-    from .monge import ConvexGridFunction, hessian_duality_check, involution_error
-
-    failures = []
-    h = Fraction(1, 32)
-    K = ConvexGridFunction.sample(lambda x: 0.5 * x * x, [(-1, 1)], h)
-    if involution_error(K, [(Fraction(-1, 2), Fraction(1, 2))], h) > 1e-10:
-        failures.append("quadratic involution error too large")
-    Kq = ConvexGridFunction.sample(lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)], h)
-    rep = hessian_duality_check(Kq, [(Fraction(1, 4), Fraction(3, 4))], h)
-    if rep.max_det_error > 0.01:
-        failures.append("quartic duality det error too large")
-    return {"count": 2, "failures": failures}
-
-
 def cmd_suite(seed: int, cutoff: Fraction, modules: Optional[List[str]]) -> RunReport:
+    from . import criteria as c
+
+    def module(out, **extra) -> dict:
+        status = "PASS" if out.ok else "FAIL"
+        return {"count": len(out.cases), "failures": out.failures, "status": status, **extra}
+
     all_modules = {
-        "novikov": lambda: dict(
-            zip(("count", "failures"), _novikov_property_cases(seed, 200))
-        ),
-        "trees": _suite_trees,
-        "transfer": lambda: _suite_transfer(seed, 10, 4),
-        "signs": lambda: _suite_signs(seed, 20, 5),
-        "morse": lambda: _suite_morse(seed, 5),
-        "fo": lambda: _suite_fo(min(cutoff, Fraction(12))),
-        "mirror": lambda: _suite_mirror(min(cutoff, Fraction(15))),
-        "legendre": _suite_legendre,
+        "novikov": lambda: module(c.novikov_laws(seed, 200)),
+        "trees": lambda: module(c.tree_counts(6)),
+        "transfer": lambda: module(c.transfer_corpus(c.retraction_corpus(seed, 10), 4, 3)),
+        "signs": lambda: module(c.sign_agreement(seed, 20, 5), corrupted=5),
+        "morse": lambda: module(c.morse_triples(seed, 5)),
+        "fo": lambda: module(c.fukaya_associativity(
+            ((0, 1, 2, 3), (0, 1, 3, 4)), min(cutoff, Fraction(12)))),
+        "mirror": lambda: module(c.mirror_grid(
+            ((0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 3, 4)),
+            ((0, 0, 0), (0, Fraction(1, 2), 0)), min(cutoff, Fraction(15)))),
+        "legendre": lambda: module(c.legendre_duality([Fraction(1, 32)])),
     }
     selected = modules or sorted(all_modules)
     unknown = [m for m in selected if m not in all_modules]
@@ -567,13 +329,8 @@ def cmd_suite(seed: int, cutoff: Fraction, modules: Optional[List[str]]) -> RunR
         return RunReport(
             "suite", _digest(inputs), "ERROR", {"error": f"unknown modules {unknown}"}, 0.0
         )
-    payload = {}
-    ok = True
-    for name in sorted(selected):
-        result = all_modules[name]()
-        result["status"] = "PASS" if not result["failures"] else "FAIL"
-        ok = ok and not result["failures"]
-        payload[name] = result
+    payload = {name: all_modules[name]() for name in sorted(selected)}
+    ok = all(result["status"] == "PASS" for result in payload.values())
     return RunReport("suite", _digest(inputs), "PASS" if ok else "FAIL", payload, 0.0)
 
 

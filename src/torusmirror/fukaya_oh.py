@@ -23,10 +23,10 @@ Conventions (fixed once, shared with the theta-function side):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .lattice import (
     Mat,
@@ -125,7 +125,8 @@ def intersections(li: AffineLagrangian, lj: AffineLagrangian) -> list:
         y = mat_vec(alpha_inv, vec_sub(vec(m), vec(-d for d in delta)))
         y = tuple(c - floor(c) for c in y)
         points.append(IntersectionPoint(coset=m, position=y, degree=degree))
-    assert len(points) == abs(det)
+    if len(points) != abs(det):
+        raise RuntimeError(f"{len(points)} intersection points, expected |det| = {abs(det)}")
     return points
 
 
@@ -137,10 +138,6 @@ def m1_vanishes(li: AffineLagrangian, lj: AffineLagrangian) -> bool:
     """
     degs = {p.degree for p in intersections(li, lj)}
     return len(degs) == 1
-
-
-def _lift(alpha_inv: Mat, center: Vec, m: Vec) -> Vec:
-    return mat_vec(alpha_inv, vec_sub(m, center))
 
 
 def _holonomy_factor(
@@ -228,7 +225,8 @@ def m2(
             + Fraction(1, 2) * quad_form(binv, k)
             - Fraction(1, 2) * quad_form(ginv, s)
         )
-        assert weight >= 0
+        if weight < 0:
+            raise RuntimeError(f"negative triangle weight {weight}")
         key = coset_reduce(gamma_h, [int(a + b) for a, b in zip(s, c02)])
         target = by_coset.get(key)
         if target is None:

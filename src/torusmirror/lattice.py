@@ -63,10 +63,6 @@ def dot(x: Vec, y: Vec) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def is_integer_vec(x: Vec) -> bool:
-    return all(v.denominator == 1 for v in x)
-
-
 def is_symmetric(a: Mat) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
@@ -109,10 +105,6 @@ def mat_inv(a: Mat) -> Mat:
                 factor = aug[r][col]
                 aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve(a: Mat, b: Vec) -> Vec:
-    return mat_vec(mat_inv(a), b)
 
 
 def quad_form(a: Mat, x: Vec) -> Fraction:

@@ -241,13 +241,6 @@ def unit_bundle(n: int) -> LineBundleObj:
     return LineBundleObj(AffineLagrangian([[0] * n for _ in range(n)], [0] * n))
 
 
-def functor_on_objects(l: AffineLagrangian) -> LineBundleObj:
-    """Mirror bundle of an affine Lagrangian; requires positive-definite slope."""
-    if not is_positive_definite(l.slope):
-        raise ValueError("slope must be positive definite (no ample theta model)")
-    return LineBundleObj(l)
-
-
 def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
     d = vec_sub(m, center)
     return Fraction(1, 2) * quad_form(ainv, d)
@@ -332,9 +325,6 @@ class ThetaProductTable:
             if k == key:
                 return c
         return NovikovElem.zero(self.cutoff)
-
-    def as_dict(self) -> Dict:
-        return dict(self.coefficients)
 
 
 class ThetaSolveError(ValueError):

@@ -16,10 +16,9 @@ boundary ring is excluded from all norms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -186,8 +185,6 @@ def _local_interpolant(v: np.ndarray, start: Sequence[int], sizes: Sequence[int]
 
 def _poly_eval_grad_hess(coeffs: np.ndarray, t: np.ndarray):
     n = coeffs.ndim
-    def axis_reduce(c, d, powers):
-        return np.tensordot(powers, c, axes=([0], [d]))
 
     def powers(x, m, deriv):
         p = np.zeros(m)

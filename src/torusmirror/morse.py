@@ -119,9 +119,6 @@ class TrigPolynomial:
             val += a if k % 2 == 0 else -a
         return val
 
-    def dtheta_cached(self) -> "TrigPolynomial":
-        return _dtheta_cached(self)
-
     def numerator_coeffs(self) -> Tuple[Fraction, ...]:
         return _numerator_coeffs_cached(self)
 
@@ -469,10 +466,11 @@ def morse_differential(f0: TrigPolynomial, f1: TrigPolynomial) -> MultilinearOp:
         entries[(c.label,)] = row
     op = MultilinearOp(1, basis, basis, 1, entries)
     # d^2 = 0: the target of every entry has top degree, so one composition
-    # step lands in the (empty) degree-2 part; assert it anyway.
+    # step lands in the (empty) degree-2 part; check it anyway.
     for ins, row in op.entries.items():
         for out in row:
-            assert not op.entries.get((out,)), "d^2 != 0"
+            if op.entries.get((out,)):
+                raise RuntimeError("d^2 != 0")
     return op
 
 
@@ -567,7 +565,8 @@ def m2(
         d2 = _descent_direction(g12, x2.point)
         x0 = _flow_target(c01, x2.point, d1)
         x1 = _flow_target(c12, x2.point, d2)
-        assert x0.index == 0 and x1.index == 0
+        if (x0.index, x1.index) != (0, 0):
+            raise RuntimeError("flow line ends at a critical point of the wrong index")
         add(x0, x1, x2, _SIGN_MIN_MIN * d1 * d2)
 
     # (1,0) -> 1: vertex at the maximum x0; the g12 arc descends away from
@@ -577,7 +576,8 @@ def m2(
         x1 = _flow_target(c12, x0.point, d2)
         u = -_descent_direction(g02, x0.point)  # ascent direction
         x2 = _flow_target(c02, x0.point, u)
-        assert x1.index == 0 and x2.index == 1
+        if (x1.index, x2.index) != (0, 1):
+            raise RuntimeError("flow line ends at a critical point of the wrong index")
         add(x0, x1, x2, _SIGN_MAX_INPUT_0 * d2 * (-u))
 
     # (0,1) -> 1: vertex at the maximum x1, symmetric to the previous case.
@@ -586,7 +586,8 @@ def m2(
         x0 = _flow_target(c01, x1.point, d1)
         u = -_descent_direction(g02, x1.point)
         x2 = _flow_target(c02, x1.point, u)
-        assert x0.index == 0 and x2.index == 1
+        if (x0.index, x2.index) != (0, 1):
+            raise RuntimeError("flow line ends at a critical point of the wrong index")
         add(x0, x1, x2, _SIGN_MAX_INPUT_1 * d1 * (-u))
 
     return MultilinearOp(

@@ -269,7 +269,8 @@ def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> Retrac
         Bk = _random_complement_within(ker_mat, im_prev, rng)
         Ck = C_vecs.get(k, sympy.zeros(nk, 0))
         full = sympy.Matrix.hstack(Bk, im_prev, Ck)
-        assert full.shape == (nk, nk), "decomposition must be a basis"
+        if full.shape != (nk, nk):
+            raise RuntimeError("decomposition must be a basis")
         inv = full.inv()
         nB, nIm = Bk.cols, im_prev.cols
 

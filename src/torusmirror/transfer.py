@@ -15,8 +15,8 @@ this sign convention is enforced by the defect tests, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from .ainfty import (
     AInftyMorphismData,
@@ -28,7 +28,6 @@ from .ainfty import (
     Scalar,
     is_zero_scalar,
     suspended_coefficient,
-    zero_op,
 )
 from .trees import PlanarTree, enumerate_trees
 
@@ -68,30 +67,15 @@ class RetractionData:
 
     @staticmethod
     def from_obj(obj) -> "RetractionData":
-        from .ainfty import _scalar_from_obj
+        from .ainfty import _freeze, _scalar_from_obj
 
-        def freeze(label):
-            return tuple(freeze(x) for x in label) if isinstance(label, list) else label
-
-        ambient_obj = dict(obj["ambient"])
-        ambient_obj["basis"] = [[freeze(l), d] for l, d in ambient_obj["basis"]]
-        ambient_obj["ops"] = [
-            {
-                "arity": blk["arity"],
-                "entries": [
-                    [[freeze(l) for l in ins], freeze(out), c]
-                    for ins, out, c in blk["entries"]
-                ],
-            }
-            for blk in ambient_obj["ops"]
-        ]
-        ambient = AInftyStructure.from_obj(ambient_obj)
-        sub = GradedBasis(tuple((freeze(l), d) for l, d in obj["sub_basis"]))
+        ambient = AInftyStructure.from_obj(obj["ambient"])
+        sub = GradedBasis(tuple((_freeze(l), d) for l, d in obj["sub_basis"]))
 
         def op(rows, source, target, shift):
             table: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
             for l, out, c in rows:
-                table.setdefault((freeze(l),), {})[freeze(out)] = _scalar_from_obj(c)
+                table.setdefault((_freeze(l),), {})[_freeze(out)] = _scalar_from_obj(c)
             return MultilinearOp(1, source, target, shift, table)
 
         return RetractionData(
@@ -168,29 +152,56 @@ def validate(r: RetractionData) -> CheckReport:
     return CheckReport(ok=not failures, failures=failures)
 
 
+def _require_valid(r: RetractionData) -> None:
+    rep = validate(r)
+    if not rep.ok:
+        raise ValueError("invalid retraction data: " + "; ".join(rep.failures[:3]))
+
+
 # ---------------------------------------------------------------------------
 # suspended evaluation
 # ---------------------------------------------------------------------------
 
 
-def _suspended_table(op: MultilinearOp, deg) -> Dict:
-    """Coefficient table of the suspended operation b_n from m_n."""
-    out = {}
-    for ins, row in op.entries.items():
-        e = suspended_coefficient(ins, deg)
-        s = -1 if e % 2 else 1
-        out[ins] = {o: s * c for o, c in row.items()}
-    return out
-
-
-def _unsuspend_table(table: Dict, deg) -> Dict:
-    """Inverse of :func:`_suspended_table` (the sign is its own inverse)."""
+def _suspension_signed(table: Dict, deg) -> Dict:
+    """Table with each row multiplied by the suspension sign of its inputs;
+    the sign is its own inverse, so this both suspends m_n to b_n and
+    unsuspends b_n back to m_n."""
     out = {}
     for ins, row in table.items():
-        e = suspended_coefficient(ins, deg)
-        s = -1 if e % 2 else 1
+        s = -1 if suspended_coefficient(ins, deg) % 2 else 1
         out[ins] = {o: s * c for o, c in row.items()}
     return out
+
+
+def _b_after_tensor(bk: Dict, tables: List[Dict]) -> Dict:
+    """Table of  b_k o (t_1 x ... x t_k)  for arity-k table bk."""
+    k = len(tables)
+    out: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
+
+    def walk(slot, ins_acc, mids, coeff):
+        if slot == k:
+            row = bk.get(tuple(mids))
+            if not row:
+                return
+            key = tuple(x for blk in ins_acc for x in blk)
+            dst = out.setdefault(key, {})
+            for o, c in row.items():
+                dst[o] = dst.get(o, 0) + coeff * c
+            return
+        for t_ins, t_row in tables[slot].items():
+            for mid, c in t_row.items():
+                walk(slot + 1, ins_acc + [t_ins], mids + [mid], coeff * c)
+
+    walk(0, [], [], 1)
+    return out
+
+
+def _add_into(acc: Dict, table: Dict) -> None:
+    for ins, row in table.items():
+        dst = acc.setdefault(ins, {})
+        for o, c in row.items():
+            dst[o] = dst.get(o, 0) + c
 
 
 class _SuspendedTransfer:
@@ -208,38 +219,12 @@ class _SuspendedTransfer:
         self.r = r
         degA = r.ambient.basis.degrees
         self.b = {
-            k: _suspended_table(op, degA)
+            k: _suspension_signed(op.entries, degA)
             for k, op in r.ambient.ops.items()
             if not op.is_zero()
         }
         self.g: Dict[int, Dict] = {1: dict(r.include.entries)}
         self.q: Dict[int, Dict] = {}
-
-    def _tensor_then_b(self, parts: Tuple[int, ...]) -> Dict:
-        """Table of  b_k o (g_{n_1} x ... x g_{n_k})."""
-        k = len(parts)
-        bk = self.b.get(k)
-        if not bk:
-            return {}
-        gs = [self.g[m] for m in parts]
-        out: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
-
-        def walk(slot, ins_acc, mids, coeff):
-            if slot == k:
-                row = bk.get(tuple(mids))
-                if not row:
-                    return
-                key = tuple(x for blk in ins_acc for x in blk)
-                dst = out.setdefault(key, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + coeff * c
-                return
-            for g_ins, g_row in gs[slot].items():
-                for mid, c in g_row.items():
-                    walk(slot + 1, ins_acc + [g_ins], mids + [mid], coeff * c)
-
-        walk(0, [], [], 1)
-        return out
 
     def q_table(self, n: int) -> Dict:
         if n in self.q:
@@ -248,10 +233,9 @@ class _SuspendedTransfer:
             self.g_table(m)  # ensure lower g's exist
         acc: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
         for parts in _compositions_of(n):
-            for ins, row in self._tensor_then_b(parts).items():
-                dst = acc.setdefault(ins, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + c
+            bk = self.b.get(len(parts))
+            if bk:
+                _add_into(acc, _b_after_tensor(bk, [self.g[m] for m in parts]))
         self.q[n] = acc
         return acc
 
@@ -265,6 +249,9 @@ class _SuspendedTransfer:
                 ins: {o: -c for o, c in row.items()} for ins, row in tab.items()
             }
         return self.g[n]
+
+    def bB_table(self, n: int) -> Dict:
+        return _table_compose(self.r.project, self.q_table(n))
 
 
 def _compositions_of(n: int):
@@ -283,51 +270,39 @@ def _compositions_of(n: int):
     return out
 
 
+def _transferred(
+    r: RetractionData, max_arity: int, bB_table: Callable[[int], Dict]
+) -> AInftyStructure:
+    """m_1^B = p m_1 i directly (suspension is a no-op at arity 1); m_n^B for
+    n >= 2 unsuspended from the suspended table bB_table(n)."""
+    B = r.sub_basis
+    m1B = _table_compose(r.project, _table_compose(r.ambient.m(1), r.include.entries))
+    ops = {1: MultilinearOp(1, B, B, 1, m1B)}
+    for n in range(2, max_arity + 1):
+        ops[n] = MultilinearOp(n, B, B, 2 - n, _suspension_signed(bB_table(n), B.degrees))
+    return AInftyStructure(B, {n: op for n, op in ops.items() if not op.is_zero()})
+
+
 def transfer_structure(r: RetractionData, max_arity: int = 4) -> AInftyStructure:
     """Transferred operations m_n^B for n <= max_arity.
 
     m_1^B = p m_1 i and m_2^B = p m_2 (i x i); higher operations are the
     planar-tree sums, computed through the equivalent branch recursion.
     """
-    rep = validate(r)
-    if not rep.ok:
-        raise ValueError("invalid retraction data: " + "; ".join(rep.failures[:3]))
-    B = r.sub_basis
-    degB = B.degrees
-    st = _SuspendedTransfer(r)
-    ops: Dict[int, MultilinearOp] = {}
-
-    # arity 1 directly (suspension is a no-op at arity 1)
-    m1B = _table_compose(
-        r.project,
-        _table_compose(r.ambient.m(1), {k: dict(v) for k, v in r.include.entries.items()}),
-    )
-    op1 = MultilinearOp(1, B, B, 1, m1B)
-    if not op1.is_zero():
-        ops[1] = op1
-
-    for n in range(2, max_arity + 1):
-        bBn = _table_compose(r.project, st.q_table(n))
-        mBn = _unsuspend_table(bBn, degB)
-        op = MultilinearOp(n, B, B, 2 - n, mBn)
-        if not op.is_zero():
-            ops[n] = op
-    return AInftyStructure(B, ops)
+    _require_valid(r)
+    return _transferred(r, max_arity, _SuspendedTransfer(r).bB_table)
 
 
 def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismData:
     """The comparison map g: B -> A; g_1 = i, higher components use the
     homotopy at the root.  Returned with the transferred structure as source."""
-    rep = validate(r)
-    if not rep.ok:
-        raise ValueError("invalid retraction data: " + "; ".join(rep.failures[:3]))
+    _require_valid(r)
     B = r.sub_basis
-    degB = B.degrees
     st = _SuspendedTransfer(r)
-    source = transfer_structure(r, max_arity)
+    source = _transferred(r, max_arity, st.bB_table)
     comps: Dict[int, MultilinearOp] = {1: MultilinearOp(1, B, r.ambient.basis, 0, dict(r.include.entries))}
     for n in range(2, max_arity + 1):
-        table = _unsuspend_table(st.g_table(n), degB)
+        table = _suspension_signed(st.g_table(n), B.degrees)
         op = MultilinearOp(n, B, r.ambient.basis, 1 - n, table)
         if not op.is_zero():
             comps[n] = op
@@ -344,8 +319,7 @@ def tree_term(r: RetractionData, t: PlanarTree) -> Dict:
     def eval_node(node: PlanarTree) -> Dict:
         if node.is_leaf:
             return dict(r.include.entries)
-        k = len(node.children)
-        bk = st.b.get(k)
+        bk = st.b.get(len(node.children))
         if not bk:
             return {}
         child_tables = []
@@ -357,24 +331,7 @@ def tree_term(r: RetractionData, t: PlanarTree) -> Dict:
                 tab = _table_compose(r.homotopy, tab)
                 tab = {k: {o: -v for o, v in row.items()} for k, row in tab.items()}
             child_tables.append(tab)
-        out: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
-
-        def walk(slot, ins_acc, mids, coeff):
-            if slot == k:
-                row = bk.get(tuple(mids))
-                if not row:
-                    return
-                key = tuple(x for blk in ins_acc for x in blk)
-                dst = out.setdefault(key, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + coeff * c
-                return
-            for g_ins, g_row in child_tables[slot].items():
-                for mid, c in g_row.items():
-                    walk(slot + 1, ins_acc + [g_ins], mids + [mid], coeff * c)
-
-        walk(0, [], [], 1)
-        return out
+        return _b_after_tensor(bk, child_tables)
 
     return _table_compose(r.project, eval_node(t))
 
@@ -382,24 +339,11 @@ def tree_term(r: RetractionData, t: PlanarTree) -> Dict:
 def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInftyStructure:
     """Same result as :func:`transfer_structure`, computed as the explicit
     sum over planar trees; used as a cross-check."""
-    B = r.sub_basis
-    degB = B.degrees
-    ops: Dict[int, MultilinearOp] = {}
-    m1B = _table_compose(
-        r.project,
-        _table_compose(r.ambient.m(1), {k: dict(v) for k, v in r.include.entries.items()}),
-    )
-    op1 = MultilinearOp(1, B, B, 1, m1B)
-    if not op1.is_zero():
-        ops[1] = op1
-    for n in range(2, max_arity + 1):
+
+    def tree_sum(n: int) -> Dict:
         acc: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
         for t in enumerate_trees(n, 2):
-            for ins, row in tree_term(r, t).items():
-                dst = acc.setdefault(ins, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + c
-        op = MultilinearOp(n, B, B, 2 - n, _unsuspend_table(acc, degB))
-        if not op.is_zero():
-            ops[n] = op
-    return AInftyStructure(B, ops)
+            _add_into(acc, tree_term(r, t))
+        return acc
+
+    return _transferred(r, max_arity, tree_sum)

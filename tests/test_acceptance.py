@@ -1,15 +1,17 @@
 """Acceptance gate: nine end-to-end criteria with stated tolerances and
-time budgets.  Each test emits a single machine-readable pass/fail line on
-the real stdout (bypassing capture) so the gate is auditable from the raw
-test log."""
+time budgets.  The checks themselves live in ``torusmirror.criteria``; each
+test runs one at the gate's sizes and emits a single machine-readable
+pass/fail line on the real stdout (bypassing capture) so the gate is
+auditable from the raw test log."""
 
-import random
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations, product
 
-import numpy as np
 import pytest
+
+from torusmirror import criteria
 
 SEED = 20240901
 
@@ -35,331 +37,92 @@ def report(num: int, desc: str, ok: bool, elapsed: float = None) -> None:
         print(line, file=sys.__stdout__, flush=True)
 
 
+def timed(check, *args):
+    start = time.perf_counter()
+    out = check(*args)
+    return out, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def dg_corpus():
-    """50 seeded dg-algebras (dim <= 6) with validated retractions."""
-    from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
-    from torusmirror.transfer import validate
-
-    rng = random.Random(SEED)
-    corpus = []
-    for _ in range(50):
-        A = random_dg_algebra(rng)
-        assert len(A.basis) <= 6
-        r = retraction_onto_cohomology(A, rng)
-        assert validate(r).ok
-        corpus.append(r)
+    """50 seeded dg-algebras (dim <= 6) with retractions, validated by the
+    criteria that use them."""
+    corpus = criteria.retraction_corpus(SEED, 50)
+    assert max(len(r.ambient.basis) for r in corpus) <= 6
     return corpus
 
 
 def test_criterion_1_transferred_relations(dg_corpus):
-    from torusmirror.ainfty import relation_defect
-    from torusmirror.transfer import transfer_structure
-
-    start = time.perf_counter()
-    failures = []
-    for i, r in enumerate(dg_corpus):
-        B = transfer_structure(r, max_arity=5)
-        for n in range(1, 6):
-            if not relation_defect(B, n).is_zero():
-                failures.append((i, n))
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed <= 120
+    out, elapsed = timed(criteria.transferred_relations, dg_corpus, 5)
     report(1, "transferred structure relations exact for n <= 5 on 50 dg-algebras",
-           ok, elapsed)
-    assert not failures, failures
+           out.ok and elapsed <= 120, elapsed)
+    assert out.ok, out.failures
     assert elapsed <= 120
 
 
 def test_criterion_2_transfer_morphism(dg_corpus):
-    from torusmirror.ainfty import morphism_defect
-    from torusmirror.transfer import transfer_morphism
-
-    start = time.perf_counter()
-    failures = []
-    for i, r in enumerate(dg_corpus):
-        F = transfer_morphism(r, max_arity=4)
-        for n in range(1, 5):
-            if not morphism_defect(F, n).is_zero():
-                failures.append((i, n))
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed <= 120
+    out, elapsed = timed(criteria.transfer_morphism_equations, dg_corpus, 4)
     report(2, "comparison morphism equations exact for n <= 4 on the same corpus",
-           ok, elapsed)
-    assert not failures, failures
+           out.ok and elapsed <= 120, elapsed)
+    assert out.ok, out.failures
     assert elapsed <= 120
 
 
 def test_criterion_3_sign_cross_validation():
-    from torusmirror.ainfty import bar_check, relation_defect
-    from torusmirror.randomgen import corrupt_structure, random_dg_algebra
-
-    rng = random.Random(SEED)
-    failures = []
-    corrupted_detected = 0
-    for i in range(100):
-        A = random_dg_algebra(rng)
-        corrupted = i < 20
-        if corrupted:
-            A = corrupt_structure(A, rng)
-        rel_arity = next(
-            (n for n in range(1, 4) if not relation_defect(A, n).is_zero()), None
-        )
-        bar = bar_check(A, 3)
-        bar_arity = (
-            None
-            if bar.ok
-            else min(int(f.split()[2].rstrip(":")) for f in bar.failures)
-        )
-        if rel_arity != bar_arity:
-            failures.append((i, rel_arity, bar_arity))
-        if corrupted and rel_arity is not None:
-            corrupted_detected += 1
-        if not corrupted and rel_arity is not None:
-            failures.append((i, "valid structure flagged", rel_arity))
-    ok = not failures and corrupted_detected == 20
+    out = criteria.sign_agreement(SEED, 100, 20)
+    detected = out.figures["detected"]
     report(3, "relation_defect and bar_check agree on 100 structures "
-              "(20 corrupted, all detected)", ok)
-    assert not failures, failures
-    assert corrupted_detected == 20
+              "(20 corrupted, all detected)", out.ok and detected == 20)
+    assert out.ok, out.failures
+    assert detected == 20
 
 
 def test_criterion_4_mirror_oracle():
-    from torusmirror.fukaya_oh import AffineLagrangian
-    from torusmirror.mirror import mirror_compare
-
-    start = time.perf_counter()
-    cutoff = Fraction(25)
-    failures = []
-    runs = 0
-    slopes_pool = [0, 1, 2, 3]
-    shifts_pool = [Fraction(0), Fraction(1, 2)]
-    from itertools import combinations, product
-
-    for s0, s1, s2 in combinations(slopes_pool, 3):  # all convex-ordered triples
-        for b0, b1, b2 in product(shifts_pool, repeat=3):
-            ls = [
-                AffineLagrangian(((s,),), (b,), (Fraction(1),))
-                for s, b in zip((s0, s1, s2), (b0, b1, b2))
-            ]
-            rep = mirror_compare(*ls, cutoff)
-            runs += 1
-            if not rep.equal:
-                failures.append(((s0, s1, s2), (b0, b1, b2)))
-    elapsed = time.perf_counter() - start
-    ok = not failures and runs == 32 and elapsed <= 60
+    shifts = [Fraction(0), Fraction(1, 2)]
+    out, elapsed = timed(criteria.mirror_grid, list(combinations([0, 1, 2, 3], 3)),
+                         list(product(shifts, repeat=3)), Fraction(25))
+    runs = len(out.cases)
     report(4, f"mirror_compare EQUAL at cutoff 25 on all {runs} "
-              "slope/shift combinations", ok, elapsed)
-    assert not failures, failures
+              "slope/shift combinations", out.ok and runs == 32 and elapsed <= 60, elapsed)
+    assert out.ok, out.failures
     assert runs == 32
     assert elapsed <= 60
 
 
 def test_criterion_5_fukaya_associativity():
-    from torusmirror.fukaya_oh import (
-        AffineLagrangian,
-        associativity_defect,
-        mk_vanishing_certificate,
-    )
-
-    cutoff = Fraction(20)
-    failures = []
-    for slopes in ((0, 1, 2, 3), (0, 1, 3, 4)):
-        ls = [AffineLagrangian(((s,),), (0,), (Fraction(1),)) for s in slopes]
-        defect = associativity_defect(*ls, cutoff)
-        if defect:
-            failures.append((slopes, "associativity defect"))
-        cert = mk_vanishing_certificate(ls, 3)
-        if not cert.certified:
-            failures.append((slopes, "m3 certificate refused"))
-    ok = not failures
+    out = criteria.fukaya_associativity(((0, 1, 2, 3), (0, 1, 3, 4)), Fraction(20))
     report(5, "m2 associativity exact up to cutoff 20 and m3 certified zero "
-              "on both slope quadruples", ok)
-    assert not failures, failures
+              "on both slope quadruples", out.ok)
+    assert out.ok, out.failures
 
 
 def test_criterion_6_morse_suite():
-    from torusmirror import morse
-    from torusmirror.ainfty import assemble_sequence, relation_defect
-
-    start = time.perf_counter()
-    rng = random.Random(SEED)
-    failures = []
-    done = 0
-    while done < 20:
-        def rand_trig():
-            return morse.TrigPolynomial.from_dicts(
-                {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-                {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
-            )
-
-        f0, f1, f2 = rand_trig(), rand_trig(), rand_trig()
-        if not morse.transversal_triple(f0, f1, f2):
-            continue
-        hom = {
-            (0, 1): morse.critical_points(f0 - f1).basis(),
-            (1, 2): morse.critical_points(f1 - f2).basis(),
-            (0, 2): morse.critical_points(f0 - f2).basis(),
-        }
-        comps = {
-            (0, 1): morse.morse_differential(f0, f1),
-            (1, 2): morse.morse_differential(f1, f2),
-            (0, 2): morse.morse_differential(f0, f2),
-            (0, 1, 2): morse.m2(f0, f1, f2),
-        }
-        A = assemble_sequence((0, 1, 2), hom, comps)
-        for n in (1, 2, 3):
-            if not relation_defect(A, n).is_zero():
-                failures.append((done, f"arity-{n} relation"))
-        for key in ((0, 1), (1, 2), (0, 2)):
-            if morse.cohomology_ranks(comps[key]) != (1, 1):
-                failures.append((done, f"ranks on {key}"))
-        done += 1
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed <= 60
+    out, elapsed = timed(criteria.morse_triples, SEED, 20)
     report(6, "Morse relations exact and cohomology ranks (1,1) on 20 "
-              "transversal trig triples", ok, elapsed)
-    assert not failures, failures
+              "transversal trig triples", out.ok and elapsed <= 60, elapsed)
+    assert out.ok, out.failures
     assert elapsed <= 60
 
 
 def test_criterion_7_novikov_field_laws():
-    from torusmirror.novikov import NovikovElem
-
-    rng = random.Random(SEED)
-    failures = []
-
-    def rand_elem():
-        terms = []
-        for _ in range(rng.randint(0, 4)):
-            terms.append(
-                (Fraction(rng.randint(0, 40), 4),
-                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-            )
-        return NovikovElem(terms)
-
-    for case in range(1000):
-        a, b, c = rand_elem(), rand_elem(), rand_elem()
-        lam = Fraction(rng.randint(4, 48), 4)
-        checks = [
-            ((a + b) + c == a + (b + c), "add associativity"),
-            (a + b == b + a, "add commutativity"),
-            ((a * b) * c == a * (b * c), "mul associativity"),
-            (a * b == b * a, "mul commutativity"),
-            (a * (b + c) == a * b + a * c, "distributivity"),
-            (a + NovikovElem.zero() == a, "additive identity"),
-            (a * NovikovElem.one() == a, "multiplicative identity"),
-            (a + (-a) == NovikovElem.zero(), "additive inverse"),
-            ((a.truncate(lam) * b.truncate(lam)).truncate(lam)
-             == (a * b).truncate(lam), "truncation mul homomorphism"),
-            (a.truncate(lam) + b.truncate(lam) == (a + b).truncate(lam),
-             "truncation add homomorphism"),
-        ]
-        if not a.is_zero() and not b.is_zero():
-            checks.append(((a * b).val() == a.val() + b.val(), "product valuation"))
-            s = a + b
-            checks.append((s.is_zero() or s.val() >= min(a.val(), b.val()),
-                           "ultrametric inequality"))
-            if a.val() != b.val():
-                checks.append((s.val() == min(a.val(), b.val()),
-                               "ultrametric equality"))
-            at = a.truncate(lam)
-            if not at.is_zero():
-                prod = at * at.inv()
-                checks.append((prod == NovikovElem.one(prod.cutoff),
-                               "multiplicative inverse"))
-        for okc, name in checks:
-            if not okc:
-                failures.append((case, name))
-    ok = not failures
+    out = criteria.novikov_laws(SEED, 1000)
     report(7, "Novikov field, valuation, and truncation laws exact on 1000 "
-              "seeded cases", ok)
-    assert not failures, failures[:5]
+              "seeded cases", out.ok)
+    assert out.ok, out.failures[:5]
 
 
 def test_criterion_8_legendre_monge_ampere():
-    from torusmirror.monge import (
-        ConvexGridFunction,
-        hessian_duality_check,
-        involution_error,
-        legendre,
-        ma_residual,
-    )
-
-    start = time.perf_counter()
-    C = 1.0  # family constant for the quartic potential on [1/2, 1]
     grids = [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)]
-    failures = []
-
-    # quartic family: generic duality identities at second order
-    box = [(Fraction(1, 2), Fraction(1))]
-    dual_box = [(Fraction(1, 4), Fraction(3, 4))]
-    inv_errs, det_errs = [], []
-    for h in grids:
-        K = ConvexGridFunction.sample(lambda x: 0.25 * x**4, box, h)
-        e_inv = involution_error(K, dual_box, h)
-        rep = hessian_duality_check(K, dual_box, h, margin=0.1)
-        inv_errs.append(e_inv)
-        det_errs.append(rep.max_det_error)
-        if e_inv > C * float(h) ** 2:
-            failures.append(("quartic involution", float(h), e_inv))
-        if rep.max_det_error > C * float(h) ** 2:
-            failures.append(("quartic det product", float(h), rep.max_det_error))
-    order_inv = float(np.log2(inv_errs[0] / inv_errs[2]) / 2)
-    order_det = float(np.log2(det_errs[0] / det_errs[2]) / 2)
-    if order_inv < 1.8:
-        failures.append(("involution order", order_inv))
-    if order_det < 1.8:
-        failures.append(("det order", order_det))
-
-    # quadratic family: Monge-Ampere potentials whose duals must also be
-    # Monge-Ampere within 10 C h^2
-    for h in grids:
-        for a in (Fraction(1), Fraction(2), Fraction(1, 2)):
-            K = ConvexGridFunction.sample(
-                lambda x, a=a: 0.5 * float(a) * x * x, [(-1, 1)], h
-            )
-            qbox = [(-a / 2, a / 2)]
-            e_inv = involution_error(K, qbox, h)
-            if e_inv > C * float(h) ** 2:
-                failures.append(("quadratic involution", float(a), e_inv))
-            dual = legendre(K, qbox, h)
-            if ma_residual(K) > 10 * C * float(h) ** 2:
-                failures.append(("quadratic MA", float(a)))
-            if ma_residual(dual) > 10 * C * float(h) ** 2:
-                failures.append(("quadratic dual MA", float(a)))
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed <= 30
-    report(8, "Legendre errors <= C h^2 with orders "
-              f"{order_inv:.2f}/{order_det:.2f} >= 1.8; dual MA residual "
-              "within 10 C h^2", ok, elapsed)
-    assert not failures, failures
+    out, elapsed = timed(criteria.legendre_duality, grids)
+    orders = f"{out.figures['involution_order']:.2f}/{out.figures['det_order']:.2f}"
+    report(8, f"Legendre errors <= C h^2 with orders {orders} >= 1.8; dual MA "
+              "residual within 10 C h^2", out.ok and elapsed <= 30, elapsed)
+    assert out.ok, out.failures
     assert elapsed <= 30
 
 
 def test_criterion_9_tree_counts():
-    from torusmirror.trees import enumerate_binary, enumerate_trees
-
-    catalan = {1: 1}
-    for n in range(2, 8):
-        catalan[n] = sum(catalan[i] * catalan[n - i] for i in range(1, n))
-    schroeder = {1: 1, 2: 1}
-    for n in range(2, 7):
-        schroeder[n + 1] = (
-            3 * (2 * n - 1) * schroeder[n] - (n - 2) * schroeder[n - 1]
-        ) // (n + 1)
-
-    failures = []
-    for n in range(1, 8):
-        if len(enumerate_trees(n)) != schroeder[n]:
-            failures.append(("schroeder", n))
-        if len(enumerate_binary(n)) != catalan[n]:
-            failures.append(("catalan", n))
-    if [schroeder[n] for n in range(1, 7)] != [1, 1, 3, 11, 45, 197]:
-        failures.append(("schroeder oracle prefix",))
-    if [catalan[n] for n in range(1, 7)] != [1, 1, 2, 5, 14, 42]:
-        failures.append(("catalan oracle prefix",))
-    ok = not failures
+    out = criteria.tree_counts(7)
     report(9, "tree enumeration matches little-Schroeder and Catalan "
-              "recurrence oracles for n <= 7", ok)
-    assert not failures, failures
+              "recurrence oracles for n <= 7", out.ok)
+    assert out.ok, out.failures

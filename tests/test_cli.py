@@ -3,10 +3,11 @@ JSON reports."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from torusmirror.cli import main
+from torusmirror.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -151,3 +152,28 @@ def test_suite_subset_and_determinism(capsys, tmp_path):
 def test_missing_file_reports_error(capsys):
     code, rep = run(capsys, "check-ainfty", "/nonexistent.json")
     assert code == 1 and rep["status"] == "ERROR"
+
+
+def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
+    code, rep = run(capsys, "fo", "--slopes", "0,1,2,3", "--shifts", "0,1")
+    assert code == 1 and rep["status"] == "ERROR"
+    code, rep = run(capsys, "mirror", "--slopes", "0,1,2", "--shifts", "0")
+    assert code == 1 and rep["status"] == "ERROR"
+
+    obj = json.loads(open(ainfty_file).read())
+    obj["ops"][0]["entries"][0][2] = {"q": [1, 0]}  # zero denominator
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(obj))
+    code, rep = run(capsys, "check-ainfty", str(bad))
+    assert code == 1 and rep["status"] == "ERROR"
+
+
+def test_readme_command_lines_parse(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    lines = [l.split("#")[0] for l in block.splitlines() if l.startswith("torusmirror ")]
+    assert len(lines) == 7
+    for line in lines:
+        # file arguments point into the fixture directory
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in line.split()[1:]]
+        build_parser().parse_args(argv)  # exits on a usage error

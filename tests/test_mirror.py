@@ -12,7 +12,6 @@ from torusmirror.mirror import (
     RationalPolytope,
     compare_tables,
     converges_on,
-    functor_on_objects,
     mirror_compare,
     spectrum,
     theta_basis,
@@ -113,7 +112,7 @@ def test_bundle_requires_positive_definite_slope():
     with pytest.raises(ValueError):
         LineBundleObj(line(-1))
     with pytest.raises(ValueError):
-        functor_on_objects(line(0, shift=Fraction(1, 2)))
+        LineBundleObj(line(0, shift=Fraction(1, 2)))
     assert unit_bundle(1).is_unit
     assert unit_bundle(1).rank_of_sections == 1
 

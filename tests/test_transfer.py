@@ -6,17 +6,15 @@ import random
 
 import pytest
 
-from torusmirror.ainfty import (
-    AInftyStructure,
-    GradedBasis,
-    MultilinearOp,
-    morphism_defect,
-    relation_defect,
+from torusmirror.ainfty import AInftyStructure, GradedBasis, MultilinearOp
+from torusmirror.criteria import (
+    retraction_corpus,
+    transfer_morphism_equations,
+    transferred_relations,
 )
-from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
+from torusmirror.randomgen import retraction_onto_cohomology
 from torusmirror.transfer import (
     RetractionData,
-    transfer_morphism,
     transfer_structure,
     transfer_structure_by_trees,
     tree_term,
@@ -27,12 +25,7 @@ from torusmirror.trees import enumerate_trees
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = random.Random(20240901)
-    out = []
-    for _ in range(8):
-        A = random_dg_algebra(rng)
-        out.append(retraction_onto_cohomology(A, rng))
-    return out
+    return retraction_corpus(20240901, 8)
 
 
 def test_generated_retractions_validate(corpus):
@@ -42,17 +35,13 @@ def test_generated_retractions_validate(corpus):
 
 
 def test_transferred_structures_satisfy_relations(corpus):
-    for r in corpus:
-        B = transfer_structure(r, max_arity=4)
-        for n in range(1, 5):
-            assert relation_defect(B, n).is_zero()
+    out = transferred_relations(corpus, 4)
+    assert out.ok, out.failures
 
 
 def test_transfer_morphism_satisfies_morphism_equations(corpus):
-    for r in corpus:
-        F = transfer_morphism(r, max_arity=3)
-        for n in range(1, 4):
-            assert morphism_defect(F, n).is_zero()
+    out = transfer_morphism_equations(corpus, 3)
+    assert out.ok, out.failures
 
 
 def test_branch_recursion_matches_tree_sum(corpus):
@@ -74,9 +63,9 @@ def test_single_tree_terms_sum_to_ternary_product(corpus):
             for o, c in row.items():
                 dst[o] = dst.get(o, 0) + c
     st = transfer_structure(r, max_arity=3)
-    from torusmirror.transfer import _unsuspend_table
+    from torusmirror.transfer import _suspension_signed
 
-    expected = _unsuspend_table(total, r.sub_basis.degrees)
+    expected = _suspension_signed(total, r.sub_basis.degrees)
     got = st.m(3).entries
     cleaned = {
         ins: {o: c for o, c in row.items() if c != 0}
