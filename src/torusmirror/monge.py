@@ -2,22 +2,26 @@
 
 A convex potential K is sampled on a uniform rational grid over a box; the
 Legendre transform is computed by exact maximization over grid nodes plus a
-local quadratic refinement step, giving O(h^2) accuracy.  The module also
-checks the two desk-scale duality identities: the Monge-Ampere residual
-(constancy of det Hess K) and the Hessian duality
+local refinement of a degree-4 interpolant around each argmax, giving
+O(h^2) accuracy.  The refinement and the dual Hessian read-off run over all
+nodes at once, on stacked stencil interpolants evaluated by one batched
+contraction with per-axis power tables.  The module also checks the two
+desk-scale duality identities: the Monge-Ampere residual (constancy of
+det Hess K) and the Hessian duality
 det Hess K(x) * det Hess Khat(grad K(x)) = 1 together with the metric
 agreement Hess K(x) = (Hess Khat(y))^{-1} at gradient-matched points.
 
 Unlike the rest of the package this module is numerical: node coordinates
-are rational, values are floats, and every check carries an explicit
-tolerance.  Centered second differences define the discrete Hessian; the
-boundary ring is excluded from all norms.
+are rational (their floats are correctly rounded), values are floats, and
+every check carries an explicit tolerance.  Centered second differences
+define the discrete Hessian; the boundary ring is excluded from all norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +42,17 @@ def _as_box(box) -> Box:
 
 
 def _axis_nodes(lo: Fraction, hi: Fraction, h: Fraction) -> np.ndarray:
+    """Nodes lo + k h, k = 0, ..., (hi - lo) / h, as float(lo + k h): over a
+    common denominator D node k is (a + k b) / D, and Python's int division
+    rounds that quotient correctly."""
     n = (hi - lo) / h
     if n.denominator != 1 or n <= 0:
         raise ValueError("box side must be a positive integer multiple of h")
-    return lo + h * np.arange(int(n) + 1)
+    steps = n.numerator
+    den = lcm(lo.denominator, h.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = h.numerator * (den // h.denominator)
+    return np.array([(a + k * b) / den for k in range(steps + 1)])
 
 
 @dataclass(frozen=True)
@@ -85,14 +96,14 @@ class ConvexGridFunction:
 
     def node_array(self) -> List[np.ndarray]:
         """Float coordinate arrays, one per axis."""
-        return [np.array([float(x) for x in self.axis_nodes(d)]) for d in range(self.n)]
+        return [_axis_nodes(lo, hi, self.h) for lo, hi in self.box]
 
     @staticmethod
     def sample(func: Callable[..., float], box, h) -> "ConvexGridFunction":
         box = _as_box(box)
         h = Fraction(h)
         axes = [_axis_nodes(lo, hi, h) for lo, hi in box]
-        grids = np.meshgrid(*[a.astype(float) for a in axes], indexing="ij")
+        grids = np.meshgrid(*axes, indexing="ij")
         vals = np.vectorize(func)(*grids)
         return ConvexGridFunction(box, h, vals)
 
@@ -170,68 +181,88 @@ def _check_dual_box(K: ConvexGridFunction, dual_box: Box) -> None:
             )
 
 
-def _local_interpolant(v: np.ndarray, start: Sequence[int], sizes: Sequence[int]):
-    """Tensor-product polynomial coefficients of v on the stencil block
-    [start, start+sizes) in scaled coordinates t = (index - start)."""
-    block = v[tuple(slice(s, s + m) for s, m in zip(start, sizes))].astype(float)
-    coeffs = block
+def _local_interpolants(v: np.ndarray, centers: np.ndarray):
+    """Tensor-product polynomial interpolants of v on stencil blocks of
+    min(5, side) nodes per axis, one block per row of `centers` (J, n),
+    placed at start = centers - size // 2 and clipped into the grid.
+
+    Returns the block starts (J, n) and the coefficients (J, m_1, ..., m_n)
+    in the scaled coordinates t = index - start of each block."""
+    shape = np.array(v.shape)
+    sizes = np.minimum(5, shape)
+    starts = np.clip(centers - sizes // 2, 0, shape - sizes)
+    n = v.ndim
+    coeffs = v[tuple(
+        (starts[:, d, None] + np.arange(m)).reshape(
+            (-1,) + (1,) * d + (m,) + (1,) * (n - 1 - d))
+        for d, m in enumerate(sizes)
+    )]
+    inv_vander = {
+        m: np.linalg.inv(np.vander(np.arange(m, dtype=float), m, increasing=True))
+        for m in set(sizes.tolist())
+    }
+    # one (m, m) @ (m, rest) product per block, the shape of solving one
+    # block alone, so each block's coefficients round as they would alone
     for d, m in enumerate(sizes):
-        vand = np.vander(np.arange(m, dtype=float), m, increasing=True)
-        inv = np.linalg.inv(vand)
-        coeffs = np.tensordot(inv, coeffs, axes=([1], [d]))
-        coeffs = np.moveaxis(coeffs, 0, d)
-    return coeffs
+        moved = np.moveaxis(coeffs, d + 1, 1)
+        solved = inv_vander[m] @ moved.reshape(len(starts), m, -1)
+        coeffs = np.moveaxis(solved.reshape(moved.shape), 1, d + 1)
+    return starts, coeffs
 
 
-def _poly_eval_grad_hess(coeffs: np.ndarray, t: np.ndarray):
-    n = coeffs.ndim
+def _derivative_table(coeffs: np.ndarray, t: np.ndarray, top: int) -> np.ndarray:
+    """Partial derivatives up to order `top` per axis of the tensor-product
+    polynomials coeffs (J, m_1, ..., m_n), each at its own point t (J, n).
 
-    def powers(x, m, deriv):
-        p = np.zeros(m)
-        for k in range(deriv, m):
-            f = 1.0
-            for j in range(deriv):
-                f *= k - j
-            p[k] = f * x ** (k - deriv)
-        return p
+    Entry [j, r_1, ..., r_n] is d^r_1/dt_1^r_1 ... d^r_n/dt_n^r_n P_j(t_j):
+    one batched contraction of the coefficients with per-axis tables of
+    k (k-1) ... (k-r+1) t^(k-r)."""
+    n = t.shape[1]
+    operands = [coeffs, list(range(n + 1))]
+    for d in range(n):
+        k = np.arange(coeffs.shape[d + 1])
+        falling, table = np.ones(len(k)), []
+        for r in range(top + 1):
+            table.append(falling * t[:, d, None] ** np.maximum(k - r, 0))
+            falling = falling * (k - r)
+        operands += [np.stack(table, axis=1), [0, n + 1 + d, d + 1]]
+    return np.einsum(*operands, [0, *range(n + 1, 2 * n + 1)])
 
-    val_p = [powers(t[d], coeffs.shape[d], 0) for d in range(n)]
-    d1_p = [powers(t[d], coeffs.shape[d], 1) for d in range(n)]
-    d2_p = [powers(t[d], coeffs.shape[d], 2) for d in range(n)]
 
-    def contract(choice):
-        c = coeffs
-        for d in range(n - 1, -1, -1):
-            c = np.tensordot(choice[d], c, axes=([0], [d]))
-        return float(c)
+def _grad_hess(coeffs: np.ndarray, t: np.ndarray):
+    """Gradients (J, n) and Hessians (J, n, n) of the polynomials at t."""
+    table = _derivative_table(coeffs, t, 2)
+    unit = np.eye(t.shape[1], dtype=int)
+    pick = lambda orders: table[(slice(None), *np.moveaxis(orders, -1, 0))]
+    return pick(unit), pick(unit[:, None] + unit)
 
-    val = contract(val_p)
-    grad = np.array(
-        [contract([d1_p[d] if e == d else val_p[e] for e in range(n)]) for d in range(n)]
-    )
-    hess = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            ch = []
-            for e in range(n):
-                if e == a and e == b:
-                    ch.append(d2_p[e])
-                elif e in (a, b):
-                    ch.append(d1_p[e])
-                else:
-                    ch.append(val_p[e])
-            hess[a, b] = contract(ch)
-    return val, grad, hess
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve hess[j] step[j] = grad[j] for a stack; a row whose Hessian is
+    singular takes the gradient step step[j] = grad[j] instead."""
+    try:
+        return np.linalg.solve(hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = grad.copy()
+        for j in range(len(hess)):
+            try:
+                steps[j] = np.linalg.solve(hess[j], grad[j])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def legendre(K: ConvexGridFunction, dual_box, dual_h) -> ConvexGridFunction:
     """Discrete Legendre transform Khat(y) = max_x (<x, y> - K(x)).
 
-    Exact maximization over grid nodes, then local refinement: a
-    tensor-product polynomial interpolant of K (degree up to 4 per axis) on
-    a stencil around the argmax is maximized by projected Newton ascent.
-    The refined values carry the interpolation error O(h^5) for smooth K,
-    so second differences of the transform remain second-order accurate.
+    Exact maximization over grid nodes, then local refinement of all dual
+    nodes at once: a tensor-product polynomial interpolant of K (degree up
+    to 4 per axis) on a stencil around each argmax is maximized by Newton
+    ascent clipped to the stencil hull (a gradient step where the Hessian is
+    singular), until the gradient is below 1e-14, 30 step halvings gain
+    nothing, or 60 iterations.  The refined values carry the interpolation
+    error O(h^5) for smooth K, so second differences of the transform
+    remain second-order accurate.
     """
     dual_box = _as_box(dual_box)
     dual_h = Fraction(dual_h)
@@ -241,63 +272,53 @@ def legendre(K: ConvexGridFunction, dual_box, dual_h) -> ConvexGridFunction:
 
     v = K.values
     hf = float(K.h)
-    axes = K.node_array()
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*K.node_array(), indexing="ij")
     flat_x = np.stack([m.ravel() for m in mesh], axis=-1)  # (#nodes, n)
-    flat_v = v.ravel()
 
-    dual_axes = [_axis_nodes(lo, hi, dual_h).astype(float) for lo, hi in dual_box]
+    dual_axes = [_axis_nodes(lo, hi, dual_h) for lo, hi in dual_box]
     out_shape = tuple(len(a) for a in dual_axes)
     dual_mesh = np.meshgrid(*dual_axes, indexing="ij")
     ys = np.stack([m.ravel() for m in dual_mesh], axis=-1)  # (#dual, n)
 
     # columns of (x.y - K(x)) indexed by dual node
-    scores = ys @ flat_x.T - flat_v[None, :]
-    arg = np.argmax(scores, axis=1)
-    base = scores[np.arange(len(ys)), arg]
+    scores = ys @ flat_x.T - v.ravel()[None, :]
+    idx = np.array(np.unravel_index(np.argmax(scores, axis=1), v.shape)).T  # (#dual, n)
 
-    idx = np.array(np.unravel_index(arg, v.shape)).T  # (#dual, n)
-    refined = base.copy()
-    interp_cache = {}
+    # maximize y.x - P(x) = h y.t - P(t) + const over each stencil hull
+    starts, coeffs = _local_interpolants(v, idx)
+    t = (idx - starts).astype(float)
+    hi_t = np.array(coeffs.shape[1:], dtype=float) - 1.0
+
+    def gain(rows, t_rows):
+        p = _derivative_table(coeffs[rows], t_rows, 0).reshape(len(rows))
+        return hf * np.sum(ys[rows] * t_rows, axis=1) - p
+
+    active = np.arange(len(ys))
+    best = gain(active, t)
+    for _ in range(60):
+        grad_p, hess_p = _grad_hess(coeffs[active], t[active])
+        grad = hf * ys[active] - grad_p
+        moving = ~(np.max(np.abs(grad), axis=1) < 1e-14)
+        active = active[moving]
+        step = _newton_steps(hess_p[moving], grad[moving])
+        pending = np.arange(len(active))  # rows of active still halving
+        tau = 1.0
+        for _ in range(30):
+            rows = active[pending]
+            t_new = np.clip(t[rows] + tau * step[pending], 0.0, hi_t)
+            v_new = gain(rows, t_new)
+            better = v_new > best[rows] + 1e-18
+            t[rows[better]], best[rows[better]] = t_new[better], v_new[better]
+            pending = pending[~better]
+            if not len(pending):
+                break
+            tau *= 0.5
+        active = np.delete(active, pending)  # no gain after 30 halvings: done
+        if not len(active):
+            break
     origin = np.array([float(lo) for lo, _ in K.box])
-    for j in range(len(ys)):
-        sizes = tuple(min(5, v.shape[d]) for d in range(K.n))
-        start = tuple(
-            int(np.clip(idx[j, d] - sizes[d] // 2, 0, v.shape[d] - sizes[d]))
-            for d in range(K.n)
-        )
-        key = (start, sizes)
-        if key not in interp_cache:
-            interp_cache[key] = _local_interpolant(v, start, sizes)
-        coeffs = interp_cache[key]
-        y = ys[j]
-        t = (idx[j] - np.array(start)).astype(float)
-        hi_t = np.array(sizes, dtype=float) - 1.0
-        # maximize y.x - P(x) = h*y.t - P(t) + const over the stencil hull
-        _, g0, _ = _poly_eval_grad_hess(coeffs, t)
-        best_val = hf * float(y @ t) - _poly_eval_grad_hess(coeffs, t)[0]
-        for _ in range(60):
-            val, grad_p, hess_p = _poly_eval_grad_hess(coeffs, t)
-            grad = hf * y - grad_p
-            if float(np.max(np.abs(grad))) < 1e-14:
-                break
-            try:
-                step = np.linalg.solve(hess_p, grad)
-            except np.linalg.LinAlgError:
-                step = grad
-            tau = 1.0
-            improved = False
-            for _ in range(30):
-                t_new = np.clip(t + tau * step, 0.0, hi_t)
-                v_new = hf * float(y @ t_new) - _poly_eval_grad_hess(coeffs, t_new)[0]
-                if v_new > best_val + 1e-18:
-                    t, best_val, improved = t_new, v_new, True
-                    break
-                tau *= 0.5
-            if not improved:
-                break
-        x_pt = origin + np.array(start) * hf + t * hf
-        refined[j] = float(y @ x_pt) - _poly_eval_grad_hess(coeffs, t)[0]
+    x_pt = origin + starts * hf + t * hf
+    refined = np.sum(ys * x_pt, axis=1) - _derivative_table(coeffs, t, 0).reshape(len(ys))
     return ConvexGridFunction(dual_box, dual_h, refined.reshape(out_shape))
 
 
@@ -310,15 +331,13 @@ def involution_error(K: ConvexGridFunction, dual_box, dual_h) -> float:
     grads = gradient_field(Khat)
     back_box = []
     offsets = []
-    for d, (lo, hi) in enumerate(K.box):
+    for d, ((lo, _), xs) in enumerate(zip(K.box, K.node_array())):
         gmin, gmax = float(np.min(grads[..., d])), float(np.max(grads[..., d]))
-        steps = int((hi - lo) / K.h)
-        ks = [k for k in range(steps + 1)
-              if gmin - 1e-12 <= float(lo + k * K.h) <= gmax + 1e-12]
+        ks = np.flatnonzero((gmin - 1e-12 <= xs) & (xs <= gmax + 1e-12))
         if len(ks) < 3:
             raise DomainMismatchError("common domain too small for interior norms")
-        back_box.append((lo + ks[0] * K.h, lo + ks[-1] * K.h))
-        offsets.append(ks[0])
+        back_box.append((lo + int(ks[0]) * K.h, lo + int(ks[-1]) * K.h))
+        offsets.append(int(ks[0]))
     back = legendre(Khat, back_box, K.h)
     sub = K.values[tuple(
         slice(o, o + s) for o, s in zip(offsets, back.values.shape)
@@ -359,54 +378,28 @@ def hessian_duality_check(
     better than the centered differences on the primal side.
     """
     Khat = legendre(K, dual_box, dual_h)
-    hess_K = _hessian_field(K.values, float(K.h))
-    grads = gradient_field(K)
+    hess_x = _hessian_field(K.values, float(K.h)).reshape(-1, K.n, K.n)
+    ys = gradient_field(K).reshape(-1, K.n)
     dual_vals = Khat.values
     dual_hf = float(Khat.h)
     dual_lo = np.array([float(lo) for lo, _ in Khat.box])
-    interp_cache = {}
-
-    def dual_hessian(y: np.ndarray):
-        t_global = (y - dual_lo) / dual_hf
-        if np.any(t_global < -1e-9) or np.any(
-            t_global > np.array(dual_vals.shape) - 1 + 1e-9
-        ):
-            return None
-        sizes = tuple(min(5, s) for s in dual_vals.shape)
-        start = tuple(
-            int(np.clip(np.floor(t_global[d]) - sizes[d] // 2 + 1, 0,
-                        dual_vals.shape[d] - sizes[d]))
-            for d in range(K.n)
-        )
-        key = (start, sizes)
-        if key not in interp_cache:
-            interp_cache[key] = _local_interpolant(dual_vals, start, sizes)
-        _, _, hess_t = _poly_eval_grad_hess(
-            interp_cache[key], t_global - np.array(start)
-        )
-        return hess_t / dual_hf**2
-
-    det_errs: List[float] = []
-    met_errs: List[float] = []
-    flat_h = hess_K.reshape(-1, K.n, K.n)
-    flat_g = grads.reshape(-1, K.n)
-    for hess_x, y in zip(flat_h, flat_g):
-        if margin and any(
-            y[d] < float(lo) + margin or y[d] > float(hi) - margin
-            for d, (lo, hi) in enumerate(Khat.box)
-        ):
-            continue
-        hess_y = dual_hessian(y)
-        if hess_y is None:
-            continue
-        det_errs.append(abs(np.linalg.det(hess_x) * np.linalg.det(hess_y) - 1.0))
-        met_errs.append(float(np.max(np.abs(hess_x - np.linalg.inv(hess_y)))))
-    if not det_errs:
+    dual_hi = np.array([float(hi) for _, hi in Khat.box])
+    t = (ys - dual_lo) / dual_hf
+    outside = (t < -1e-9) | (t > np.array(dual_vals.shape) - 1 + 1e-9)
+    if margin:
+        outside |= (ys < dual_lo + margin) | (ys > dual_hi - margin)
+    matched = ~np.any(outside, axis=1)
+    if not matched.any():
         raise GradientRangeError("no interior gradient landed inside the dual grid")
+    hess_x, t = hess_x[matched], t[matched]
+    starts, coeffs = _local_interpolants(dual_vals, np.floor(t).astype(int) + 1)
+    hess_y = _grad_hess(coeffs, t - starts)[1] / dual_hf**2
+    det_errs = np.abs(np.linalg.det(hess_x) * np.linalg.det(hess_y) - 1.0)
+    met_errs = np.max(np.abs(hess_x - np.linalg.inv(hess_y)), axis=(1, 2))
     return HessianDualityReport(
         matched_points=len(det_errs),
-        max_det_error=float(max(det_errs)),
-        max_metric_error=float(max(met_errs)),
+        max_det_error=float(np.max(det_errs)),
+        max_metric_error=float(np.max(met_errs)),
     )
 
 

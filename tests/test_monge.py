@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from torusmirror.monge import (
     ConvexGridFunction,
+    _derivative_table,
+    _newton_steps,
     DomainMismatchError,
     GradientRangeError,
     hessian_determinants,
@@ -96,6 +98,75 @@ def test_quartic_is_a_negative_control_for_ma():
         lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)], Fraction(1, 32)
     )
     assert ma_residual(K) > 1.0  # det Hess = 3 x^2 is far from constant
+
+
+def test_anisotropic_2d_cross_term_duality():
+    """K = x^2/2 + x^4/12 + x y/10 + y^2/2 + y^4/6 on [-1, 1]^2 at h = 1/12.
+    The cross term and the unequal quartic weights make the two axes of the
+    batched refinement and Hessian read-off distinguishable."""
+    h = Fraction(1, 12)
+    K = ConvexGridFunction.sample(
+        lambda x, y: 0.5 * x * x + x**4 / 12 + 0.1 * x * y + 0.5 * y * y + y**4 / 6,
+        [(-1, 1), (-1, 1)], h,
+    )
+    dual_box = [(Fraction(-1, 2), Fraction(1, 2))] * 2
+    bound = float(h) ** 2
+    assert involution_error(K, dual_box, h) <= bound
+    assert hessian_duality_check(K, dual_box, h, margin=0.1).max_det_error <= bound
+
+
+# -- batched refinement ------------------------------------------------------------
+
+
+def test_derivative_table_matches_numpy_polynomial():
+    """Every partial derivative up to order 2 per axis of a stack of
+    non-square tensor-product polynomials, against numpy's polynomial module."""
+    from numpy.polynomial import polynomial as P
+
+    rng = np.random.default_rng(1)
+    coeffs = rng.normal(size=(4, 5, 3))
+    t = rng.uniform(0, 4, size=(4, 2))
+    table = _derivative_table(coeffs, t, 2)
+    assert table.shape == (4, 3, 3)
+    for j in range(4):
+        for r0 in range(3):
+            for r1 in range(3):
+                c = P.polyder(P.polyder(coeffs[j], r0, axis=0), r1, axis=1)
+                want = P.polyval2d(t[j, 0], t[j, 1], c)
+                assert table[j, r0, r1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_singular_hessian_row_takes_the_gradient_step():
+    rng = np.random.default_rng(0)
+    hess = rng.normal(size=(5, 2, 2))
+    hess = hess @ hess.transpose(0, 2, 1) + np.eye(2)
+    hess[2] = [[1.0, 2.0], [2.0, 4.0]]  # exactly singular
+    grad = rng.normal(size=(5, 2))
+    step = _newton_steps(hess, grad)
+    assert np.array_equal(step[2], grad[2])
+    for j in (0, 1, 3, 4):
+        assert np.array_equal(step[j], np.linalg.solve(hess[j], grad[j]))
+
+
+def test_node_coordinates_are_correctly_rounded():
+    """Float nodes equal float(lo + k h) bit for bit: on every grid of
+    acceptance criterion 8 (the involution's back boxes are subgrids of
+    these), on the quartic and 2D grids of the legendre benchmark with all
+    their tilts, and on a grid whose integer numerators exceed 2^53."""
+    F = Fraction
+    boxes = []
+    for h in (F(1, 16), F(1, 32), F(1, 64)):
+        boxes += [((F(1, 2), F(1)), h), ((F(-1), F(1)), h)]
+        boxes += [((-a / 2, a / 2), h) for a in (F(1), F(2), F(1, 2))]
+        boxes += [((F(1, 4) + F(k, 64), F(3, 4) + F(k, 64)), h) for k in range(-64, 65)]
+    for h in (F(1, 12), F(1, 16)):
+        boxes += [((F(-1), F(1)), h)]
+        boxes += [((F(-1, 2) + F(k, 32), F(1, 2) + F(k, 32)), h) for k in range(-8, 9)]
+    boxes.append(((F(1, 3**40), 1 + F(1, 3**40)), F(1, 8)))
+    for (lo, hi), h in boxes:
+        K = ConvexGridFunction.sample(lambda x: x * x, [(lo, hi)], h)
+        want = np.array([float(x) for x in K.axis_nodes(0)])
+        assert K.node_array()[0].tobytes() == want.tobytes()
 
 
 # -- convergence under refinement ----------------------------------------------

@@ -75,6 +75,28 @@ def test_single_tree_terms_sum_to_ternary_product(corpus):
     assert cleaned == got
 
 
+def test_massey_transfer_is_non_formal_and_exact():
+    """A dga with a nonzero Massey product <a, b, c> = w: du = ab, dv = bc,
+    a.b = ab, b.c = bc, u.c = a.v = w.  Its transfer has nonzero m3 and m4,
+    so the relations and the morphism equations compare nonzero terms and
+    see the sign of the homotopy (the seeded corpus transfers to zero above
+    arity 2)."""
+    B = GradedBasis(
+        (("a", 1), ("b", 1), ("c", 1), ("u", 1), ("v", 1), ("ab", 2), ("bc", 2), ("w", 2))
+    )
+    d = MultilinearOp(1, B, B, 1, {("u",): {"ab": 1}, ("v",): {"bc": 1}})
+    m = MultilinearOp(2, B, B, 0, {
+        ("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("u", "c"): {"w": 1}, ("a", "v"): {"w": 1},
+    })
+    r = retraction_onto_cohomology(AInftyStructure(B, {1: d, 2: m}), random.Random(0))
+    st = transfer_structure(r, max_arity=4)
+    assert [len(list(st.m(n).nonzero_entries())) for n in (3, 4)] == [12, 48]
+    out = transferred_relations([r], 4)
+    assert out.ok, out.failures
+    out = transfer_morphism_equations([r], 3)
+    assert out.ok, out.failures
+
+
 def test_invalid_retraction_is_rejected():
     basis = GradedBasis((("x", 0), ("y", 1)))
     A = AInftyStructure(
