@@ -210,14 +210,14 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
 
 
 def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
-    from .criteria import circle_sections
-    from .fukaya_oh import associativity_defect, mk_vanishing_certificate
+    from .criteria import circle_sections, truncated_defect
+    from .fukaya_oh import fukaya_sequence, mk_vanishing_certificate
 
     inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 4:
         return RunReport("fo", _digest(inputs), "ERROR", {"error": "need 4 slopes"}, 0.0)
     ls = circle_sections(slopes, shifts)
-    defect = associativity_defect(*ls, cutoff)
+    defect = truncated_defect(fukaya_sequence(ls, cutoff), 3, cutoff)
     cert = mk_vanishing_certificate(ls, 3)
     payload = {
         "associative": not defect,

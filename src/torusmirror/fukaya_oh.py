@@ -5,7 +5,8 @@ symmetric matrix, equipped with a rank-one local system given by rational
 holonomies around the n base circles.  The module computes intersection
 points with their integer gradings, the transversality predicate, the
 triangle product m2 by exact lattice summation over the universal cover,
-and the degree certificate that forces all higher products to vanish for
+the direct-sum A-infinity structure of a sequence built from it, and the
+degree certificate that forces all higher products to vanish for
 convex-ordered sequences.
 
 Conventions (fixed once, shared with the theta-function side):
@@ -25,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import floor
 from typing import Dict, Sequence, Tuple
 
+from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, assemble_sequence
 from .lattice import (
     Mat,
     Vec,
@@ -130,16 +133,6 @@ def intersections(li: AffineLagrangian, lj: AffineLagrangian) -> list:
     return points
 
 
-def m1_vanishes(li: AffineLagrangian, lj: AffineLagrangian) -> bool:
-    """The differential vanishes on every transversal pair in this class.
-
-    All intersection points of a pair carry the same degree (the inertia of
-    the slope increment), so no degree-difference-one pairs exist.
-    """
-    degs = {p.degree for p in intersections(li, lj)}
-    return len(degs) == 1
-
-
 def _holonomy_factor(
     lagrangians: Sequence[AffineLagrangian], y0: Vec, y1: Vec, y2: Vec
 ) -> Fraction:
@@ -238,45 +231,46 @@ def m2(
     return result
 
 
-def associativity_defect(
-    l0: AffineLagrangian,
-    l1: AffineLagrangian,
-    l2: AffineLagrangian,
-    l3: AffineLagrangian,
-    cutoff,
-) -> Dict:
-    """Nonzero entries of m2(m2(x0, x1), x2) - m2(x0, m2(x1, x2)), truncated.
+def triangle_product_table(
+    l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian, cutoff
+) -> Dict[Tuple, NovikovElem]:
+    """All m2 products of the triple, keyed by intersection-coset triples.
 
-    Both composites are complete below the cutoff because every triangle
-    weight is nonnegative, so each side is compared after truncation there.
-    Returns {} iff the product is associative up to the cutoff (which the
-    vanishing of m3 predicts for convex-ordered quadruples).
+    Targets that no triangle reaches below the cutoff keep an explicit zero.
     """
-    cutoff = Fraction(cutoff)
-    defects: Dict = {}
-    i01 = intersections(l0, l1)
-    i12 = intersections(l1, l2)
-    i23 = intersections(l2, l3)
-    m2_012 = {(a.coset, b.coset): m2(l0, l1, l2, a, b, cutoff) for a in i01 for b in i12}
-    m2_123 = {(b.coset, c.coset): m2(l1, l2, l3, b, c, cutoff) for b in i12 for c in i23}
-    for x0 in i01:
-        for x1 in i12:
-            for x2 in i23:
-                acc: Dict = {}
-                for y, cy in m2_012[(x0.coset, x1.coset)].items():
-                    for z, cz in m2(l0, l2, l3, y, x2, cutoff).items():
-                        acc[z] = acc.get(z, NovikovElem.zero(cutoff)) + cy * cz
-                for w, cw in m2_123[(x1.coset, x2.coset)].items():
-                    for z, cz in m2(l0, l1, l3, x0, w, cutoff).items():
-                        acc[z] = acc.get(z, NovikovElem.zero(cutoff)) - cz * cw
-                row = {
-                    z: d.truncate(cutoff)
-                    for z, d in acc.items()
-                    if not d.truncate(cutoff).is_zero()
-                }
-                if row:
-                    defects[(x0.coset, x1.coset, x2.coset)] = row
-    return defects
+    table: Dict[Tuple, NovikovElem] = {}
+    for x0 in intersections(l0, l1):
+        for x1 in intersections(l1, l2):
+            out = m2(l0, l1, l2, x0, x1, cutoff)
+            for x2, value in out.items():
+                table[(x0.coset, x1.coset, x2.coset)] = value
+    return table
+
+
+def fukaya_sequence(lagrangians: Sequence[AffineLagrangian], cutoff) -> AInftyStructure:
+    """Direct-sum structure of an ordered sequence of sections.
+
+    Hom(L_i, L_j), i < j, has one basis element per intersection point,
+    labelled by its coset; m2 on each triple i < j < k is the triangle
+    product table.  No m1 is built: every point of a pair has the same
+    degree, so a differential of degree one has no nonzero entry.
+
+    Precision: MultilinearOp drops zero-valued Novikov entries, and with
+    them the O(q^cutoff) bound they carry, so relation defects of this
+    structure can show nonzero terms at or above the cutoff (four arity-3
+    entries on slopes 0, 3, 6, 10, shifts 0, 0, 1/3, 0, cutoff 12).  Judge
+    them after truncation at the cutoff.
+    """
+    ls, idx = lagrangians, range(len(lagrangians))
+    hom = {(i, j): GradedBasis(tuple((p.coset, p.degree) for p in intersections(ls[i], ls[j])))
+           for i, j in combinations(idx, 2)}
+    comps = {}
+    for i, j, k in combinations(idx, 3):
+        table: Dict = {}
+        for (c0, c1, c2), v in triangle_product_table(ls[i], ls[j], ls[k], cutoff).items():
+            table.setdefault((c0, c1), {})[c2] = v
+        comps[i, j, k] = MultilinearOp(2, hom[i, j], hom[i, k], 0, table, check_degrees=False)
+    return assemble_sequence(tuple(idx), hom, comps)
 
 
 @dataclass(frozen=True)

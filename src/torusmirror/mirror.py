@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fukaya_oh import AffineLagrangian, intersections, m2, transversal
+from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
 from .lattice import (
     Mat,
     Vec,
@@ -32,6 +32,7 @@ from .lattice import (
     mat_add,
     mat_det,
     mat_inv,
+    mat_sub,
     mat_vec,
     quad_form,
     vec,
@@ -457,19 +458,6 @@ def compare_tables(
     )
 
 
-def triangle_product_table(
-    l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian, cutoff
-) -> Dict[Tuple, NovikovElem]:
-    """All m2 products of the triple, keyed by intersection-coset triples."""
-    table: Dict[Tuple, NovikovElem] = {}
-    for x0 in intersections(l0, l1):
-        for x1 in intersections(l1, l2):
-            out = m2(l0, l1, l2, x0, x1, cutoff)
-            for x2, value in out.items():
-                table[(x0.coset, x1.coset, x2.coset)] = value
-    return table
-
-
 def mirror_compare(
     l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian, cutoff
 ) -> MirrorReport:
@@ -482,27 +470,17 @@ def mirror_compare(
     cutoff = Fraction(cutoff)
     if not transversal([l0, l1, l2]):
         raise ValueError("non-transversal triple")
-    for a, b in ((l0, l1), (l1, l2)):
-        inc = mat([
-            [x - y for x, y in zip(ra, rb)]
-            for ra, rb in zip(b.slope, a.slope)
-        ])
-        if not is_positive_definite(inc):
-            raise ValueError("mirror comparison requires convex ordering")
+    inc01, inc12 = mat_sub(l1.slope, l0.slope), mat_sub(l2.slope, l1.slope)
+    if not (is_positive_definite(inc01) and is_positive_definite(inc12)):
+        raise ValueError("mirror comparison requires convex ordering")
     for l in (l0, l1, l2):
         if any(u != 1 for u in l.holonomy):
             raise ValueError("mirror comparison implemented for trivial holonomy")
 
     triangle = triangle_product_table(l0, l1, l2, cutoff)
 
-    inc01 = AffineLagrangian(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(l1.slope, l0.slope)],
-        vec_sub(l1.shift, l0.shift),
-    )
-    inc12 = AffineLagrangian(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(l2.slope, l1.slope)],
-        vec_sub(l2.shift, l1.shift),
-    )
-    table = theta_multiply(LineBundleObj(inc01), LineBundleObj(inc12), cutoff)
+    e01 = LineBundleObj(AffineLagrangian(inc01, vec_sub(l1.shift, l0.shift)))
+    e12 = LineBundleObj(AffineLagrangian(inc12, vec_sub(l2.shift, l1.shift)))
+    table = theta_multiply(e01, e12, cutoff)
     theta = dict(table.coefficients)
     return compare_tables(triangle, theta, cutoff)

@@ -157,7 +157,7 @@ def subdivide(t: PlanarTree):
 
     Returns (t, midpoints) where midpoints is a list of (parent, child)
     pairs of internal vertices — one per internal edge, in depth-first
-    order.  The consumer (transfer) inserts its homotopy operator there.
+    order.
     """
     mids = []
     for v in t.internal_vertices():

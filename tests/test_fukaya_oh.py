@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from torusmirror.ainfty import AInftyStructure, MultilinearOp
+from torusmirror.criteria import circle_sections, truncated_defect
 from torusmirror.fukaya_oh import (
     AffineLagrangian,
-    associativity_defect,
+    fukaya_sequence,
     intersections,
-    m1_vanishes,
     m2,
     mk_vanishing_certificate,
     transversal,
+    triangle_product_table,
 )
+from torusmirror.novikov import NovikovElem
 
 
 def line(slope, shift=0, holonomy=1):
@@ -46,7 +49,6 @@ def test_intersection_count_is_slope_determinant():
 def test_grading_counts_negative_eigenvalues():
     assert all(p.degree == 0 for p in intersections(line(0), line(2)))
     assert all(p.degree == 1 for p in intersections(line(2), line(0)))
-    assert m1_vanishes(line(0), line(2))
 
 
 def test_non_transversal_pairs_are_rejected():
@@ -119,10 +121,42 @@ def test_holonomy_weights_triangles_by_integer_windings():
 
 
 def test_associativity_holds_below_cutoff():
-    ls = [line(s) for s in (0, 1, 2, 3)]
-    assert associativity_defect(*ls, Fraction(8)) == {}
-    ls_shift = [line(s, shift=b) for s, b in zip((0, 1, 3, 4), (0, Fraction(1, 2), 0, 0))]
-    assert associativity_defect(*ls_shift, Fraction(8)) == {}
+    for ls in (circle_sections((0, 1, 2, 3), (0, 0, 0, 0)),
+               circle_sections((0, 1, 3, 4), (0, Fraction(1, 2), 0, 0))):
+        assert truncated_defect(fukaya_sequence(ls, 8), 3, 8) == []
+
+
+def test_perturbed_m2_fails_associativity_below_cutoff_only():
+    """Negative control: one m2 coefficient on the triple (0, 2, 3) moved by
+    q^5 breaks the arity-3 relation in both rows that use it; moved by q^12
+    it changes nothing below the cutoff 12."""
+    cutoff = 12
+    A = fukaya_sequence(circle_sections((0, 1, 3, 4), (0, Fraction(1, 2), 0, 0)), cutoff)
+    ins, out, _ = next(e for e in A.m(2).nonzero_entries() if e[0][0][:2] == (0, 2))
+
+    def moved(e):
+        bump = MultilinearOp(2, A.basis, A.basis, 0, {ins: {out: NovikovElem.q_power(e)}})
+        return AInftyStructure(A.basis, {2: A.m(2) + bump})
+
+    assert truncated_defect(A, 3, cutoff) == []
+    assert len(truncated_defect(moved(5), 3, cutoff)) == 2
+    assert truncated_defect(moved(12), 3, cutoff) == []
+
+
+def test_triangle_table_keeps_zero_entries_that_m2_drops():
+    """The mirror report's table size and the benchmark digests count the
+    explicit zeros of the triangle table; the builder's m2 drops them."""
+    ls = [AffineLagrangian(((1, 0), (0, 1)), (0, 0)),
+          AffineLagrangian(((3, 1), (1, 3)), (Fraction(1, 2), 0)),
+          AffineLagrangian(((5, 1), (1, 5)), (0, Fraction(1, 3)))]
+    table = triangle_product_table(*ls, 2)
+    assert len(table) == 180
+    assert sum(v.is_zero() for v in table.values()) == 23
+    expected = {}
+    for (c0, c1, c2), v in table.items():
+        if not v.is_zero():
+            expected.setdefault(((0, 1, c0), (1, 2, c1)), {})[(0, 2, c2)] = v
+    assert fukaya_sequence(ls, 2).m(2).entries == expected
 
 
 def test_vanishing_certificate():
