@@ -4,6 +4,10 @@ Scalars may be exact rationals (``fractions.Fraction`` / ``int``) or
 truncated Novikov series (:class:`~torusmirror.novikov.NovikovElem`); the
 code only uses ring operations and zero tests.
 
+Composites of operations, ``outer o (s_1 x ... x s_k)``, all go through one
+kernel, :func:`compose`: the structure relations, the morphism equations
+and the tree formulas of homotopy transfer.
+
 Two independent implementations of the structure equations are provided:
 
 * :func:`relation_defect` expands the explicit quadratic relations
@@ -22,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .novikov import NovikovElem
 
 Label = Hashable
 Scalar = object  # Fraction | int | NovikovElem
+Table = Dict[Tuple[Label, ...], Dict[Label, Scalar]]  # inputs -> {output: coefficient}
 
 
 def is_zero_scalar(s) -> bool:
@@ -80,7 +85,7 @@ class MultilinearOp:
         source: GradedBasis,
         target: GradedBasis,
         shift: int,
-        entries: Optional[Dict[Tuple[Label, ...], Dict[Label, Scalar]]] = None,
+        entries: Optional[Table] = None,
         check_degrees: bool = True,
     ):
         if arity < 1:
@@ -89,7 +94,7 @@ class MultilinearOp:
         self.source = source
         self.target = target
         self.shift = shift
-        table: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
+        table: Table = {}
         src_deg = source.degrees
         tgt_deg = target.degrees
         for ins, outs in (entries or {}).items():
@@ -134,13 +139,7 @@ class MultilinearOp:
     def __add__(self, other: "MultilinearOp") -> "MultilinearOp":
         if (self.arity, self.shift) != (other.arity, other.shift):
             raise ValueError("cannot add ops of different arity/shift")
-        merged: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {
-            ins: dict(row) for ins, row in self.entries.items()
-        }
-        for ins, row in other.entries.items():
-            dst = merged.setdefault(ins, {})
-            for o, c in row.items():
-                dst[o] = dst.get(o, 0) + c
+        merged = add_into({ins: dict(row) for ins, row in self.entries.items()}, other.entries)
         return MultilinearOp(
             self.arity, self.source, self.target, self.shift, merged, check_degrees=False
         )
@@ -150,14 +149,6 @@ class MultilinearOp:
 
     def __neg__(self):
         return self.scaled(-1)
-
-    def reverse_index(self) -> Dict[Label, List[Tuple[Tuple[Label, ...], Scalar]]]:
-        """output label -> [(input tuple, coefficient), ...]"""
-        idx: Dict[Label, List[Tuple[Tuple[Label, ...], Scalar]]] = {}
-        for ins, row in self.entries.items():
-            for o, c in row.items():
-                idx.setdefault(o, []).append((ins, c))
-        return idx
 
 
 def zero_op(arity: int, source: GradedBasis, target: GradedBasis, shift: int) -> MultilinearOp:
@@ -211,7 +202,7 @@ class AInftyStructure:
         ops = {}
         for blk in obj["ops"]:
             n = blk["arity"]
-            table: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
+            table: Table = {}
             for ins, out, c in blk["entries"]:
                 key = tuple(_freeze(l) for l in ins)
                 table.setdefault(key, {})[_freeze(out)] = _scalar_from_obj(c)
@@ -261,29 +252,76 @@ def _scalar_from_obj(o):
 
 
 # ---------------------------------------------------------------------------
-# structure relation
+# composition kernel
 # ---------------------------------------------------------------------------
 
 
-def _compose_insert(
-    outer: MultilinearOp, inner: MultilinearOp, l: int, sign_fn
-) -> Dict[Tuple[Label, ...], Dict[Label, Scalar]]:
-    """Entries of  outer composed with inner in slot l (0-based).
+def compose(
+    outer: Table, slots: Sequence[Optional[Table]], sign: Optional[Callable[[tuple], int]] = None
+) -> Table:
+    """Table of  outer o (s_1 x ... x s_k)  for sparse tables
+    ``input tuple -> {output label: coefficient}``.
 
-    ``sign_fn(prefix, inner_inputs, suffix)`` supplies the +-1 factor from
-    the combined input labels around and inside the inserted block.
+    A slot of ``None`` is the identity.  The walk starts from the entries
+    of ``outer`` and looks each of their inputs up among the outputs of
+    its slot, so a term is visited only if it reaches an entry of
+    ``outer``.  ``sign(blocks)``, when given, is the +-1 of a term from the
+    input tuples its slots consumed, one tuple per slot.
     """
-    out: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
-    rev = inner.reverse_index()
-    for o_ins, o_row in outer.entries.items():
-        mid = o_ins[l]
-        for i_ins, i_c in rev.get(mid, ()):  # inner entries producing mid
-            combined = o_ins[:l] + i_ins + o_ins[l + 1 :]
-            sgn = sign_fn(o_ins[:l], i_ins, o_ins[l + 1 :])
-            dst = out.setdefault(combined, {})
-            for o_lab, o_c in o_row.items():
-                dst[o_lab] = dst.get(o_lab, 0) + sgn * i_c * o_c
+    by_output: Dict[int, Dict[Label, list]] = {}
+    for s in slots:
+        if s is not None and id(s) not in by_output:
+            idx = by_output[id(s)] = {}
+            for ins, row in s.items():
+                for o, c in row.items():
+                    idx.setdefault(o, []).append((ins, c))
+    index = [None if s is None else by_output[id(s)] for s in slots]
+    out: Table = {}
+    for o_ins, o_row in outer.items():
+        # partial terms: (input key, coefficient or None for 1, blocks)
+        terms = [((), None, ())]
+        for lab, idx in zip(o_ins, index):
+            if idx is None:
+                blk = (lab,)
+                terms = [(key + blk, c, blocks + (blk,)) for key, c, blocks in terms]
+                continue
+            producers = idx.get(lab)
+            if not producers:
+                break
+            terms = [
+                (key + ins, p if c is None else c * p, blocks + (ins,))
+                for key, c, blocks in terms
+                for ins, p in producers
+            ]
+        else:
+            for key, c, blocks in terms:
+                if sign is not None and sign(blocks) < 0:
+                    c = -1 if c is None else -c
+                dst = out.setdefault(key, {})
+                for o, o_c in o_row.items():
+                    dst[o] = dst.get(o, 0) + (o_c if c is None else c * o_c)
     return out
+
+
+def add_into(acc: Table, table: Table, scale=1) -> Table:
+    """acc += scale * table, entrywise; returns acc."""
+    for ins, row in table.items():
+        dst = acc.setdefault(ins, {})
+        for o, c in row.items():
+            dst[o] = dst.get(o, 0) + (c if scale == 1 else scale * c)
+    return acc
+
+
+def compositions(n: int, k: int) -> List[Tuple[int, ...]]:
+    """All (n_1, ..., n_k) with every n_t >= 1 and sum n."""
+    if k == 1:
+        return [(n,)] if n >= 1 else []
+    return [(a,) + rest for a in range(1, n - k + 2) for rest in compositions(n - a, k - 1)]
+
+
+# ---------------------------------------------------------------------------
+# structure relation
+# ---------------------------------------------------------------------------
 
 
 def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
@@ -292,7 +330,7 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
     Zero iff the relation holds at arity n.  The output has shift 3 - n.
     """
     deg = A.basis.degrees
-    acc: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
+    acc: Table = {}
     for j in range(1, n + 1):
         i = n - j + 1
         inner = A.m(j)
@@ -301,33 +339,19 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
             continue
         for l in range(0, i):
 
-            def sgn(prefix, _inner, _suffix, j=j, l=l, i=i):
-                e = j * sum(deg[a] for a in prefix) + l * (j - 1) + j * (i - 1)
+            def sgn(blocks, j=j, l=l, i=i):
+                e = j * sum(deg[a] for (a,) in blocks[:l]) + l * (j - 1) + j * (i - 1)
                 return -1 if e % 2 else 1
 
-            for ins, row in _compose_insert(outer, inner, l, sgn).items():
-                dst = acc.setdefault(ins, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + c
+            slots = [None] * i
+            slots[l] = inner.entries
+            add_into(acc, compose(outer.entries, slots, sgn))
     return MultilinearOp(n, A.basis, A.basis, 3 - n, acc, check_degrees=False)
 
 
 # ---------------------------------------------------------------------------
 # morphism relation
 # ---------------------------------------------------------------------------
-
-
-def _partitions_to(n: int, i: int):
-    """Increasing tuples 0 = l_0 < l_1 < ... < l_i = n."""
-    def rec(prev, parts_left):
-        if parts_left == 1:
-            yield (n,)
-            return
-        for nxt in range(prev + 1, n - parts_left + 2):
-            for rest in rec(nxt, parts_left - 1):
-                yield (nxt,) + rest
-
-    yield from rec(0, i)
 
 
 def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
@@ -348,49 +372,26 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
     """
     V, W = F.source, F.target
     degV = V.basis.degrees
-    acc: Dict[Tuple[Label, ...], Dict[Label, Scalar]] = {}
-
-    def add(ins, o, c):
-        dst = acc.setdefault(ins, {})
-        dst[o] = dst.get(o, 0) + c
+    acc: Table = {}
 
     def S(degs: Tuple[int, ...]) -> int:
         k = len(degs)
         return sum((k - q) * (d - 1) for q, d in enumerate(degs, start=1))
 
-    # LHS: sum over block partitions of  m_i^W(f_{k_1}(..), ..., f_{k_i}(..))
+    def lhs_sign(blocks):
+        degs = [tuple(degV[x] for x in blk) for blk in blocks]
+        e = S(tuple(sum(d) + 1 - len(d) for d in degs)) + sum(S(d) for d in degs)
+        return -1 if e % 2 else 1
+
+    # LHS: sum over block sizes of  m_i^W(f_{k_1}(..), ..., f_{k_i}(..))
     for i in range(1, n + 1):
         mi = W.m(i)
         if mi.is_zero():
             continue
-        for ls in _partitions_to(n, i):
-            cuts = (0,) + tuple(ls)
-            blocks = tuple(cuts[t] - cuts[t - 1] for t in range(1, i + 1))
-            fs = [F.f(b) for b in blocks]
-            if any(f.is_zero() for f in fs):
-                continue
-            revs = [f.reverse_index() for f in fs]
-            for w_ins, w_row in mi.entries.items():
-
-                def walk(slot, ins_acc, coeff):
-                    if slot == i:
-                        full = tuple(x for blk in ins_acc for x in blk)
-                        degs = tuple(degV[x] for x in full)
-                        wdegs = tuple(
-                            sum(degs[cuts[t - 1] : cuts[t]]) + 1 - blocks[t - 1]
-                            for t in range(1, i + 1)
-                        )
-                        e = S(wdegs) + sum(
-                            S(degs[cuts[t - 1] : cuts[t]]) for t in range(1, i + 1)
-                        )
-                        s = -1 if e % 2 else 1
-                        for o, c in w_row.items():
-                            add(full, o, s * coeff * c)
-                        return
-                    for f_ins, f_c in revs[slot].get(w_ins[slot], ()):
-                        walk(slot + 1, ins_acc + [f_ins], coeff * f_c)
-
-                walk(0, [], 1)
+        for ks in compositions(n, i):
+            fs = [F.f(k) for k in ks]
+            if not any(f.is_zero() for f in fs):
+                add_into(acc, compose(mi.entries, [f.entries for f in fs], lhs_sign))
 
     # RHS (subtracted): insertions f_s(a_1, ..., m_r^V(...), ..., a_n)
     for r in range(1, n + 1):
@@ -401,17 +402,16 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
             continue
         for l in range(0, s):
 
-            def sgn(prefix, inner, suffix, r=r):
-                pd = tuple(degV[x] for x in prefix)
-                bd = tuple(degV[x] for x in inner)
-                sd = tuple(degV[x] for x in suffix)
-                mid = sum(bd) + 2 - r
-                e = sum(d - 1 for d in pd) + S(bd) + S(pd + (mid,) + sd)
+            def rhs_sign(blocks, r=r, l=l):
+                bd = tuple(degV[x] for x in blocks[l])
+                ds = [degV[x] for (x,) in blocks[:l]] + [sum(bd) + 2 - r]
+                ds += [degV[x] for (x,) in blocks[l + 1 :]]
+                e = sum(d - 1 for d in ds[:l]) + S(bd) + S(tuple(ds))
                 return -1 if e % 2 else 1
 
-            for ins, row in _compose_insert(fs_op, mr, l, sgn).items():
-                for o, c in row.items():
-                    add(ins, o, -c)
+            slots = [None] * s
+            slots[l] = mr.entries
+            add_into(acc, compose(fs_op.entries, slots, rhs_sign), -1)
 
     return MultilinearOp(n, V.basis, W.basis, 2 - n, acc, check_degrees=False)
 
@@ -508,7 +508,7 @@ def assemble_sequence(
             for l, d in hom.elements:
                 elems.append(((a, b, l), d))
     basis = GradedBasis(tuple(elems))
-    tables: Dict[int, Dict[Tuple[Label, ...], Dict[Label, Scalar]]] = {}
+    tables: Dict[int, Table] = {}
     for objs, comp in compositions.items():
         n = comp.arity
         table = tables.setdefault(n, {})

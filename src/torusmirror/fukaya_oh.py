@@ -239,8 +239,9 @@ def triangle_product_table(
     Targets that no triangle reaches below the cutoff keep an explicit zero.
     """
     table: Dict[Tuple, NovikovElem] = {}
+    points12 = intersections(l1, l2)
     for x0 in intersections(l0, l1):
-        for x1 in intersections(l1, l2):
+        for x1 in points12:
             out = m2(l0, l1, l2, x0, x1, cutoff)
             for x2, value in out.items():
                 table[(x0.coset, x1.coset, x2.coset)] = value

@@ -508,18 +508,15 @@ def _weight_scalar(
     if not weighted:
         return 1
     eps = _VALUE_EPS
-    w = (
-        _value_interval(g02, x2.point, eps)
-        - _value_interval(g01, x0.point, eps)
-        - _value_interval(g12, x1.point, eps)
-    )
-    while w.sign() == 0:
-        eps /= 2**8
+    while True:
         w = (
             _value_interval(g02, x2.point, eps)
             - _value_interval(g01, x0.point, eps)
             - _value_interval(g12, x1.point, eps)
         )
+        if w.sign() != 0:
+            break
+        eps /= 2**8
     if w.sign() < 0:
         raise AssertionError("negative total variation in a gradient tree")
     return NovikovElem.q_power(_dyadic(w), 1, cutoff)

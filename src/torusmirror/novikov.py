@@ -188,11 +188,6 @@ class NovikovElem:
 
     # -- comparison ----------------------------------------------------
 
-    def adic_leq(self, other: "NovikovElem", s) -> bool:
-        """True iff val(self - other) >= s, i.e. the elements agree below q^s."""
-        d = self - _coerce(other)
-        return d.val() >= Fraction(s)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (NovikovElem, int, Fraction)):
             return NotImplemented

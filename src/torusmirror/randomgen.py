@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import sympy
 
-from .ainfty import AInftyStructure, GradedBasis, MultilinearOp
+from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, compose
 from .transfer import RetractionData
 
 Q = Fraction
@@ -121,86 +121,36 @@ def random_dg_algebra(rng: random.Random) -> AInftyStructure:
             if row:
                 diff[(a,)] = row
 
-    A = _conjugate(basis_pairs, diff, {k: v for k, v in mul.items()}, rng)
-    return A
+    return _conjugate(basis_pairs, diff, mul, rng)
 
 
 def _conjugate(basis_pairs, diff, mul, rng: random.Random) -> AInftyStructure:
-    """Apply a random invertible degree-0 change of basis."""
+    """Apply a random invertible degree-0 change of basis g:
+    m'(a_1, ..., a_n) = g^{-1} m(g a_1, ..., g a_n)."""
     labels = [l for l, _ in basis_pairs]
     degs = dict(basis_pairs)
-    idx = {l: t for t, l in enumerate(labels)}
-    n = len(labels)
 
-    # block-diagonal random invertible matrix over Q (per degree)
-    g = sympy.zeros(n, n)
+    # block-diagonal random invertible matrix over Q (per degree), as
+    # tables (a,) -> {b: g[b, a]} of g and its inverse
+    g: Dict = {}
+    ginv: Dict = {}
     for d in sorted(set(degs.values())):
-        block = [t for t, l in enumerate(labels) if degs[l] == d]
+        block = [l for l in labels if degs[l] == d]
         while True:
-            M = sympy.Matrix(
-                [[rng.randint(-2, 2) for _ in block] for _ in block]
-            )
+            M = sympy.Matrix([[rng.randint(-2, 2) for _ in block] for _ in block])
             if M.det() != 0:
                 break
-        for bi, i in enumerate(block):
-            for bj, j in enumerate(block):
-                g[i, j] = M[bi, bj]
-    ginv = g.inv()
-
-    def transform_lin(table):
-        out = {}
-        for a in labels:
-            # d'(a) = g^{-1} d (g a)
-            vec = sympy.zeros(n, 1)
-            ga = g[:, idx[a]]
-            for t in range(n):
-                c = ga[t]
-                if c == 0:
-                    continue
-                for o, v in table.get((labels[t],), {}).items():
-                    vec[idx[o]] += c * v
-            res = ginv * vec
-            row = {
-                labels[t]: Q(sympy.nsimplify(res[t]))
-                for t in range(n)
-                if res[t] != 0
-            }
-            if row:
-                out[(a,)] = row
-        return out
-
-    def transform_mul(table):
-        out = {}
-        for a in labels:
-            for b in labels:
-                ga, gb = g[:, idx[a]], g[:, idx[b]]
-                vec = sympy.zeros(n, 1)
-                for t in range(n):
-                    if ga[t] == 0:
-                        continue
-                    for s in range(n):
-                        if gb[s] == 0:
-                            continue
-                        for o, v in table.get((labels[t], labels[s]), {}).items():
-                            vec[idx[o]] += ga[t] * gb[s] * v
-                res = ginv * vec
-                row = {
-                    labels[t]: Q(sympy.nsimplify(res[t]))
-                    for t in range(n)
-                    if res[t] != 0
-                }
-                if row:
-                    out[(a, b)] = row
-        return out
+        Minv = M.inv()
+        for j, a in enumerate(block):
+            g[(a,)] = {b: Q(M[i, j]) for i, b in enumerate(block) if M[i, j] != 0}
+            ginv[(a,)] = {b: Q(Minv[i, j]) for i, b in enumerate(block) if Minv[i, j] != 0}
 
     B = GradedBasis(tuple(basis_pairs))
     ops = {}
-    d2 = transform_lin(diff)
-    if d2:
-        ops[1] = MultilinearOp(1, B, B, 1, d2)
-    m2 = transform_mul(mul)
-    if m2:
-        ops[2] = MultilinearOp(2, B, B, 0, m2)
+    for n, table in ((1, diff), (2, mul)):
+        op = MultilinearOp(n, B, B, 2 - n, compose(ginv, [compose(table, [g] * n)]))
+        if not op.is_zero():
+            ops[n] = op
     return AInftyStructure(B, ops)
 
 

@@ -11,8 +11,10 @@ from torusmirror.ainfty import (
     AInftyStructure,
     GradedBasis,
     MultilinearOp,
+    add_into,
     assemble_sequence,
     bar_check,
+    compose,
     morphism_defect,
     pre_category_check,
     relation_defect,
@@ -57,7 +59,39 @@ def test_op_arithmetic_and_zero_cleanup():
     assert (d + d)(("x",)) == {"y": 6}
     assert d.scaled(0).is_zero()
     assert zero_op(2, basis, basis, 0).is_zero()
-    assert list(d.reverse_index()["y"]) == [(("x",), 3)]
+
+
+def test_compose_kernel():
+    """outer o (s_1 x s_2): an identity slot, two producers of one label,
+    accumulation, an input with no producer, and the sign callback."""
+    outer = {("u", "v"): {"w": 2}, ("u", "z"): {"w": 7}}
+    s1 = {("a",): {"u": 3}, ("b",): {"u": 5}}
+    s2 = {("c", "d"): {"v": 1}, ("e",): {"v": 4}}
+    # identity in the second slot: "v" and "z" pass through unchanged
+    assert compose(outer, [s1, None]) == {
+        ("a", "v"): {"w": 6}, ("b", "v"): {"w": 10}, ("a", "z"): {"w": 21}, ("b", "z"): {"w": 35},
+    }
+    # nothing produces "z", so ("u", "z") gives no key
+    assert compose(outer, [s1, s2]) == {
+        ("a", "c", "d"): {"w": 6}, ("a", "e"): {"w": 24},
+        ("b", "c", "d"): {"w": 10}, ("b", "e"): {"w": 40},
+    }
+    # two terms reaching one input key accumulate
+    assert compose({("u",): {"w": 1}, ("x",): {"w": 2}}, [{("a",): {"u": 3, "x": 9}}]) == {
+        ("a",): {"w": 21},
+    }
+    assert add_into({("a",): {"w": 3}}, {("a",): {"w": 4}}, -1) == {("a",): {"w": -1}}
+    seen = []
+
+    def sign(blocks):
+        seen.append(blocks)
+        return -1 if blocks[1] == ("e",) else 1
+
+    assert compose(outer, [s1, s2], sign) == {
+        ("a", "c", "d"): {"w": 6}, ("a", "e"): {"w": -24},
+        ("b", "c", "d"): {"w": 10}, ("b", "e"): {"w": -40},
+    }
+    assert sorted(seen) == [(("a",), ("c", "d")), (("a",), ("e",)), (("b",), ("c", "d")), (("b",), ("e",))]
 
 
 def test_structure_validates_arity_and_shift():

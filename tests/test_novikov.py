@@ -65,13 +65,6 @@ def test_valuation_ultrametric(a, b):
         assert s.val() == min(a.val(), b.val())
 
 
-@given(elements, elements, st.fractions(min_value=0, max_value=12, max_denominator=4))
-def test_adic_comparison(a, b, s):
-    assert a.adic_leq(a, s)
-    if a.adic_leq(b, s):
-        assert (a - b).is_zero() or (a - b).val() >= s
-
-
 # -- truncation laws ----------------------------------------------------------
 
 
