@@ -36,7 +36,6 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
-    dot,
     enumerate_below,
     hnf,
     inertia,
@@ -87,9 +86,6 @@ class AffineLagrangian:
     @property
     def n(self) -> int:
         return len(self.slope)
-
-    def potential(self, y: Vec) -> Fraction:
-        return Fraction(1, 2) * quad_form(self.slope, y) + dot(self.shift, y)
 
 
 @dataclass(frozen=True)

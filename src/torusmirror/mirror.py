@@ -1,7 +1,7 @@
 """Non-archimedean mirror side: Laurent series over the Novikov field,
 convergence on rational polytopes, theta bases of line bundles on the dual
-torus, their multiplication table, morphism spectra, and the exact
-comparison against the lattice-triangle product of affine Lagrangians.
+torus, their multiplication table, and the exact comparison against the
+lattice-triangle product of affine Lagrangians.
 
 Weight normalization (shared with the triangle counts): the theta section
 of the bundle attached to slope A and shift b, in the coset j of Z^n/AZ^n,
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
 from .lattice import (
@@ -247,9 +247,10 @@ def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
     return Fraction(1, 2) * quad_form(ainv, d)
 
 
-def _coset_minimum(a: Mat, center: Vec, j: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Fraction]:
+def _coset_minimum(
+    a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Fraction]:
     """Representative s = j mod A minimizing (1/2)(s-center)^T A^{-1} (s-center)."""
-    ainv = mat_inv(a)
     j = vec(j)
     # w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j); search with a
     # growing bound until nonempty, then take the exact argmin.
@@ -337,11 +338,14 @@ class ThetaSolveError(ValueError):
 def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProductTable:
     """Expand products of theta sections in the tensor-bundle theta basis.
 
-    The Laurent product is computed at an enlarged internal cutoff so that
-    after dividing by the monomial leading weight of each target section the
-    coefficients are complete below the requested cutoff; every stored
-    product term is then checked for consistency with the solved
-    coefficient, and a mismatch reports the cutoff that would be required.
+    Every theta term is a monomial q^w z^m, so sections are read as (m, w)
+    pairs, a product of two sections is a table {s: {q-exponent: count}},
+    and NovikovElems are built only for the final coefficients.  Sections
+    are expanded to internal = cutoff + max w* + 1, where w* is the least
+    weight of a target section, taken at z^s*; the coefficient of a target
+    section is the product row at s* divided by q^w*.  Every product row is
+    then checked against its solved coefficient below min(internal,
+    cutoff + w(s)); a mismatch reports the cutoff that would be required.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -364,59 +368,54 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     c3 = e3.lagrangian.shift
     gamma_h = hnf(gamma)
     target_cosets = coset_representatives(gamma)
-    minima = {j3: _coset_minimum(gamma, c3, j3) for j3 in target_cosets}
+    minima = {j3: _coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
     internal = cutoff + max(w for _s, w in minima.values()) + 1
 
-    b1 = theta_basis(e1, internal)
-    b2 = theta_basis(e2, internal)
+    def monomials(e):
+        return [
+            (j, [(m, a.val()) for m, a in sec.terms])
+            for j, sec in theta_basis(e, internal).sections
+        ]
+
+    sections2 = monomials(e2)
+    target = {}  # s -> (coset of s, weight of z^s in the target bundle)
     coeffs = []
-    for j1 in b1.indices:
-        for j2 in b2.indices:
-            prod = b1.section(j1).multiply(b2.section(j2))
-            solved: Dict[Tuple[int, ...], NovikovElem] = {}
-            for j3 in target_cosets:
-                s_star, w_star = minima[j3]
-                a = prod.coeff(s_star)
-                if a is None:
-                    a = NovikovElem.zero(internal)
-                c = (a * NovikovElem.q_power(-w_star, 1)).truncate(cutoff)
-                solved[j3] = c
-            # consistency of every stored product term with the solve, on
-            # the range where both sides are provably complete: product
-            # coefficients are complete below the internal cutoff (every
-            # dropped theta term has weight >= internal), and the solved
-            # coefficient times q^w is complete below cutoff + w.
-            for s, a in prod.terms:
-                j3 = coset_reduce(gamma_h, s)
-                w = _theta_weight(ginv, c3, vec(s))
-                predicted = solved[j3] * NovikovElem.q_power(w, 1)
+    for j1, sec1 in monomials(e1):
+        for j2, sec2 in sections2:
+            prod: Dict[Tuple[int, ...], Dict[Fraction, int]] = {}
+            for m1, w1 in sec1:
+                for m2, w2 in sec2:
+                    row = prod.setdefault(tuple(x + y for x, y in zip(m1, m2)), {})
+                    w = w1 + w2
+                    if w < internal:
+                        row[w] = row.get(w, 0) + 1
+            # Weights are >= 0, so every dropped term has weight >= internal
+            # and a product row is complete below internal.  Divided by q^w*
+            # it is complete below internal - w* > cutoff, so every solved
+            # coefficient is stored with exactly the requested cutoff.
+            solved = {}
+            for j3, (s_star, w_star) in minima.items():
+                solved[j3] = {l - w_star: c for l, c in prod.get(s_star, {}).items()}
+            for s in sorted(prod):
+                if s not in target:
+                    target[s] = (coset_reduce(gamma_h, s), _theta_weight(ginv, c3, vec(s)))
+                j3, w = target[s]
                 common = min(internal, cutoff + w)
-                if a.truncate(common) != predicted.truncate(common):
+                have = {l: c for l, c in prod[s].items() if l < common}
+                want = {l + w: c for l, c in solved[j3].items() if l + w < common}
+                if have != want:
                     raise ThetaSolveError(
                         f"inconsistent theta solve at z^{s} for pair ({j1}, {j2})",
                         cutoff + w + 1,
                     )
             for j3 in target_cosets:
-                coeffs.append(((j1, j2, j3), solved[j3]))
+                coeffs.append(((j1, j2, j3), NovikovElem(solved[j3].items(), cutoff)))
     return ThetaProductTable(cutoff, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
-# Spectra and the comparison oracle
+# The comparison oracle
 # ---------------------------------------------------------------------------
-
-
-def spectrum(
-    alpha: LaurentSeriesNd, l0: AffineLagrangian, l1: AffineLagrangian, y: Sequence
-) -> List[Fraction]:
-    """Spectral values -lambda + <k, y> + f_0(y) - f_1(y), sorted descending."""
-    y = vec(y)
-    shift = l0.potential(y) - l1.potential(y)
-    values = []
-    for k, a in alpha.terms:
-        for num, den, _cnum, _cden in a.to_obj()["terms"]:
-            values.append(-Fraction(num, den) + dot(vec(k), y) + shift)
-    return sorted(values, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,20 @@
 """Non-archimedean mirror side: Laurent series convergence, theta bases,
-theta multiplication, spectra, and the exact comparison oracle."""
+theta multiplication, and the exact comparison oracle."""
 
 from fractions import Fraction
 
 import pytest
 
+from torusmirror import cli, mirror
 from torusmirror.fukaya_oh import AffineLagrangian
 from torusmirror.mirror import (
     LaurentSeriesNd,
     LineBundleObj,
     RationalPolytope,
+    ThetaSolveError,
     compare_tables,
     converges_on,
     mirror_compare,
-    spectrum,
     theta_basis,
     theta_multiply,
     triangle_product_table,
@@ -131,21 +132,49 @@ def test_unit_multiplication_is_identity():
         assert c == want
 
 
-# -- spectra and comparison ----------------------------------------------------
+def test_theta_products_of_slope_one_are_jacobi_theta_constants():
+    """theta * theta for slope 1 in the slope-2 basis: sum over s = m1 + m2
+    of q^{(m1^2 + m2^2)/2} = q^{s^2/4} q^{(m1 - m2)^2/4}, so the
+    coefficients are theta_3(q) and theta_2(q) in Jacobi's notation."""
+    cut = Fraction(10)
+    theta3 = NovikovElem([(0, 1), (1, 2), (4, 2), (9, 2)], cut)
+    theta2 = NovikovElem([(Fraction(1, 4), 2), (Fraction(9, 4), 2), (Fraction(25, 4), 2)], cut)
+    e = LineBundleObj(line(1))
+    table = theta_multiply(e, e, cut)
+    assert dict(table.coefficients) == {((0,), (0,), (0,)): theta3, ((0,), (0,), (1,)): theta2}
+
+    # slope I_2 splits into two slope-1 factors, so every 2D coefficient is
+    # the truncated product of two 1D ones
+    e2 = LineBundleObj(AffineLagrangian(((1, 0), (0, 1)), (0, 0)))
+    table2 = dict(theta_multiply(e2, e2, cut).coefficients)
+    jacobi = {0: theta3, 1: theta2}
+    assert table2 == {
+        ((0, 0), (0, 0), (a, b)): (jacobi[a] * jacobi[b]).truncate(cut)
+        for a in (0, 1)
+        for b in (0, 1)
+    }
 
 
-def test_spectrum_is_sorted_descending():
-    alpha = LaurentSeriesNd(
-        1,
-        (
-            ((0,), NovikovElem.q_power(Fraction(1, 2))),
-            ((1,), NovikovElem.q_power(2)),
-        ),
-        None,
-    )
-    vals = spectrum(alpha, line(0), line(1), (Fraction(1, 3),))
-    assert vals == sorted(vals, reverse=True)
-    assert len(vals) == 2
+def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
+    """Negative control: with every w* raised by 1/2 the solved coefficients
+    no longer reproduce the product, and the solve reports a larger cutoff."""
+    minimum = mirror._coset_minimum
+
+    def raised(*args):
+        s, w = minimum(*args)
+        return s, w + Fraction(1, 2)
+
+    monkeypatch.setattr(mirror, "_coset_minimum", raised)
+    cut = Fraction(10)
+    with pytest.raises(ThetaSolveError) as err:
+        theta_multiply(LineBundleObj(line(1)), LineBundleObj(line(2)), cut)
+    assert err.value.required_cutoff > cut
+    rep = cli.cmd_mirror([Fraction(0), Fraction(1), Fraction(3)], [Fraction(0)] * 3, cut)
+    assert rep.status == "ERROR"
+    assert "retry with cutoff >=" in rep.payload["error"]
+
+
+# -- comparison ----------------------------------------------------------------
 
 
 def test_compare_tables_reports_first_discrepancy():
