@@ -76,7 +76,10 @@ class MultilinearOp:
 
     Entries map an n-tuple of source labels to a linear combination of
     target labels; every stored entry must satisfy
-    deg(output) = sum deg(inputs) + shift.
+    deg(output) = sum deg(inputs) + shift.  Only exact zeros are dropped:
+    a truncated Novikov zero is stored with its O(q^cutoff) bound, which
+    composites carry on, and :meth:`is_zero` and :meth:`nonzero_entries`
+    treat it as zero to that precision.
     """
 
     def __init__(
@@ -101,7 +104,7 @@ class MultilinearOp:
             ins = tuple(ins)
             if len(ins) != arity:
                 raise ValueError(f"entry {ins} has wrong arity")
-            row = {o: c for o, c in outs.items() if not is_zero_scalar(c)}
+            row = {o: c for o, c in outs.items() if c != 0}
             if not row:
                 continue
             if check_degrees:
@@ -119,12 +122,13 @@ class MultilinearOp:
         return dict(self.entries.get(tuple(labels), {}))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return all(is_zero_scalar(c) for row in self.entries.values() for c in row.values())
 
     def nonzero_entries(self):
         for ins, row in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
             for out, c in sorted(row.items(), key=repr):
-                yield ins, out, c
+                if not is_zero_scalar(c):
+                    yield ins, out, c
 
     def scaled(self, s) -> "MultilinearOp":
         return MultilinearOp(
@@ -327,7 +331,8 @@ def compositions(n: int, k: int) -> List[Tuple[int, ...]]:
 def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
     """Left-hand side of the arity-n structure relation as an operation.
 
-    Zero iff the relation holds at arity n.  The output has shift 3 - n.
+    Zero (to the stored precision of its entries) iff the relation holds
+    at arity n.  The output has shift 3 - n.
     """
     deg = A.basis.degrees
     acc: Table = {}
@@ -335,7 +340,7 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
         i = n - j + 1
         inner = A.m(j)
         outer = A.m(i)
-        if inner.is_zero() or outer.is_zero():
+        if not (inner.entries and outer.entries):
             continue
         for l in range(0, i):
 
@@ -386,11 +391,11 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
     # LHS: sum over block sizes of  m_i^W(f_{k_1}(..), ..., f_{k_i}(..))
     for i in range(1, n + 1):
         mi = W.m(i)
-        if mi.is_zero():
+        if not mi.entries:
             continue
         for ks in compositions(n, i):
             fs = [F.f(k) for k in ks]
-            if not any(f.is_zero() for f in fs):
+            if all(f.entries for f in fs):
                 add_into(acc, compose(mi.entries, [f.entries for f in fs], lhs_sign))
 
     # RHS (subtracted): insertions f_s(a_1, ..., m_r^V(...), ..., a_n)
@@ -398,7 +403,7 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
         s = n - r + 1
         fs_op = F.f(s)
         mr = V.m(r)
-        if fs_op.is_zero() or mr.is_zero():
+        if not (fs_op.entries and mr.entries):
             continue
         for l in range(0, s):
 
@@ -447,7 +452,7 @@ def _apply_coderivation(
     w = len(word)
     for nn in range(1, w + 1):
         op = A.m(nn)
-        if op.is_zero():
+        if not op.entries:
             continue
         for l in range(0, w - nn + 1):
             block = word[l : l + nn]
@@ -540,39 +545,3 @@ def _index_chains(seq, objs):
                     yield (i,) + rest
 
     yield from rec(0, 0)
-
-
-def pre_category_check(
-    objects: Sequence[Hashable],
-    transversal_sets: Sequence[Tuple[Hashable, ...]],
-    hom_spaces: Dict[Tuple[Hashable, Hashable], GradedBasis],
-    compositions: Dict[Tuple[Hashable, ...], MultilinearOp],
-) -> CheckReport:
-    """Check subsequence closure and the structure relations on every
-    transversal sequence (assembled as a direct sum, arities <= length)."""
-    failures = []
-    tset = {tuple(t) for t in transversal_sets}
-    for t in tset:
-        for sub in _subsequences(t):
-            if len(sub) >= 2 and sub not in tset:
-                failures.append(f"subsequence {sub} of {t} not transversal")
-    if failures:
-        return CheckReport(ok=False, failures=failures)
-    for t in sorted(tset, key=repr):
-        A = assemble_sequence(t, hom_spaces, compositions)
-        for n in range(1, len(t) + 1):
-            d = relation_defect(A, n)
-            if not d.is_zero():
-                ins, out, c = next(d.nonzero_entries())
-                failures.append(
-                    f"sequence {t}: arity-{n} relation fails at {ins} -> {out}: {c}"
-                )
-    return CheckReport(ok=not failures, failures=failures)
-
-
-def _subsequences(t):
-    from itertools import combinations
-
-    for k in range(2, len(t) + 1):
-        for idx in combinations(range(len(t)), k):
-            yield tuple(t[i] for i in idx)

@@ -210,14 +210,16 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
 
 
 def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
-    from .criteria import circle_sections, truncated_defect
+    from .ainfty import relation_defect
+    from .criteria import circle_sections
     from .fukaya_oh import fukaya_sequence, mk_vanishing_certificate
 
     inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 4:
         return RunReport("fo", _digest(inputs), "ERROR", {"error": "need 4 slopes"}, 0.0)
     ls = circle_sections(slopes, shifts)
-    defect = truncated_defect(fukaya_sequence(ls, cutoff), 3, cutoff)
+    d = relation_defect(fukaya_sequence(ls, cutoff), 3)
+    defect = {ins for ins, _out, _c in d.nonzero_entries()}
     cert = mk_vanishing_certificate(ls, 3)
     payload = {
         "associative": not defect,
@@ -406,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_suite(args.seed, args.cutoff, args.modules)
         else:  # pragma: no cover
             raise SystemExit(2)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
         report = RunReport(
             args.command, "", "ERROR", {"error": f"{type(e).__name__}: {e}"}, 0.0
         )

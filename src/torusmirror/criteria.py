@@ -248,19 +248,13 @@ def mirror_grid(slope_triples: Sequence, shift_triples: Sequence, cutoff: Fracti
     return out
 
 
-def truncated_defect(A, n: int, cutoff) -> List:
-    """Inputs whose row of relation_defect(A, n) is nonzero below the cutoff."""
-    return [ins for ins, row in relation_defect(A, n).entries.items()
-            if any(not c.truncate(cutoff).is_zero() for c in row.values())]
-
-
 def fukaya_associativity(quadruples: Sequence, cutoff: Fraction) -> Outcome:
     """On each slope quadruple, m2 is associative below the cutoff (the
     arity-3 relation of the sequence) and m3 vanishes for degree reasons."""
     out = Outcome()
     for quad in quadruples:
         ls = circle_sections(quad, [0] * len(quad))
-        assoc = out.check(not truncated_defect(fukaya_sequence(ls, cutoff), 3, cutoff),
+        assoc = out.check(relation_defect(fukaya_sequence(ls, cutoff), 3).is_zero(),
                           f"quadruple {quad}: associativity defect")
         cert = out.check(mk_vanishing_certificate(ls, 3).certified,
                          f"quadruple {quad}: m3 certificate refused")

@@ -251,12 +251,6 @@ def fukaya_sequence(lagrangians: Sequence[AffineLagrangian], cutoff) -> AInftySt
     labelled by its coset; m2 on each triple i < j < k is the triangle
     product table.  No m1 is built: every point of a pair has the same
     degree, so a differential of degree one has no nonzero entry.
-
-    Precision: MultilinearOp drops zero-valued Novikov entries, and with
-    them the O(q^cutoff) bound they carry, so relation defects of this
-    structure can show nonzero terms at or above the cutoff (four arity-3
-    entries on slopes 0, 3, 6, 10, shifts 0, 0, 1/3, 0, cutoff 12).  Judge
-    them after truncation at the cutoff.
     """
     ls, idx = lagrangians, range(len(lagrangians))
     hom = {(i, j): GradedBasis(tuple((p.coset, p.degree) for p in intersections(ls[i], ls[j])))

@@ -1,7 +1,7 @@
 """Non-archimedean mirror side: Laurent series over the Novikov field,
-convergence on rational polytopes, theta bases of line bundles on the dual
-torus, their multiplication table, and the exact comparison against the
-lattice-triangle product of affine Lagrangians.
+theta bases of line bundles on the dual torus, their multiplication table,
+and the exact comparison against the lattice-triangle product of affine
+Lagrangians.
 
 Weight normalization (shared with the triangle counts): the theta section
 of the bundle attached to slope A and shift b, in the coset j of Z^n/AZ^n,
@@ -13,8 +13,7 @@ product, and the basis rescaling relating the two sides is the identity.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,11 +23,9 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
-    dot,
     enumerate_below,
     hnf,
     is_positive_definite,
-    mat,
     mat_add,
     mat_det,
     mat_inv,
@@ -43,7 +40,7 @@ from .novikov import NovikovElem
 
 
 # ---------------------------------------------------------------------------
-# Laurent series and polytopes
+# Laurent series
 # ---------------------------------------------------------------------------
 
 
@@ -80,12 +77,6 @@ class LaurentSeriesNd:
             self, "terms", tuple(sorted(seen.items()))
         )
 
-    def coeff(self, k: Tuple[int, ...]) -> Optional[NovikovElem]:
-        for kk, a in self.terms:
-            if kk == tuple(k):
-                return a
-        return None
-
     def multiply(self, other: "LaurentSeriesNd") -> "LaurentSeriesNd":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -101,94 +92,6 @@ class LaurentSeriesNd:
             else min(t for t in (self.tail_bound, other.tail_bound) if t is not None)
         )
         return LaurentSeriesNd(self.n, tuple(acc.items()), tail)
-
-
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Intersection of rational half-spaces <a, y> <= b in R^n."""
-
-    n: int
-    halfspaces: Tuple[Tuple[Vec, Fraction], ...]
-
-    def __post_init__(self):
-        hs = tuple((vec(a), Fraction(b)) for a, b in self.halfspaces)
-        if any(len(a) != self.n for a, _ in hs):
-            raise ValueError("half-space dimension mismatch")
-        object.__setattr__(self, "halfspaces", hs)
-        if not self._nonempty():
-            raise ValueError("empty polytope")
-        if not self._bounded():
-            raise ValueError("unbounded polytope")
-
-    def _eliminate(self, constraints, j):
-        """One Fourier-Motzkin step removing variable j."""
-        pos, neg, zero = [], [], []
-        for a, b in constraints:
-            if a[j] > 0:
-                pos.append((a, b))
-            elif a[j] < 0:
-                neg.append((a, b))
-            else:
-                zero.append((a, b))
-        out = list(zero)
-        for ap, bp in pos:
-            for an, bn in neg:
-                coef_p, coef_n = ap[j], -an[j]
-                a = tuple(coef_n * x + coef_p * y for x, y in zip(ap, an))
-                out.append((a, coef_n * bp + coef_p * bn))
-        return out
-
-    def _nonempty(self) -> bool:
-        cons = list(self.halfspaces)
-        for j in range(self.n):
-            cons = self._eliminate(cons, j)
-        return all(b >= 0 for _a, b in cons)
-
-    def _bounded(self) -> bool:
-        for d in range(self.n):
-            cons = list(self.halfspaces)
-            for j in range(self.n):
-                if j != d:
-                    cons = self._eliminate(cons, j)
-            has_upper = any(a[d] > 0 for a, _ in cons)
-            has_lower = any(a[d] < 0 for a, _ in cons)
-            if not (has_upper and has_lower):
-                return False
-        return True
-
-    def vertices(self) -> List[Vec]:
-        """All vertices, from feasible intersections of n active half-spaces."""
-        verts = set()
-        for subset in itertools.combinations(self.halfspaces, self.n):
-            a = mat([hs[0] for hs in subset])
-            if mat_det(a) == 0:
-                continue
-            y = mat_vec(mat_inv(a), vec([hs[1] for hs in subset]))
-            if all(dot(av, y) <= bv for av, bv in self.halfspaces):
-                verts.add(y)
-        return sorted(verts)
-
-
-def converges_on(s: LaurentSeriesNd, p: RationalPolytope) -> bool:
-    """Laurent-domain convergence test via polytope vertices.
-
-    By convexity it suffices to check vertices: the stored terms give a
-    finite minimum of v(a_k) + <k, y>, and the declared tail bound must
-    dominate the linear growth of |<k, y>| over the polytope, i.e. the
-    bound must exceed the largest vertex sup-norm.
-    """
-    if s.n != p.n:
-        raise ValueError("dimension mismatch")
-    verts = p.vertices()
-    if not verts:
-        raise ValueError("polytope has no vertices")
-    for y in verts:
-        for k, a in s.terms:
-            _ = a.val() + dot(vec(k), y)  # finite by construction
-    if s.tail_bound is None:
-        return True  # finitely supported: convergence is automatic
-    max_norm = max(max(abs(c) for c in y) for y in verts)
-    return s.tail_bound > max_norm
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +180,6 @@ class ThetaBasis:
     cutoff: Fraction
     sections: Tuple[Tuple[Tuple[int, ...], LaurentSeriesNd], ...]
 
-    def section(self, j: Tuple[int, ...]) -> LaurentSeriesNd:
-        for jj, s in self.sections:
-            if jj == tuple(j):
-                return s
-        raise KeyError(j)
-
     @property
     def indices(self) -> List[Tuple[int, ...]]:
         return [j for j, _ in self.sections]
@@ -320,13 +217,6 @@ class ThetaProductTable:
 
     cutoff: Fraction
     coefficients: Tuple[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], NovikovElem], ...]
-
-    def coefficient(self, j1, j2, j3) -> NovikovElem:
-        key = (tuple(j1), tuple(j2), tuple(j3))
-        for k, c in self.coefficients:
-            if k == key:
-                return c
-        return NovikovElem.zero(self.cutoff)
 
 
 class ThetaSolveError(ValueError):

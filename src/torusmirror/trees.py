@@ -150,18 +150,3 @@ def _products(pools: tuple) -> Iterator[tuple]:
     for head in pools[0]:
         for tail in _products(pools[1:]):
             yield (head,) + tail
-
-
-def subdivide(t: PlanarTree):
-    """Mark the midpoint of every internal edge of t.
-
-    Returns (t, midpoints) where midpoints is a list of (parent, child)
-    pairs of internal vertices — one per internal edge, in depth-first
-    order.
-    """
-    mids = []
-    for v in t.internal_vertices():
-        for c in v.children:
-            if not c.is_leaf:
-                mids.append((v, c))
-    return t, mids

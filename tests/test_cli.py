@@ -161,11 +161,16 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
     assert code == 1 and rep["status"] == "ERROR"
 
     obj = json.loads(open(ainfty_file).read())
-    obj["ops"][0]["entries"][0][2] = {"q": [1, 0]}  # zero denominator
-    bad = tmp_path / "zero.json"
-    bad.write_text(json.dumps(obj))
-    code, rep = run(capsys, "check-ainfty", str(bad))
-    assert code == 1 and rep["status"] == "ERROR"
+    bad = tmp_path / "bad.json"
+    for scalar in ({"q": [1, 0]}, {"q": [1]}, 5):  # zero denominator, short, bare number
+        obj["ops"][0]["entries"][0][2] = scalar
+        bad.write_text(json.dumps(obj))
+        code, rep = run(capsys, "check-ainfty", str(bad))
+        assert code == 1 and rep["status"] == "ERROR"
+    bad.write_text("[1, 2]")  # top-level list
+    for argv in (["check-ainfty"], ["transfer"], ["morse", "crit"], ["legendre"]):
+        code, rep = run(capsys, *argv, str(bad))
+        assert code == 1 and rep["status"] == "ERROR"
 
 
 def test_readme_command_lines_parse(tmp_path):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from torusmirror.ainfty import AInftyStructure, MultilinearOp
-from torusmirror.criteria import circle_sections, truncated_defect
+from torusmirror.ainfty import AInftyStructure, MultilinearOp, relation_defect
+from torusmirror.criteria import circle_sections
 from torusmirror.fukaya_oh import (
     AffineLagrangian,
     fukaya_sequence,
@@ -121,9 +121,16 @@ def test_holonomy_weights_triangles_by_integer_windings():
 
 
 def test_associativity_holds_below_cutoff():
-    for ls in (circle_sections((0, 1, 2, 3), (0, 0, 0, 0)),
-               circle_sections((0, 1, 3, 4), (0, Fraction(1, 2), 0, 0))):
-        assert truncated_defect(fukaya_sequence(ls, 8), 3, 8) == []
+    """The raw arity-3 defect is zero, and every entry is known to at least
+    the cutoff: the truncated zeros of the triangle tables stay in m2 with
+    their O(q^cutoff) bound."""
+    for slopes, shifts, cutoff in (((0, 1, 2, 3), (0, 0, 0, 0), 8),
+                                   ((0, 1, 3, 4), (0, Fraction(1, 2), 0, 0), 8),
+                                   ((0, 3, 6, 10), (0, 0, Fraction(1, 3), 0), 12)):
+        d = relation_defect(fukaya_sequence(circle_sections(slopes, shifts), cutoff), 3)
+        assert d.is_zero()
+        assert d.entries
+        assert all(c.cutoff >= cutoff for row in d.entries.values() for c in row.values())
 
 
 def test_perturbed_m2_fails_associativity_below_cutoff_only():
@@ -138,25 +145,31 @@ def test_perturbed_m2_fails_associativity_below_cutoff_only():
         bump = MultilinearOp(2, A.basis, A.basis, 0, {ins: {out: NovikovElem.q_power(e)}})
         return AInftyStructure(A.basis, {2: A.m(2) + bump})
 
-    assert truncated_defect(A, 3, cutoff) == []
-    assert len(truncated_defect(moved(5), 3, cutoff)) == 2
-    assert truncated_defect(moved(12), 3, cutoff) == []
+    def defect_rows(B):
+        return {ins for ins, _out, _c in relation_defect(B, 3).nonzero_entries()}
+
+    assert defect_rows(A) == set()
+    assert len(defect_rows(moved(5))) == 2
+    assert defect_rows(moved(12)) == set()
 
 
 def test_triangle_table_keeps_zero_entries_that_m2_drops():
-    """The mirror report's table size and the benchmark digests count the
-    explicit zeros of the triangle table; the builder's m2 drops them."""
+    """The 23 explicit zeros of the triangle table are truncated zeros
+    O(q^2): the builder's m2 keeps them with that bound, and
+    nonzero_entries skips them."""
     ls = [AffineLagrangian(((1, 0), (0, 1)), (0, 0)),
           AffineLagrangian(((3, 1), (1, 3)), (Fraction(1, 2), 0)),
           AffineLagrangian(((5, 1), (1, 5)), (0, Fraction(1, 3)))]
     table = triangle_product_table(*ls, 2)
     assert len(table) == 180
     assert sum(v.is_zero() for v in table.values()) == 23
+    assert all(v.cutoff == 2 for v in table.values())
     expected = {}
     for (c0, c1, c2), v in table.items():
-        if not v.is_zero():
-            expected.setdefault(((0, 1, c0), (1, 2, c1)), {})[(0, 2, c2)] = v
-    assert fukaya_sequence(ls, 2).m(2).entries == expected
+        expected.setdefault(((0, 1, c0), (1, 2, c1)), {})[(0, 2, c2)] = v
+    m2_op = fukaya_sequence(ls, 2).m(2)
+    assert m2_op.entries == expected
+    assert len(list(m2_op.nonzero_entries())) == 180 - 23
 
 
 def test_vanishing_certificate():

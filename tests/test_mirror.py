@@ -1,4 +1,4 @@
-"""Non-archimedean mirror side: Laurent series convergence, theta bases,
+"""Non-archimedean mirror side: Laurent series, theta bases,
 theta multiplication, and the exact comparison oracle."""
 
 from fractions import Fraction
@@ -10,10 +10,8 @@ from torusmirror.fukaya_oh import AffineLagrangian
 from torusmirror.mirror import (
     LaurentSeriesNd,
     LineBundleObj,
-    RationalPolytope,
     ThetaSolveError,
     compare_tables,
-    converges_on,
     mirror_compare,
     theta_basis,
     theta_multiply,
@@ -29,27 +27,13 @@ def line(slope, shift=0, holonomy=1):
     )
 
 
-def square(r):
-    r = Fraction(r)
-    return RationalPolytope(
-        2,
-        (
-            ((1, 0), r),
-            ((-1, 0), r),
-            ((0, 1), r),
-            ((0, -1), r),
-        ),
-    )
-
-
-# -- Laurent series and polytopes ----------------------------------------------
+# -- Laurent series ------------------------------------------------------------
 
 
 def test_laurent_series_merges_and_validates():
     a = NovikovElem.q_power(1)
     s = LaurentSeriesNd(1, (((2,), a),), Fraction(1))
-    assert s.coeff((2,)) == a
-    assert s.coeff((3,)) is None
+    assert s.terms == (((2,), a),)
     with pytest.raises(ValueError):
         LaurentSeriesNd(1, (((2,), a), ((2,), a)), None)  # duplicate exponent
     with pytest.raises(ValueError):
@@ -62,35 +46,8 @@ def test_laurent_multiplication_adds_exponents():
     a = NovikovElem.q_power(1)
     s = LaurentSeriesNd(1, (((1,), a), ((-1,), a)), None)
     p = s.multiply(s)
-    assert p.coeff((0,)) == a * a + a * a
-    assert p.coeff((2,)) == a * a
+    assert dict(p.terms) == {(-2,): a * a, (0,): a * a + a * a, (2,): a * a}
     assert p.tail_bound is None
-
-
-def test_polytope_vertices_and_validation():
-    assert square(Fraction(1, 2)).vertices() == sorted(
-        [
-            (Fraction(-1, 2), Fraction(-1, 2)),
-            (Fraction(-1, 2), Fraction(1, 2)),
-            (Fraction(1, 2), Fraction(-1, 2)),
-            (Fraction(1, 2), Fraction(1, 2)),
-        ]
-    )
-    with pytest.raises(ValueError):  # empty
-        RationalPolytope(1, (((1,), -1), ((-1,), -1)))
-    with pytest.raises(ValueError):  # unbounded
-        RationalPolytope(1, (((1,), 1),))
-
-
-def test_convergence_criterion():
-    a = NovikovElem.q_power(1)
-    box = RationalPolytope(1, (((1,), Fraction(1, 2)), ((-1,), Fraction(1, 2))))
-    finite = LaurentSeriesNd(1, (((5,), a),), None)
-    assert converges_on(finite, box)  # finitely supported
-    tailed = LaurentSeriesNd(1, (((0,), a),), Fraction(1))
-    assert converges_on(tailed, box)  # tail bound 1 > vertex norm 1/2
-    wide = RationalPolytope(1, (((1,), 2), ((-1,), 2)))
-    assert not converges_on(tailed, wide)  # tail bound 1 <= vertex norm 2
 
 
 # -- theta bases ---------------------------------------------------------------
@@ -104,9 +61,6 @@ def test_theta_basis_rank_equals_slope_determinant():
     for j, s in basis.sections:
         lead = min(a.val() for _, a in s.terms)
         assert lead >= 0
-        assert converges_on(s, RationalPolytope(1, (((1,), Fraction(1, 2)), ((-1,), Fraction(1, 2)))))
-    with pytest.raises(KeyError):
-        basis.section((99,))
 
 
 def test_bundle_requires_positive_definite_slope():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusmirror.trees import LEAF, PlanarTree, enumerate_binary, enumerate_trees, subdivide
+from torusmirror.trees import LEAF, PlanarTree, enumerate_binary, enumerate_trees
 
 
 def catalan_oracle(n_max):
@@ -95,10 +95,3 @@ def test_parse_rejects_garbage():
     for bad in ("", "(", "(.", "(..", "(..))", "x"):
         with pytest.raises(ValueError):
             PlanarTree.from_text(bad)
-
-
-@given(trees_strategy)
-def test_subdivide_marks_one_midpoint_per_internal_edge(t):
-    _, mids = subdivide(t)
-    assert len(mids) == t.internal_edge_count()
-    assert all(not p.is_leaf and not c.is_leaf for p, c in mids)
