@@ -6,7 +6,10 @@ code only uses ring operations and zero tests.
 
 Composites of operations, ``outer o (s_1 x ... x s_k)``, all go through one
 kernel, :func:`compose`: the structure relations, the morphism equations
-and the tree formulas of homotopy transfer.
+and the tree formulas of homotopy transfer.  The morphism equations and
+homotopy transfer compose rational tables as integer numerators over one
+denominator per table (:func:`_integral`), and go back to ``Fraction``
+only when an operation is built.
 
 Two independent implementations of the structure equations are provided:
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .novikov import NovikovElem
@@ -33,6 +37,7 @@ from .novikov import NovikovElem
 Label = Hashable
 Scalar = object  # Fraction | int | NovikovElem
 Table = Dict[Tuple[Label, ...], Dict[Label, Scalar]]  # inputs -> {output: coefficient}
+Pair = Tuple[Table, int]  # (numerators, D): the table whose entries are numerator / D
 
 
 def is_zero_scalar(s) -> bool:
@@ -316,6 +321,53 @@ def add_into(acc: Table, table: Table, scale=1) -> Table:
     return acc
 
 
+def _integral(tables: Dict[Hashable, Table]) -> Dict[Hashable, Pair]:
+    """Integer form of rational tables: each becomes ``(numerators, D)``
+    with D the lcm of its denominators, so :func:`compose` and
+    :func:`add_into` run on ints.  If any table holds a NovikovElem, every
+    table passes through as ``(table, 1)``: a Novikov entry never carries
+    a denominator, so :func:`_rational` may return it as it is."""
+    if any(isinstance(c, NovikovElem) for t in tables.values() for row in t.values() for c in row.values()):
+        return {key: (t, 1) for key, t in tables.items()}
+    pairs = {}
+    for key, t in tables.items():
+        D = lcm(*(c.denominator for row in t.values() for c in row.values()))
+        pairs[key] = (
+            {ins: {o: c.numerator * (D // c.denominator) for o, c in row.items()} for ins, row in t.items()},
+            D,
+        )
+    return pairs
+
+
+def _rational(table: Table, D: int) -> Table:
+    """The table of numerators / D, with ``Fraction`` entries when D > 1."""
+    if D == 1:
+        return table
+    return {ins: {o: Fraction(c, D) for o, c in row.items()} for ins, row in table.items()}
+
+
+def _compose_pairs(outer: Pair, slots: Sequence[Optional[Pair]], sign=None) -> Pair:
+    """:func:`compose` on integer forms; the denominators multiply."""
+    D = outer[1] * prod(s[1] for s in slots if s is not None)
+    return compose(outer[0], [None if s is None else s[0] for s in slots], sign), D
+
+
+def _sum_pairs(terms: Sequence[Tuple[Table, int, int]]) -> Pair:
+    """Sum of  scale * numerators / D  over ``(numerators, D, scale)``
+    terms, each rescaled to the lcm of the D's; the result is divided by
+    the gcd of its numerators and denominator."""
+    L = lcm(*(D for _t, D, _s in terms))
+    acc: Table = {}
+    for t, D, s in terms:
+        add_into(acc, t, s * (L // D))
+    if L > 1:
+        g = gcd(L, *(c for row in acc.values() for c in row.values()))
+        if g > 1:
+            L //= g
+            acc = {ins: {o: c // g for o, c in row.items()} for ins, row in acc.items()}
+    return acc, L
+
+
 def compositions(n: int, k: int) -> List[Tuple[int, ...]]:
     """All (n_1, ..., n_k) with every n_t >= 1 and sum n."""
     if k == 1:
@@ -377,7 +429,9 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
     """
     V, W = F.source, F.target
     degV = V.basis.degrees
-    acc: Table = {}
+    ops = {"mW": W.m, "mV": V.m, "f": F.f}
+    pairs = _integral({(X, k): op(k).entries for X, op in ops.items() for k in range(1, n + 1)})
+    terms: List[Tuple[Table, int, int]] = []
 
     def S(degs: Tuple[int, ...]) -> int:
         k = len(degs)
@@ -390,20 +444,20 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
 
     # LHS: sum over block sizes of  m_i^W(f_{k_1}(..), ..., f_{k_i}(..))
     for i in range(1, n + 1):
-        mi = W.m(i)
-        if not mi.entries:
+        mi = pairs["mW", i]
+        if not mi[0]:
             continue
         for ks in compositions(n, i):
-            fs = [F.f(k) for k in ks]
-            if all(f.entries for f in fs):
-                add_into(acc, compose(mi.entries, [f.entries for f in fs], lhs_sign))
+            fs = [pairs["f", k] for k in ks]
+            if all(f[0] for f in fs):
+                terms.append((*_compose_pairs(mi, fs, lhs_sign), 1))
 
     # RHS (subtracted): insertions f_s(a_1, ..., m_r^V(...), ..., a_n)
     for r in range(1, n + 1):
         s = n - r + 1
-        fs_op = F.f(s)
-        mr = V.m(r)
-        if not (fs_op.entries and mr.entries):
+        fs_op = pairs["f", s]
+        mr = pairs["mV", r]
+        if not (fs_op[0] and mr[0]):
             continue
         for l in range(0, s):
 
@@ -415,9 +469,10 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
                 return -1 if e % 2 else 1
 
             slots = [None] * s
-            slots[l] = mr.entries
-            add_into(acc, compose(fs_op.entries, slots, rhs_sign), -1)
+            slots[l] = mr
+            terms.append((*_compose_pairs(fs_op, slots, rhs_sign), -1))
 
+    acc = _rational(*_sum_pairs(terms))
     return MultilinearOp(n, V.basis, W.basis, 2 - n, acc, check_degrees=False)
 
 

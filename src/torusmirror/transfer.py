@@ -24,8 +24,12 @@ from .ainfty import (
     CheckReport,
     GradedBasis,
     MultilinearOp,
+    Pair,
     Table,
-    add_into,
+    _compose_pairs,
+    _integral,
+    _rational,
+    _sum_pairs,
     compose,
     compositions,
     is_zero_scalar,
@@ -161,44 +165,62 @@ class _SuspendedTransfer:
         b_n^B = p o q_n              (n >= 2),  b_1^B = p o b_1 o i
 
     All component maps have suspended degree 0 except H (-1) and b_k (+1),
-    so the tensor products above carry no Koszul signs.
+    so the tensor products above carry no Koszul signs.  b_k, i, p and H
+    are converted to integer form once; q_n and g_n are kept as
+    ``(numerators, D)`` pairs.
     """
 
     def __init__(self, r: RetractionData):
-        self.r = r
         degA = r.ambient.basis.degrees
-        self.b = {
-            k: _suspension_signed(op.entries, degA)
-            for k, op in r.ambient.ops.items()
-            if not op.is_zero()
-        }
-        self.g: Dict[int, Table] = {1: r.include.entries}
-        self.q: Dict[int, Table] = {}
+        b = {k: _suspension_signed(op.entries, degA) for k, op in r.ambient.ops.items() if not op.is_zero()}
+        pairs = _integral({"i": r.include.entries, "p": r.project.entries, "H": r.homotopy.entries, **b})
+        self.i, self.p, self.H = pairs.pop("i"), pairs.pop("p"), pairs.pop("H")
+        self.b: Dict[int, Pair] = pairs
+        self.g: Dict[int, Pair] = {1: self.i}
+        self.q: Dict[int, Pair] = {}
 
-    def q_table(self, n: int) -> Table:
+    def q_pair(self, n: int) -> Pair:
         if n in self.q:
             return self.q[n]
         for m in range(2, n):
-            self.g_table(m)  # ensure lower g's exist
-        acc: Table = {}
+            self.g_pair(m)  # ensure lower g's exist
+        terms = []
         for k in range(2, n + 1):
             bk = self.b.get(k)
-            if bk:
+            if bk is not None:
                 for parts in compositions(n, k):
-                    add_into(acc, compose(bk, [self.g[m] for m in parts]))
-        self.q[n] = acc
-        return acc
+                    terms.append((*_compose_pairs(bk, [self.g[m] for m in parts]), 1))
+        self.q[n] = _sum_pairs(terms)
+        return self.q[n]
 
-    def g_table(self, n: int) -> Table:
+    def g_pair(self, n: int) -> Pair:
         if n not in self.g:
             # the homotopy enters with a minus sign: the perturbation lemma
             # wants the convention  dH + Hd = ip - 1,  while validate()
             # checks the opposite normalization 1 - ip = dH + Hd.
-            self.g[n] = add_into({}, compose(self.r.homotopy.entries, [self.q_table(n)]), -1)
+            self.g[n] = _sum_pairs([(*_compose_pairs(self.H, [self.q_pair(n)]), -1)])
         return self.g[n]
 
     def bB_table(self, n: int) -> Table:
-        return compose(self.r.project.entries, [self.q_table(n)])
+        return _rational(*_compose_pairs(self.p, [self.q_pair(n)]))
+
+    def tree_pair(self, t: PlanarTree) -> Pair:
+        """:func:`tree_term` in integer form; -H on each internal edge gives
+        the per-tree sign (-1)^{number of internal edges}."""
+
+        def eval_node(node: PlanarTree) -> Pair:
+            if node.is_leaf:
+                return self.i
+            bk = self.b.get(len(node.children))
+            if bk is None:
+                return {}, 1
+            return _compose_pairs(bk, [
+                eval_node(c) if c.is_leaf
+                else _sum_pairs([(*_compose_pairs(self.H, [eval_node(c)]), -1)])
+                for c in node.children
+            ])
+
+        return _compose_pairs(self.p, [eval_node(t)])
 
 
 def _transferred(
@@ -233,7 +255,7 @@ def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismDa
     source = _transferred(r, max_arity, st.bB_table)
     comps: Dict[int, MultilinearOp] = {1: MultilinearOp(1, B, r.ambient.basis, 0, dict(r.include.entries))}
     for n in range(2, max_arity + 1):
-        table = _suspension_signed(st.g_table(n), B.degrees)
+        table = _suspension_signed(_rational(*st.g_pair(n)), B.degrees)
         op = MultilinearOp(n, B, r.ambient.basis, 1 - n, table)
         if not op.is_zero():
             comps[n] = op
@@ -245,33 +267,17 @@ def tree_term(r: RetractionData, t: PlanarTree) -> Table:
     i at the leaves, b_k at internal vertices, H on internal edges, p at
     the root.  Exposed for the entrywise cross-check against the branch
     recursion and the direct two-tree expansion of the ternary product."""
-    st = _SuspendedTransfer(r)
-
-    def eval_node(node: PlanarTree) -> Table:
-        if node.is_leaf:
-            return r.include.entries
-        bk = st.b.get(len(node.children))
-        if not bk:
-            return {}
-        # -H per internal edge; the per-tree sign of the summation formula
-        # is (-1)^{number of internal edges}
-        return compose(bk, [
-            eval_node(c) if c.is_leaf
-            else add_into({}, compose(r.homotopy.entries, [eval_node(c)]), -1)
-            for c in node.children
-        ])
-
-    return compose(r.project.entries, [eval_node(t)])
+    return _rational(*_SuspendedTransfer(r).tree_pair(t))
 
 
 def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInftyStructure:
     """Same result as :func:`transfer_structure`, computed as the explicit
-    sum over planar trees; used as a cross-check."""
+    sum over planar trees; used as a cross-check.  It shares only the
+    converted inputs with the branch recursion, never its q_n or g_n, so
+    the cross-check stays independent."""
+    st = _SuspendedTransfer(r)
 
     def tree_sum(n: int) -> Table:
-        acc: Table = {}
-        for t in enumerate_trees(n, 2):
-            add_into(acc, tree_term(r, t))
-        return acc
+        return _rational(*_sum_pairs([(*st.tree_pair(t), 1) for t in enumerate_trees(n, 2)]))
 
     return _transferred(r, max_arity, tree_sum)

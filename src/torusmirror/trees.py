@@ -36,14 +36,6 @@ class PlanarTree:
             return 1
         return sum(c.leaf_count() for c in self.children)
 
-    def internal_edge_count(self) -> int:
-        """Edges between two internal vertices (root and leaf edges excluded)."""
-        if self.is_leaf:
-            return 0
-        return sum(
-            (0 if c.is_leaf else 1) + c.internal_edge_count() for c in self.children
-        )
-
     def internal_vertices(self) -> Iterator["PlanarTree"]:
         """Depth-first (root first) iteration over internal vertices."""
         if self.is_leaf:

@@ -12,6 +12,9 @@ from torusmirror.ainfty import (
     AInftyStructure,
     GradedBasis,
     MultilinearOp,
+    _compose_pairs,
+    _integral,
+    _rational,
     add_into,
     assemble_sequence,
     bar_check,
@@ -100,6 +103,22 @@ def test_compose_kernel():
         ("b", "c", "d"): {"w": 10}, ("b", "e"): {"w": -40},
     }
     assert sorted(seen) == [(("a",), ("c", "d")), (("a",), ("e",)), (("b",), ("c", "d")), (("b",), ("e",))]
+
+    # integer form: numerators over one denominator per table; a composite
+    # multiplies the denominators and converts back to reduced Fractions
+    q = Fraction
+    outer = {("u", "v"): {"w": q(2, 3)}, ("u", "z"): {"w": q(7, 4), "x": 5}}
+    s1 = {("a",): {"u": q(3, 10)}, ("b",): {"u": q(5, 6), "y": 1}}
+    pairs = _integral({"outer": outer, "s1": s1})
+    assert pairs == {
+        "outer": ({("u", "v"): {"w": 8}, ("u", "z"): {"w": 21, "x": 60}}, 12),
+        "s1": ({("a",): {"u": 9}, ("b",): {"u": 25, "y": 30}}, 30),
+    }
+    for sgn in (None, lambda blocks: -1 if blocks[0] == ("b",) else 1):
+        got = _rational(*_compose_pairs(pairs["outer"], [pairs["s1"], None], sgn))
+        assert got == compose(outer, [s1, None], sgn)
+        assert all(type(c) is Fraction for row in got.values() for c in row.values())
+    assert got[("a", "v")] == {"w": q(1, 5)} and got[("b", "z")] == {"w": -q(35, 24), "x": q(-25, 6)}
 
 
 def test_structure_validates_arity_and_shift():

@@ -3,6 +3,7 @@ relations, the comparison morphism, and the tree-sum cross-check."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from torusmirror.criteria import (
     transfer_morphism_equations,
     transferred_relations,
 )
-from torusmirror.randomgen import retraction_onto_cohomology
+from torusmirror.novikov import NovikovElem
+from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
 from torusmirror.transfer import (
     RetractionData,
     transfer_structure,
@@ -23,9 +25,28 @@ from torusmirror.transfer import (
 from torusmirror.trees import enumerate_trees
 
 
+def massey_dga():
+    """A dga with a nonzero Massey product <a, b, c> = w: du = ab, dv = bc,
+    a.b = ab, b.c = bc, u.c = a.v = w.  Its transfer has nonzero m3 and m4,
+    whereas the seeded corpus transfers to zero above arity 2."""
+    B = GradedBasis(
+        (("a", 1), ("b", 1), ("c", 1), ("u", 1), ("v", 1), ("ab", 2), ("bc", 2), ("w", 2))
+    )
+    d = MultilinearOp(1, B, B, 1, {("u",): {"ab": 1}, ("v",): {"bc": 1}})
+    m = MultilinearOp(2, B, B, 0, {
+        ("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("u", "c"): {"w": 1}, ("a", "v"): {"w": 1},
+    })
+    return AInftyStructure(B, {1: d, 2: m})
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return retraction_corpus(20240901, 8)
+
+
+@pytest.fixture(scope="module")
+def massey():
+    return retraction_onto_cohomology(massey_dga(), random.Random(0))
 
 
 def test_generated_retractions_validate(corpus):
@@ -44,56 +65,74 @@ def test_transfer_morphism_satisfies_morphism_equations(corpus):
     assert out.ok, out.failures
 
 
-def test_branch_recursion_matches_tree_sum(corpus):
-    for r in corpus[:4]:
+def test_branch_recursion_matches_tree_sum(corpus, massey):
+    for r in corpus[:4] + [massey]:
         B1 = transfer_structure(r, max_arity=4)
         B2 = transfer_structure_by_trees(r, max_arity=4)
         for n in range(1, 5):
             assert (B1.m(n) - B2.m(n)).is_zero()
 
 
-def test_single_tree_terms_sum_to_ternary_product(corpus):
+def test_single_tree_terms_sum_to_ternary_product(corpus, massey):
     """The arity-3 product is the signed sum of the three planar trees with
-    three leaves, expanded one tree at a time."""
-    r = corpus[0]
-    total = {}
-    for t in enumerate_trees(3, 2):
-        for ins, row in tree_term(r, t).items():
-            dst = total.setdefault(ins, {})
-            for o, c in row.items():
-                dst[o] = dst.get(o, 0) + c
-    st = transfer_structure(r, max_arity=3)
+    three leaves, expanded one tree at a time; on the Massey input that sum
+    is nonzero, so the sign of each tree is seen."""
     from torusmirror.transfer import _suspension_signed
 
-    expected = _suspension_signed(total, r.sub_basis.degrees)
-    got = st.m(3).entries
-    cleaned = {
-        ins: {o: c for o, c in row.items() if c != 0}
-        for ins, row in expected.items()
-    }
-    cleaned = {ins: row for ins, row in cleaned.items() if row}
-    assert cleaned == got
+    for r in (corpus[0], massey):
+        total = {}
+        for t in enumerate_trees(3, 2):
+            for ins, row in tree_term(r, t).items():
+                dst = total.setdefault(ins, {})
+                for o, c in row.items():
+                    dst[o] = dst.get(o, 0) + c
+        expected = _suspension_signed(total, r.sub_basis.degrees)
+        cleaned = {
+            ins: {o: c for o, c in row.items() if c != 0}
+            for ins, row in expected.items()
+        }
+        cleaned = {ins: row for ins, row in cleaned.items() if row}
+        assert cleaned == transfer_structure(r, max_arity=3).m(3).entries
+    assert cleaned  # the Massey tree total
 
 
-def test_massey_transfer_is_non_formal_and_exact():
-    """A dga with a nonzero Massey product <a, b, c> = w: du = ab, dv = bc,
-    a.b = ab, b.c = bc, u.c = a.v = w.  Its transfer has nonzero m3 and m4,
-    so the relations and the morphism equations compare nonzero terms and
-    see the sign of the homotopy (the seeded corpus transfers to zero above
-    arity 2)."""
-    B = GradedBasis(
-        (("a", 1), ("b", 1), ("c", 1), ("u", 1), ("v", 1), ("ab", 2), ("bc", 2), ("w", 2))
-    )
-    d = MultilinearOp(1, B, B, 1, {("u",): {"ab": 1}, ("v",): {"bc": 1}})
-    m = MultilinearOp(2, B, B, 0, {
-        ("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("u", "c"): {"w": 1}, ("a", "v"): {"w": 1},
-    })
-    r = retraction_onto_cohomology(AInftyStructure(B, {1: d, 2: m}), random.Random(0))
-    st = transfer_structure(r, max_arity=4)
+def test_massey_transfer_is_non_formal_and_exact(massey):
+    """The Massey transfer has nonzero m3 and m4, so the relations and the
+    morphism equations compare nonzero terms and see the sign of the
+    homotopy."""
+    st = transfer_structure(massey, max_arity=4)
     assert [len(list(st.m(n).nonzero_entries())) for n in (3, 4)] == [12, 48]
-    out = transferred_relations([r], 4)
+    out = transferred_relations([massey], 4)
     assert out.ok, out.failures
-    out = transfer_morphism_equations([r], 3)
+    out = transfer_morphism_equations([massey], 3)
+    assert out.ok, out.failures
+
+
+def _lift_scalars(obj, keep_rational=()):
+    """The JSON form with every rational {"q": ...} scalar turned into a
+    Novikov constant {"nov": ...}, except under the keys in keep_rational."""
+    if isinstance(obj, dict):
+        if set(obj) == {"q"}:
+            return {"nov": NovikovElem.scalar(Fraction(*obj["q"])).to_obj()}
+        return {k: v if k in keep_rational else _lift_scalars(v, keep_rational) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_lift_scalars(v, keep_rational) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("keep_rational", [(), ("include", "project", "homotopy")])
+def test_novikov_retraction_transfers_like_rational(keep_rational):
+    """Novikov-valued tables pass through the integer-form kernels: lifting
+    every scalar (or only the ambient structure's) to a Novikov constant
+    gives the rational transfer entrywise, and its morphism equations hold."""
+    rng = random.Random(4)
+    r = retraction_onto_cohomology(random_dg_algebra(rng), rng)
+    rn = RetractionData.from_obj(_lift_scalars(r.to_obj(), keep_rational))
+    assert any(isinstance(c, NovikovElem) for row in rn.ambient.m(2).entries.values() for c in row.values())
+    B, Bn = transfer_structure(r, 4), transfer_structure(rn, 4)
+    for n in range(1, 5):
+        assert Bn.m(n).entries == B.m(n).entries
+    out = transfer_morphism_equations([rn], 3)
     assert out.ok, out.failures
 
 

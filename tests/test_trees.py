@@ -82,15 +82,6 @@ def test_text_roundtrip(t):
     assert PlanarTree.from_text(t.to_text()) == t
 
 
-@given(trees_strategy)
-def test_internal_edge_count_is_internal_vertices_minus_one(t):
-    internal = sum(1 for _ in t.internal_vertices())
-    if internal:
-        assert t.internal_edge_count() == internal - 1
-    else:
-        assert t.internal_edge_count() == 0
-
-
 def test_parse_rejects_garbage():
     for bad in ("", "(", "(.", "(..", "(..))", "x"):
         with pytest.raises(ValueError):
