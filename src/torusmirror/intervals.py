@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,22 @@ class Interval:
 def eval_poly(coeffs, x: Interval) -> Interval:
     """Horner evaluation of a polynomial with rational coefficients.
 
-    coeffs are in descending degree order.
+    coeffs are in descending degree order.  The steps run on integer
+    numerators: with the coefficients over their common denominator q and
+    the endpoints over theirs, d, the accumulator after step i is the
+    interval Horner value times q d^i, and positive scaling commutes with
+    the min/max of the interval product, so the endpoints are exactly those
+    of the step-by-step rational evaluation.
     """
-    acc = Interval.point(0)
+    q = lcm(*(c.denominator for c in coeffs))
+    d = lcm(x.lo.denominator, x.hi.denominator)
+    xl, xh = x.lo.numerator * (d // x.lo.denominator), x.hi.numerator * (d // x.hi.denominator)
+    lo = hi = 0
+    power = 1  # d^i
     for c in coeffs:
-        acc = acc * x + Interval.point(Fraction(c))
-    return acc
+        prods = (lo * xl, lo * xh, hi * xl, hi * xh)
+        c = c.numerator * (q // c.denominator) * power
+        lo, hi = min(prods) + c, max(prods) + c
+        power *= d
+    den = q * d ** max(len(coeffs) - 1, 0)
+    return Interval(Fraction(lo, den), Fraction(hi, den))

@@ -5,8 +5,11 @@ product m2, unweighted (integer counts) or weighted by Novikov elements.
 All computations are exact.  A trigonometric polynomial is transported to
 a rational polynomial through the half-angle substitution t = tan(pi*y)
 (the point y = 1/2 is handled separately), so critical points are real
-algebraic numbers isolated by Sturm sequences with rational intervals, and
-every sign or ordering decision is certified by exact interval refinement.
+algebraic numbers: sympy's ``Poly.intervals`` isolates them in rational
+intervals, exact integer bisection refines those, and every sign or
+ordering decision is certified by exact interval refinement.  Gcds,
+square-free parts and the real-root test behind the Morse check run on
+integer coefficient lists.
 
 Orientation and sign conventions (validated by d^2 = 0 and the arity-3
 structure relation, then frozen):
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy
@@ -41,6 +45,113 @@ _T = sympy.symbols("t")
 _POSITION_EPS = Fraction(1, 2**41)
 _VALUE_EPS = Fraction(1, 2**44)
 _VALUE_GRID = 2**42
+
+# bound on each per-input cache below, so a long-running process that meets
+# ever new functions keeps a flat memory footprint
+_CACHE_SIZE = 256
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial kernels (descending coefficient tuples; () is zero)
+# ---------------------------------------------------------------------------
+
+
+def _primitive(coeffs: Sequence) -> Tuple[int, ...]:
+    """Integer polynomial with the same roots: denominators cleared, content
+    divided out, leading zeros dropped, leading coefficient positive."""
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    while nums and nums[0] == 0:
+        nums.pop(0)
+    if not nums:
+        return ()
+    g = gcd(*nums) if nums[0] > 0 else -gcd(*nums)
+    return tuple(c // g for c in nums)
+
+
+def _derivative(a: Sequence[int]) -> Tuple[int, ...]:
+    n = len(a) - 1
+    return tuple((n - i) * c for i, c in enumerate(a[:-1]))
+
+
+def _reduce(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """A positive multiple of the remainder of a by b, with content removed."""
+    r = list(a)
+    lb, sb = abs(b[0]), 1 if b[0] > 0 else -1
+    while len(r) >= len(b):
+        c = sb * r[0]
+        r = [lb * x - c * y for x, y in zip(r, b)] + [lb * x for x in r[len(b):]]
+        r.pop(0)
+        while r and r[0] == 0:
+            r.pop(0)
+    if not r:
+        return ()
+    g = gcd(*r)
+    return tuple(x // g for x in r)
+
+
+def _gcd(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Primitive gcd with positive leading coefficient (primitive
+    pseudo-remainder sequence); () only when both inputs are zero."""
+    while b:
+        a, b = b, _reduce(a, b)
+    return _primitive(a)
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """Exact quotient a / b of integer polynomials, b primitive and
+    dividing a (so by Gauss's lemma the quotient is integral)."""
+    r, q = list(a), []
+    while len(r) >= len(b):
+        c, rem = divmod(r[0], b[0])
+        if rem:
+            raise RuntimeError("inexact polynomial division")
+        q.append(c)
+        r = [x - c * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
+    if any(r):
+        raise RuntimeError("inexact polynomial division")
+    return tuple(q)
+
+
+def _sqf_part(a: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Square-free part a / gcd(a, a') of a primitive a with positive
+    leading coefficient; the quotient is again of that kind."""
+    return _quotient(a, _gcd(a, _derivative(a)))
+
+
+def _monic(a: Sequence[int]) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(c, a[0]) for c in a)
+
+
+def _has_real_root(a: Tuple[int, ...]) -> bool:
+    """Whether a has a real root: the Sturm sequence a, a', -rem, ... counts
+    distinct real roots as its sign changes at -inf minus those at +inf."""
+    if len(a) < 2:
+        return False
+    if len(a) % 2 == 0:  # odd degree
+        return True
+    seq = [a, _derivative(a)]
+    while len(seq[-1]) > 1:
+        r = _reduce(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(tuple(-x for x in r))
+
+    def changes(signs: List[int]) -> int:
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_plus = [1 if p[0] > 0 else -1 for p in seq]
+    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, seq)]
+    return changes(at_minus) > changes(at_plus)
+
+
+def _sign_at(a: Sequence[int], num: int, den: int) -> int:
+    """Sign of a(num / den) for den > 0: homogenised integer Horner."""
+    acc, power = 0, 1
+    for c in a:
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +236,39 @@ class TrigPolynomial:
     def _numerator_coeffs(self) -> Tuple[Fraction, ...]:
         """Coefficients (descending) of N with f = N(t) / (1+t^2)^K, t = tan(pi y)."""
         k_max = self.max_harmonic
-        one = sympy.Poly(1, _T, domain="QQ")
-        den = sympy.Poly(1 + _T**2, _T, domain="QQ")
-        c_list, s_list = [one], [sympy.Poly(0, _T, domain="QQ")]
-        c1 = sympy.Poly(1 - _T**2, _T, domain="QQ")
-        s1 = sympy.Poly(2 * _T, _T, domain="QQ")
+        # (1 + i t)^(2k) = C_k + i S_k, so cos(k theta) = C_k / (1+t^2)^k and
+        # sin(k theta) = S_k / (1+t^2)^k; ascending integer coefficient lists,
+        # stepped by the factor (1 - t^2) + i 2t
+        n = 2 * k_max + 1
+        c_list, s_list = [[1] + [0] * (n - 1)], [[0] * n]
         for _ in range(k_max):
-            c_list.append(c1 * c_list[-1] - s1 * s_list[-1])
-            s_list.append(s1 * c_list[-2] + c1 * s_list[-1])
-        total = sympy.Poly(0, _T, domain="QQ")
-        for k, a in self.cos_coeffs:
-            total += sympy.Rational(a) * c_list[k] * den ** (k_max - k)
-        for k, b in self.sin_coeffs:
-            total += sympy.Rational(b) * s_list[k] * den ** (k_max - k)
-        return tuple(Fraction(str(c)) for c in total.all_coeffs())
+            c, s = [0, 0] + c_list[-1], [0, 0] + s_list[-1]  # c[j + 2] holds t^j
+            c_list.append([c[j + 2] - c[j] - 2 * s[j + 1] for j in range(n)])
+            s_list.append([s[j + 2] - s[j] + 2 * c[j + 1] for j in range(n)])
+        terms = [(a, c_list[k], k) for k, a in self.cos_coeffs]
+        terms += [(b, s_list[k], k) for k, b in self.sin_coeffs]
+        den = lcm(*(a.denominator for a, _, _ in terms))
+        total = [0] * n
+        for a, poly, k in terms:
+            scale = a.numerator * (den // a.denominator)
+            # times (1 + t^2)^(k_max - k), whose t^(2i) coefficient is a binomial
+            for i in range(k_max - k + 1):
+                b = scale * comb(k_max - k, i)
+                for j, x in enumerate(poly[: n - 2 * i]):
+                    total[j + 2 * i] += b * x
+        while len(total) > 1 and total[-1] == 0:
+            total.pop()
+        return tuple(Fraction(x, den) for x in reversed(total))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _numerator_coeffs_cached(f: TrigPolynomial) -> Tuple[Fraction, ...]:
     return f._numerator_coeffs()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _dtheta_cached(f: TrigPolynomial) -> TrigPolynomial:
     return f.dtheta()
-
-
-def _poly_from_coeffs(coeffs: Sequence[Fraction]) -> sympy.Poly:
-    expr = sum(sympy.Rational(c) * _T ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
-    return sympy.Poly(expr, _T, domain="QQ")
 
 
 # ---------------------------------------------------------------------------
@@ -161,51 +276,48 @@ def _poly_from_coeffs(coeffs: Sequence[Fraction]) -> sympy.Poly:
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(coeffs: Tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 class CirclePoint:
     """A point of R/Z given exactly: y = 1/2, or t = tan(pi y) as a real
     algebraic number with a refinable rational isolating interval.
 
-    Invariant for inexact points: the (squarefree) defining polynomial has
-    exactly one root in (lo, hi], with a fixed nonzero sign at hi, so
-    bisection with exact rational arithmetic refines the enclosure.
+    Invariant for inexact points: the (squarefree, integer) defining
+    polynomial has exactly one root in (lo, hi], with a fixed nonzero sign
+    at hi, so bisection with exact integer arithmetic refines the enclosure.
     """
 
-    def __init__(self, at_half: bool, coeffs: Optional[Tuple[Fraction, ...]] = None, iv: Optional[Interval] = None):
+    def __init__(self, at_half: bool, coeffs: Optional[Tuple[int, ...]] = None, iv: Optional[Interval] = None):
         self.at_half = at_half
         self.coeffs = coeffs
         self.iv = iv
         self.s_hi = 0
         if not at_half and iv is not None and iv.lo != iv.hi:
-            v_hi = _poly_eval(coeffs, iv.hi)
-            if v_hi == 0:
+            self.s_hi = _sign_at(coeffs, iv.hi.numerator, iv.hi.denominator)
+            if self.s_hi == 0:
                 self.iv = Interval(iv.hi, iv.hi)
-            else:
-                self.s_hi = 1 if v_hi > 0 else -1
 
     @staticmethod
     def half() -> "CirclePoint":
         return CirclePoint(True)
 
     def refine(self, eps: Fraction) -> None:
-        if self.at_half:
+        """Bisect until the width is at most eps, on integer numerators
+        a < b over one denominator d that doubles with each midpoint."""
+        if self.at_half or self.iv.width <= eps:
             return
-        while self.iv.width > eps:
-            c = self.iv.mid
-            v = _poly_eval(self.coeffs, c)
-            if v == 0:
-                self.iv = Interval(c, c)
+        lo, hi = self.iv.lo, self.iv.hi
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        while (b - a) * eps.denominator > eps.numerator * d:
+            mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+            s = _sign_at(self.coeffs, mid, d)
+            if s == 0:
+                self.iv = Interval.point(Fraction(mid, d))
                 return
-            if (v > 0) == (self.s_hi > 0):
-                self.iv = Interval(self.iv.lo, c)
+            if s == self.s_hi:
+                b = mid
             else:
-                self.iv = Interval(c, self.iv.hi)
+                a = mid
+        self.iv = Interval(Fraction(a, d), Fraction(b, d))
 
     def sector(self) -> int:
         """0 for t >= 0 (y in [0,1/2)), 1 for y = 1/2, 2 for t < 0 (y in (1/2,1))."""
@@ -268,11 +380,25 @@ def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Interva
     target = p.iv.width
     while True:
         t = p.iv
-        den = (Interval.point(1) + t * t)
-        d = Interval.point(1)
+        # the interval (1 + t*t)^k on integer endpoints: with t = [a, b] / s,
+        # 1 + t*t = [lo, hi] / s^2
+        s = lcm(t.lo.denominator, t.hi.denominator)
+        a, b = t.lo.numerator * (s // t.lo.denominator), t.hi.numerator * (s // t.hi.denominator)
+        sq = (a * a, a * b, b * b)
+        lo, hi = s * s + min(sq), s * s + max(sq)
+        d_lo = d_hi = 1
         for _ in range(k):
-            d = d * den
-        out = eval_poly(num, t) / d
+            prods = (d_lo * lo, d_lo * hi, d_hi * lo, d_hi * hi)
+            d_lo, d_hi = min(prods), max(prods)
+        if d_lo <= 0:
+            raise ZeroDivisionError("interval contains zero")
+        # v / ([d_lo, d_hi] / s^(2k)) with 0 < d_lo <= d_hi: each end of v
+        # goes over the end of d that keeps it extreme
+        v, scale = eval_poly(num, t), s ** (2 * k)
+        out = Interval(
+            Fraction(v.lo.numerator * scale, v.lo.denominator * (d_hi if v.lo >= 0 else d_lo)),
+            Fraction(v.hi.numerator * scale, v.hi.denominator * (d_lo if v.hi >= 0 else d_hi)),
+        )
         if out.width <= eps:
             return out
         target /= 2**8
@@ -349,7 +475,7 @@ def _y_interval(p: CirclePoint) -> Tuple[Fraction, Fraction]:
     return (lo, hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def critical_points(f: TrigPolynomial) -> CriticalSet:
     """Certified isolation and classification of the critical points of f.
 
@@ -360,21 +486,21 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
         raise ValueError("constant function has no Morse critical points")
     g1 = _dtheta_cached(f)
     g2 = _dtheta_cached(g1)
-    p = _poly_from_coeffs(g1.numerator_coeffs())
-    r = _poly_from_coeffs(g2.numerator_coeffs())
-    if p.is_zero:
+    p = _primitive(g1.numerator_coeffs())
+    if not p:
         raise ValueError("derivative vanishes identically")
-    common = p.gcd(r)
-    if common.degree() > 0 and common.intervals():
+    if _has_real_root(_gcd(p, _primitive(g2.numerator_coeffs()))):
         raise NonMorseError("f' and f'' share a real root: non-Morse input")
     if g1.at_half() == 0 and g2.at_half() == 0:
         raise NonMorseError("double critical point at y = 1/2: non-Morse input")
 
-    sqf = p.sqf_part()
-    sqf_coeffs = tuple(Fraction(c.p, c.q) for c in sqf.all_coeffs())
+    sqf = _sqf_part(p)
+    # isolating intervals feed y_interval and the weights, so sympy isolates
+    # exactly the polynomial its own sqf_part returns: monic over QQ
+    isolating = sympy.Poly.from_list(_monic(sqf), _T, domain=sympy.QQ).intervals()
     pts: List[Tuple[int, CirclePoint]] = []
-    for (lo, hi), _mult in sqf.intervals():
-        cp = CirclePoint(False, sqf_coeffs, Interval(Fraction(str(lo)), Fraction(str(hi))))
+    for (lo, hi), _mult in isolating:
+        cp = CirclePoint(False, sqf, Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
         s2 = _certified_sign(g2, cp)
         pts.append((s2, cp))
     if g1.at_half() == 0:
@@ -436,12 +562,8 @@ def _flow_target(crit: CriticalSet, p: CirclePoint, direction: int) -> CriticalP
 
 def _shared_critical_point(ga: TrigPolynomial, gb: TrigPolynomial) -> bool:
     da, db = _dtheta_cached(ga), _dtheta_cached(gb)
-    pa = _poly_from_coeffs(da.numerator_coeffs())
-    pb = _poly_from_coeffs(db.numerator_coeffs())
-    common = pa.gcd(pb)
-    if common.degree() > 0 and common.intervals():
-        return True
-    return da.at_half() == 0 and db.at_half() == 0
+    common = _gcd(_primitive(da.numerator_coeffs()), _primitive(db.numerator_coeffs()))
+    return _has_real_root(common) or (da.at_half() == 0 and db.at_half() == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +601,18 @@ def cohomology_ranks(op: MultilinearOp) -> Tuple[int, int]:
     mins = [l for l, d in op.source.elements if d == 0]
     maxs = [l for l, d in op.source.elements if d == 1]
     rows = [[Fraction(op.entries.get((m,), {}).get(x, 0)) for m in mins] for x in maxs]
-    mat = sympy.Matrix(len(maxs), len(mins), lambda i, j: sympy.Rational(rows[i][j]))
-    rank = mat.rank()
+    rank = 0
+    for j in range(len(mins)):  # Gaussian elimination, column by column
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][j]:
+                ratio = rows[i][j] / top[j]
+                rows[i] = [x - ratio * y for x, y in zip(rows[i], top)]
+        rank += 1
     return (len(mins) - rank, len(maxs) - rank)
 
 

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from torusmirror import morse
+from torusmirror.ainfty import GradedBasis, MultilinearOp
 from torusmirror.criteria import morse_triples
+from torusmirror.intervals import Interval, eval_poly
 from torusmirror.morse import (
+    CirclePoint,
     NonMorseError,
     TrigPolynomial,
     basis_rescale,
@@ -153,3 +158,215 @@ def test_basis_rescale_requires_matching_object_count():
     op = m2(f0, f1, f2, weighted=True)
     with pytest.raises(ValueError):
         basis_rescale(op, [f0, f1])
+
+
+# -- exact kernels against sympy and rational references ------------------------
+
+_t = sympy.symbols("t")
+
+
+def seeded_trigs(seed, count):
+    """Trig polynomials with top harmonic 0..4, every seventh pure cosine
+    and every seventh pure sine."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        k_max = i % 5
+
+        def coeffs(low):
+            return {k: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                    for k in range(low, k_max + 1) if rng.random() < 0.8}
+
+        cos, sin = coeffs(0), coeffs(1)
+        if i % 7 == 3:
+            sin = {}
+        elif i % 7 == 5:
+            cos = {}
+        out.append(TrigPolynomial.from_dicts(cos, sin))
+    return out
+
+
+def sympy_numerator(f):
+    """N with f = N(t) / (1+t^2)^K, built from sympy Poly products."""
+    k_max = f.max_harmonic
+    den = sympy.Poly(1 + _t**2, _t, domain="QQ")
+    c_list, s_list = [sympy.Poly(1, _t, domain="QQ")], [sympy.Poly(0, _t, domain="QQ")]
+    c1, s1 = sympy.Poly(1 - _t**2, _t, domain="QQ"), sympy.Poly(2 * _t, _t, domain="QQ")
+    for _ in range(k_max):
+        c_list.append(c1 * c_list[-1] - s1 * s_list[-1])
+        s_list.append(s1 * c_list[-2] + c1 * s_list[-1])
+    total = sympy.Poly(0, _t, domain="QQ")
+    for k, a in f.cos_coeffs:
+        total += sympy.Rational(a) * c_list[k] * den ** (k_max - k)
+    for k, b in f.sin_coeffs:
+        total += sympy.Rational(b) * s_list[k] * den ** (k_max - k)
+    return tuple(Fraction(str(c)) for c in total.all_coeffs())
+
+
+def qq_poly(coeffs):
+    return sympy.Poly.from_list([sympy.Rational(c) for c in coeffs], _t, domain="QQ")
+
+
+def fractions_of(poly):
+    return tuple(Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs())
+
+
+def test_numerator_coeffs_match_sympy_construction():
+    trigs = seeded_trigs(20240901, 100) + [TrigPolynomial.zero(), trig(cos={0: 3})]
+    for f in trigs:
+        assert f._numerator_coeffs() == sympy_numerator(f), f
+    assert TrigPolynomial.zero()._numerator_coeffs() == (0,)
+
+
+def test_gcd_and_square_free_part_match_sympy():
+    trigs = [f for f in seeded_trigs(77, 100) if not f.is_constant]
+    shared = qq_poly((1, Fraction(-3, 2), Fraction(1, 2)))  # (t - 1)(t - 1/2)
+    double = qq_poly((1, Fraction(-2, 3))) ** 2  # forced double root at 2/3
+    for f, g in zip(trigs, trigs[1:]):
+        pf, pg = qq_poly(f.numerator_coeffs()), qq_poly(g.numerator_coeffs())
+        for a, b in ((pf, pg), (pf * shared, pg * shared), (pf * double, pg * shared * double)):
+            got = morse._gcd(morse._primitive(fractions_of(a)), morse._primitive(fractions_of(b)))
+            assert morse._monic(got) == fractions_of(a.gcd(b))
+        for a in (pf, pf * double, pf * shared * double * pg):
+            got = morse._sqf_part(morse._primitive(fractions_of(a)))
+            assert morse._monic(got) == fractions_of(a.sqf_part())
+
+
+def reference_refine(coeffs, iv, eps):
+    """Rational bisection on the monic square-free part (exactly one root in
+    (lo, hi], midpoints of the current interval)."""
+
+    def value(x):
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    lo, hi = iv.lo, iv.hi
+    if lo != hi and value(hi) == 0:
+        return Interval(hi, hi)
+    s_hi = value(hi) > 0
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            return Interval(mid, mid)
+        if (v > 0) == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return Interval(lo, hi)
+
+
+def test_refine_matches_rational_bisection_on_sympy_intervals():
+    trigs = [f for f in seeded_trigs(5, 100) if not f.is_constant]
+    # an extra root at t = 1/2, which bisection of an integer interval hits exactly
+    half = qq_poly((1, Fraction(-1, 2)))
+    seen = 0
+    for f in trigs:
+        p = qq_poly(f.dtheta().numerator_coeffs())
+        for poly in (p, p * half):
+            sqf = morse._sqf_part(morse._primitive(fractions_of(poly)))
+            monic = morse._monic(sqf)
+            for (lo, hi), _ in qq_poly(monic).intervals():
+                iv = Interval(Fraction(str(lo)), Fraction(str(hi)))
+                for eps in (Fraction(1, 2**10), Fraction(1, 2**50)):
+                    cp = CirclePoint(False, sqf, iv)
+                    cp.refine(eps)
+                    assert cp.iv == reference_refine(monic, iv, eps)
+                    seen += 1
+    assert seen > 200
+
+
+def reference_eval_poly(coeffs, x):
+    acc = Interval.point(0)
+    for c in coeffs:
+        acc = acc * x + Interval.point(c)
+    return acc
+
+
+def test_interval_horner_matches_interval_arithmetic():
+    rng = random.Random(41)
+    for f in seeded_trigs(41, 100):
+        num = f.numerator_coeffs()
+        a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        x = Interval(a, a + Fraction(rng.randint(0, 30), rng.randint(1, 9)))
+        assert eval_poly(num, x) == reference_eval_poly(num, x)
+
+
+def test_value_interval_matches_interval_arithmetic():
+    rng = random.Random(43)
+    huge = Fraction(10**30)  # no refinement: one evaluation on the given interval
+    checked = raised = 0
+    for f in seeded_trigs(43, 100):
+        a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        iv = Interval(a, a + Fraction(rng.randint(1, 20), rng.randint(1, 7)))
+        t = CirclePoint(False, (1, 0, 1), iv).iv  # t^2 + 1 never vanishes: no collapse
+        den = Interval.point(1) + t * t
+        d = Interval.point(1)
+        for _ in range(f.max_harmonic):
+            d = d * den
+        try:
+            expected = reference_eval_poly(f.numerator_coeffs(), t) / d
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                morse._value_interval(f, CirclePoint(False, (1, 0, 1), iv), huge)
+            raised += 1
+            continue
+        assert morse._value_interval(f, CirclePoint(False, (1, 0, 1), iv), huge) == expected
+        checked += 1
+    assert checked > 50 and raised > 0
+
+
+def test_cohomology_ranks_match_sympy_rank():
+    rng = random.Random(99)
+    for trial in range(60):
+        n_min, n_max = rng.randint(1, 6), rng.randint(1, 6)
+        target = rng.randint(0, min(n_min, n_max))
+        # rank <= target: a product of random n_max x target and target x n_min
+        left = [[rng.randint(-3, 3) for _ in range(target)] for _ in range(n_max)]
+        right = [[rng.randint(-3, 3) for _ in range(n_min)] for _ in range(target)]
+        mat = [[sum(left[i][r] * right[r][j] for r in range(target)) for j in range(n_min)]
+               for i in range(n_max)]
+        basis = GradedBasis(tuple((m, 0) for m in range(n_min))
+                            + tuple((n_min + x, 1) for x in range(n_max)))
+        entries = {(m,): {n_min + x: mat[x][m] for x in range(n_max) if mat[x][m]}
+                   for m in range(n_min)}
+        op = MultilinearOp(1, basis, basis, 1, entries)
+        rank = sympy.Matrix(mat).rank() if target else 0
+        assert cohomology_ranks(op) == (n_min - rank, n_max - rank)
+
+
+def test_real_root_test_covers_both_branches():
+    assert not morse._has_real_root((1, 0, 1))  # t^2 + 1
+    assert not morse._has_real_root((1, 0, 2, 0, 1))  # (t^2 + 1)^2
+    assert not morse._has_real_root((5,))
+    assert morse._has_real_root((1, 0, -2))  # t^2 - 2
+    assert morse._has_real_root((1, -3, 1, -3))  # (t^2 + 1)(t - 3)
+    assert morse._has_real_root((1, 0, -4, 0, 4))  # (t^2 - 2)^2
+
+
+def test_common_factor_without_real_root_is_morse():
+    # f = -(cos theta - 2)^3 / 3 has f' = sin theta (cos theta - 2)^2: f' and
+    # f'' share the factor 3t^2 + 1 (cos theta = 2), which has no real root
+    f = trig(cos={1: Fraction(-17, 4), 2: 1, 3: Fraction(-1, 12)})
+    g1, g2 = f.dtheta(), f.dtheta().dtheta()
+    common = morse._gcd(morse._primitive(g1.numerator_coeffs()),
+                        morse._primitive(g2.numerator_coeffs()))
+    assert common == (3, 0, 1)
+    crit = critical_points(f)
+    assert [p.index for p in crit.points] == [0, 1]  # min at y = 0, max at y = 1/2
+    assert crit.points[1].y_interval == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_caches_are_bounded():
+    caches = (critical_points, morse._numerator_coeffs_cached, morse._dtheta_cached)
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None
+    n = max(cache.cache_info().maxsize for cache in caches) + 10
+    for i in range(n):
+        critical_points(trig(cos={1: i + 1}, sin={2: Fraction(1, 7)}))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+        assert info.currsize == info.maxsize  # every cache saw more inputs than it keeps
