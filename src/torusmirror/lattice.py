@@ -1,21 +1,19 @@
-"""Exact linear algebra over Q and integer-lattice utilities.
+"""Exact linear algebra over Q and integer-lattice utilities (stdlib only).
 
-Shared by the affine-Lagrangian intersection theory and the theta-basis
-construction: rational matrix arithmetic on tuples of Fractions, inertia
-counts for symmetric matrices, coset representatives of Z^n modulo an
-integer matrix (via Hermite normal form), and complete enumeration of the
-integer points where a positive-definite rational quadratic stays below a
-bound.
+The package's one home for exact linear algebra: rational matrix arithmetic
+on tuples of Fractions; one Fraction Gauss-Jordan reduction, read by det,
+inverse, rank and nullspace; inertia by symmetric elimination; coset
+representatives of Z^n modulo an integer matrix via an integer Hermite
+normal form; and complete enumeration of the integer points where a
+positive-definite rational quadratic stays below a bound.  RREF, HNF and
+inertia are canonical, so no result depends on the elimination order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence, Tuple
-
-import sympy
-from sympy.matrices.normalforms import hermite_normal_form
+from typing import Iterator, Optional, Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
 Mat = Tuple[Tuple[Fraction, ...], ...]
@@ -68,43 +66,74 @@ def is_symmetric(a: Mat) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
 
 
-def mat_det(a: Mat) -> Fraction:
-    """Determinant by fraction-free Gaussian elimination."""
-    n = len(a)
-    rows = [list(row) for row in a]
+def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[list, list, Fraction]:
+    """Reduced row echelon form of a rational matrix by Fraction Gauss-Jordan.
+
+    Returns (reduced rows, pivot columns, det).  det is the signed product
+    of the pivots: det(a) for a square a, and for a wide [a | b] with square
+    a too, since the reduction stops once every row has a pivot; it is 0
+    when a column of a has no pivot.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+        det *= m[r][c]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                factor = row[c]
+                m[i] = [x - factor * y for x, y in zip(row, m[r])]
+        pivots.append(c)
+    return m, pivots, det
+
+
+def mat_det(a: Mat) -> Fraction:
+    return _gauss_jordan(a)[2]
 
 
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, _pivots, det = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    )
+    if det == 0:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def rank(a: Sequence[Sequence]) -> int:
+    return len(_gauss_jordan(a)[1])
+
+
+def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> list:
+    """Basis of {x : a x = 0}, one vector per free column of the RREF.
+
+    The free column gets 1 and each pivot column minus its reduced entry,
+    as in sympy's ``Matrix.nullspace``.  ncols is needed only when a has no
+    rows.
+    """
+    reduced, pivots, _det = _gauss_jordan(a)
+    n = len(a[0]) if a else ncols
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[free]
+        basis.append(tuple(x))
+    return basis
 
 
 def quad_form(a: Mat, x: Vec) -> Fraction:
@@ -114,24 +143,34 @@ def quad_form(a: Mat, x: Vec) -> Fraction:
 def inertia(a: Mat) -> Tuple[int, int, int]:
     """(negative, zero, positive) eigenvalue counts of a symmetric rational matrix.
 
-    All eigenvalues are real, so Descartes' rule applied to the
-    characteristic polynomial is exact.
+    Symmetric elimination  a -> E a E^T  keeps the counts (Sylvester's law of
+    inertia): each step takes a nonzero diagonal pivot, counts its sign and
+    passes to the Schur complement.  When the whole diagonal is zero but
+    a[i][j] is not, adding row and column j to i makes the pivot 2 a[i][j].
     """
     if not is_symmetric(a):
         raise ValueError("inertia requires a symmetric matrix")
-    m = sympy.Matrix(len(a), len(a), lambda i, j: sympy.Rational(a[i][j]))
-    coeffs = m.charpoly().all_coeffs()
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    zero = len(a) + 1 - len(coeffs)
-
-    def variations(cs):
-        signs = [c for c in cs if c != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
-
-    pos = variations(coeffs)
-    neg = variations([c if (len(coeffs) - 1 - i) % 2 == 0 else -c for i, c in enumerate(coeffs)])
-    return neg, zero, pos
+    m = [[Fraction(x) for x in row] for row in a]
+    neg = pos = 0
+    while m:
+        k = len(m)
+        p = next((i for i in range(k) if m[i][i]), None)
+        if p is None:
+            pairs = ((i, j) for i in range(k) for j in range(i + 1, k) if m[i][j])
+            p, j = next(pairs, (None, None))
+            if p is None:
+                break
+            m[p] = [x + y for x, y in zip(m[p], m[j])]
+            for row in m:
+                row[p] += row[j]
+        d = m[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [i for i in range(k) if i != p]
+        m = [[m[i][j] - m[i][p] * m[p][j] / d for j in rest] for i in rest]
+    return neg, len(a) - neg - pos, pos
 
 
 def is_positive_definite(a: Mat) -> bool:
@@ -140,17 +179,30 @@ def is_positive_definite(a: Mat) -> bool:
 
 
 def hnf(a: Mat) -> Tuple[Tuple[int, ...], ...]:
-    """Column-style Hermite normal form of an integer matrix.
+    """Column-style Hermite normal form of a nonsingular integer matrix.
 
-    The result is upper triangular with positive diagonal and spans the
-    same column lattice as the input.
+    The result is upper triangular with positive diagonal, each entry right
+    of the diagonal reduced modulo its row's diagonal entry, and spans the
+    same column lattice as the input.  Unimodular column operations, bottom
+    row first: Euclid's algorithm on columns moves the gcd of row i's first
+    i + 1 entries to the diagonal, then the columns to its right are reduced.
     """
     n = len(a)
-    m = sympy.Matrix(n, n, lambda i, j: int(a[i][j]))
-    if m.det() == 0:
-        raise ValueError("lattice matrix must be nonsingular")
-    h = hermite_normal_form(m)
-    return tuple(tuple(int(h[i, j]) for j in range(n)) for i in range(n))
+    cols = [[int(a[i][j]) for i in range(n)] for j in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                cols[i], cols[j] = cols[j], cols[i]
+        if cols[i][i] == 0:
+            raise ValueError("lattice matrix must be nonsingular")
+        if cols[i][i] < 0:
+            cols[i] = [-x for x in cols[i]]
+        for j in range(i + 1, n):
+            q = cols[j][i] // cols[i][i]
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def coset_reduce(h: Tuple[Tuple[int, ...], ...], x: Sequence[int]) -> Tuple[int, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -401,21 +401,3 @@ def hessian_duality_check(
         max_det_error=float(np.max(det_errs)),
         max_metric_error=float(np.max(met_errs)),
     )
-
-
-# ---------------------------------------------------------------------------
-# integral affine chart metadata
-# ---------------------------------------------------------------------------
-
-
-def validate_affine_chart(matrix: Sequence[Sequence[int]], translation: Sequence) -> bool:
-    """Transition data for integral affine charts: matrix in SL(n, Z)."""
-    m = [[Fraction(c) for c in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m) or len(list(translation)) != n:
-        return False
-    if any(c.denominator != 1 for row in m for c in row):
-        return False
-    from .lattice import mat_det
-
-    return mat_det(tuple(tuple(r) for r in m)) == 1

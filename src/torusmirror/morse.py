@@ -32,13 +32,10 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .ainfty import GradedBasis, MultilinearOp
 from .intervals import Interval, eval_poly
+from .lattice import rank
 from .novikov import NovikovElem
-
-_T = sympy.symbols("t")
 
 # interval-width targets: positions are isolated below 2**-41, certified
 # values (weights, rescaling exponents) are rounded to the 2**-42 dyadic grid
@@ -494,10 +491,12 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
     if g1.at_half() == 0 and g2.at_half() == 0:
         raise NonMorseError("double critical point at y = 1/2: non-Morse input")
 
+    import sympy  # imported here: the rest of the package runs without it
+
     sqf = _sqf_part(p)
     # isolating intervals feed y_interval and the weights, so sympy isolates
     # exactly the polynomial its own sqf_part returns: monic over QQ
-    isolating = sympy.Poly.from_list(_monic(sqf), _T, domain=sympy.QQ).intervals()
+    isolating = sympy.Poly.from_list(_monic(sqf), sympy.Symbol("t"), domain=sympy.QQ).intervals()
     pts: List[Tuple[int, CirclePoint]] = []
     for (lo, hi), _mult in isolating:
         cp = CirclePoint(False, sqf, Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
@@ -600,20 +599,8 @@ def cohomology_ranks(op: MultilinearOp) -> Tuple[int, int]:
     """(rank H^0, rank H^1) of an arity-1 differential over Q."""
     mins = [l for l, d in op.source.elements if d == 0]
     maxs = [l for l, d in op.source.elements if d == 1]
-    rows = [[Fraction(op.entries.get((m,), {}).get(x, 0)) for m in mins] for x in maxs]
-    rank = 0
-    for j in range(len(mins)):  # Gaussian elimination, column by column
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][j]:
-                ratio = rows[i][j] / top[j]
-                rows[i] = [x - ratio * y for x, y in zip(rows[i], top)]
-        rank += 1
-    return (len(mins) - rank, len(maxs) - rank)
+    r = rank([[op.entries.get((m,), {}).get(x, 0) for m in mins] for x in maxs])
+    return (len(mins) - r, len(maxs) - r)
 
 
 # Frozen case signs for the three Y-tree shapes.  Convention: orient every

@@ -13,7 +13,9 @@ odd element, then conjugated by a random invertible degree-0 basis change.
 Retractions onto cohomology are built by exact linear algebra: per degree,
 split  A^k = B^k (+) im d (+) C^k  with random complements, set H = d^{-1}
 on im d and 0 elsewhere.  These satisfy the usual side conditions
-(H i = 0, p H = 0, H^2 = 0) on top of the required identities.
+(H i = 0, p H = 0, H^2 = 0) on top of the required identities.  Vectors are
+tuples of Fractions; kernels, ranks, determinants and inverses come from
+``lattice``, whose results are canonical, so a seed fixes every draw.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import sympy
-
 from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, compose
+from .lattice import Vec, mat_det, mat_inv, mat_vec, nullspace, rank, vec
 from .transfer import RetractionData
 
 Q = Fraction
@@ -137,13 +138,13 @@ def _conjugate(basis_pairs, diff, mul, rng: random.Random) -> AInftyStructure:
     for d in sorted(set(degs.values())):
         block = [l for l in labels if degs[l] == d]
         while True:
-            M = sympy.Matrix([[rng.randint(-2, 2) for _ in block] for _ in block])
-            if M.det() != 0:
+            M = [[rng.randint(-2, 2) for _ in block] for _ in block]
+            if mat_det(M) != 0:
                 break
-        Minv = M.inv()
+        Minv = mat_inv(M)
         for j, a in enumerate(block):
-            g[(a,)] = {b: Q(M[i, j]) for i, b in enumerate(block) if M[i, j] != 0}
-            ginv[(a,)] = {b: Q(Minv[i, j]) for i, b in enumerate(block) if Minv[i, j] != 0}
+            g[(a,)] = {b: Q(M[i][j]) for i, b in enumerate(block) if M[i][j] != 0}
+            ginv[(a,)] = {b: Minv[i][j] for i, b in enumerate(block) if Minv[i][j] != 0}
 
     B = GradedBasis(tuple(basis_pairs))
     ops = {}
@@ -163,95 +164,72 @@ def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> Retrac
     """Split each degree as  B (+) im d (+) C  with random complements.
 
     i embeds chosen cocycle representatives, p projects along im d (+) C,
-    and H inverts d from im d back to C.
+    and H inverts d from im d back to C.  Subspaces are lists of column
+    vectors (tuples of Fractions) in the label basis of their degree.
     """
     basis = A.basis
     labels = list(basis.labels)
     degs = basis.degrees
-    idx = {l: t for t, l in enumerate(labels)}
     d_op = A.m(1)
     by_deg: Dict[int, List] = {}
     for l in labels:
         by_deg.setdefault(degs[l], []).append(l)
 
-    def d_matrix(k):
-        """Matrix of d: A^k -> A^{k+1} in the label bases."""
-        src = by_deg.get(k, [])
-        tgt = by_deg.get(k + 1, [])
-        M = sympy.zeros(len(tgt), len(src))
-        for cidx, l in enumerate(src):
-            for o, v in d_op.entries.get((l,), {}).items():
-                M[tgt.index(o), cidx] = v
-        return M, src, tgt
-
-    # per-degree decomposition data
     sub_elems = []  # (label, degree) for B
     i_table: Dict = {}
     p_table: Dict = {}
     h_table: Dict = {}
 
+    # per degree: ker d, a random complement C^k of it and its image d C^k;
+    # every C is drawn before any B, which fixes the rng stream
     all_degs = sorted(by_deg)
-    # precompute C^k (complement of ker d in A^k) and its image basis in A^{k+1}
-    C_vecs: Dict[int, sympy.Matrix] = {}
-    dC_vecs: Dict[int, sympy.Matrix] = {}
+    ker_vecs: Dict[int, List[Vec]] = {}
+    C_vecs: Dict[int, List[Vec]] = {}
+    dC_vecs: Dict[int, List[Vec]] = {}
     for k in all_degs:
-        M, src, tgt = d_matrix(k)
-        if not src:
-            continue
-        ker = M.nullspace()
-        rank = len(src) - len(ker)
-        C = _random_complement(ker, len(src), rank, rng)
-        C_vecs[k] = C
-        dC_vecs[k] = M * C if rank else sympy.zeros(len(tgt), 0)
+        src, tgt = by_deg[k], by_deg.get(k + 1, [])
+        rows = [[Q(0)] * len(src) for _ in tgt]  # d: A^k -> A^{k+1}
+        for c, l in enumerate(src):
+            for o, v in d_op.entries.get((l,), {}).items():
+                rows[tgt.index(o)][c] = v
+        ker = ker_vecs[k] = nullspace(rows, len(src))
+        C_vecs[k] = _random_complement(ker, len(src), len(src) - len(ker), rng)
+        dC_vecs[k] = [mat_vec(rows, c) for c in C_vecs[k]]
 
     for k in all_degs:
         src = by_deg[k]
         nk = len(src)
-        Mk, _, _ = d_matrix(k)
-        ker = Mk.nullspace()
-        ker_mat = (
-            sympy.Matrix.hstack(*ker) if ker else sympy.zeros(nk, 0)
-        )
-        im_prev = dC_vecs.get(k - 1, sympy.zeros(nk, 0))
-        if im_prev.rows != nk:
-            im_prev = sympy.zeros(nk, 0)
+        im_prev = dC_vecs.get(k - 1, [])
         # B^k: random complement of im d inside ker d
-        Bk = _random_complement_within(ker_mat, im_prev, rng)
-        Ck = C_vecs.get(k, sympy.zeros(nk, 0))
-        full = sympy.Matrix.hstack(Bk, im_prev, Ck)
-        if full.shape != (nk, nk):
+        Bk = _random_complement_within(ker_vecs[k], im_prev, rng)
+        full = Bk + im_prev + C_vecs[k]
+        if len(full) != nk:
             raise RuntimeError("decomposition must be a basis")
-        inv = full.inv()
-        nB, nIm = Bk.cols, im_prev.cols
+        inv = mat_inv(tuple(zip(*full)))
+        nB, nIm = len(Bk), len(im_prev)
 
         for t in range(nB):
             lab = ("h", k, t)
             sub_elems.append((lab, k))
-            i_table[(lab,)] = {
-                src[s]: Q(sympy.nsimplify(Bk[s, t])) for s in range(nk) if Bk[s, t] != 0
-            }
+            i_table[(lab,)] = {src[s]: Bk[t][s] for s in range(nk) if Bk[t][s] != 0}
         # p: coordinates in the B-part
         for s in range(nk):
-            row = {}
-            for t in range(nB):
-                if inv[t, s] != 0:
-                    row[("h", k, t)] = Q(sympy.nsimplify(inv[t, s]))
+            row = {("h", k, t): inv[t][s] for t in range(nB) if inv[t][s] != 0}
             if row:
                 p_table[(src[s],)] = row
         # H on A^k: send the im-d coordinates back to C^{k-1}
-        Cprev = C_vecs.get(k - 1)
-        if Cprev is not None and nIm:
+        if nIm:
             prev_src = by_deg[k - 1]
+            Cprev = C_vecs[k - 1]
             for s in range(nk):
                 row = {}
                 for t in range(nIm):
-                    c = inv[nB + t, s]
+                    c = inv[nB + t][s]
                     if c == 0:
                         continue
-                    for u in range(len(prev_src)):
-                        if Cprev[u, t] != 0:
-                            lab = prev_src[u]
-                            row[lab] = row.get(lab, 0) + Q(sympy.nsimplify(c * Cprev[u, t]))
+                    for u, lab in enumerate(prev_src):
+                        if Cprev[t][u] != 0:
+                            row[lab] = row.get(lab, 0) + c * Cprev[t][u]
                 row = {o: v for o, v in row.items() if v != 0}
                 if row:
                     h_table[(src[s],)] = row
@@ -266,33 +244,30 @@ def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> Retrac
     )
 
 
-def _random_complement(ker: List[sympy.Matrix], dim: int, rank: int, rng):
-    """A random rank-column matrix whose columns complement span(ker) in Q^dim."""
-    ker_mat = sympy.Matrix.hstack(*ker) if ker else sympy.zeros(dim, 0)
-    cols = []
-    while len(cols) < rank:
-        v = sympy.Matrix([[rng.randint(-2, 2)] for _ in range(dim)])
-        test = sympy.Matrix.hstack(ker_mat, *cols, v) if cols else sympy.Matrix.hstack(ker_mat, v)
-        if test.rank() == ker_mat.cols + len(cols) + 1:
+def _random_complement(ker: List[Vec], dim: int, count: int, rng) -> List[Vec]:
+    """count random integer vectors that complement span(ker) in Q^dim."""
+    cols: List[Vec] = []
+    while len(cols) < count:
+        v = vec(rng.randint(-2, 2) for _ in range(dim))
+        if rank(ker + cols + [v]) == len(ker) + len(cols) + 1:
             cols.append(v)
-    return sympy.Matrix.hstack(*cols) if cols else sympy.zeros(dim, 0)
+    return cols
 
 
-def _random_complement_within(ambient: sympy.Matrix, sub: sympy.Matrix, rng):
-    """Random columns of span(ambient) complementing span(sub) inside it."""
-    want = ambient.rank() - sub.cols
-    cols = []
+def _random_complement_within(ambient: List[Vec], sub: List[Vec], rng) -> List[Vec]:
+    """Random vectors of span(ambient) complementing span(sub) inside it
+    (the ambient vectors are independent)."""
+    cols: List[Vec] = []
     attempts = 0
-    while len(cols) < want:
+    while len(cols) < len(ambient) - len(sub):
         attempts += 1
-        coeffs = [rng.randint(-2, 2) for _ in range(ambient.cols)]
+        coeffs = [rng.randint(-2, 2) for _ in ambient]
         if attempts > 50:
-            coeffs = [rng.randint(-5, 5) for _ in range(ambient.cols)]
-        v = ambient * sympy.Matrix([[c] for c in coeffs])
-        test = sympy.Matrix.hstack(sub, *cols, v) if cols else sympy.Matrix.hstack(sub, v)
-        if test.rank() == sub.cols + len(cols) + 1:
+            coeffs = [rng.randint(-5, 5) for _ in ambient]
+        v = tuple(sum(c * a[s] for c, a in zip(coeffs, ambient)) for s in range(len(ambient[0])))
+        if rank(sub + cols + [v]) == len(sub) + len(cols) + 1:
             cols.append(v)
-    return sympy.Matrix.hstack(*cols) if cols else sympy.zeros(ambient.rows, 0)
+    return cols
 
 
 def _violates_dg_axioms(A: AInftyStructure) -> bool:

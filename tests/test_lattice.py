@@ -1,0 +1,220 @@
+"""Exact linear algebra in `lattice`, cross-checked against sympy.
+
+sympy is only a test-time reference here: the package computes RREF
+nullspaces, Hermite normal forms and inertia without it, and each of these
+is canonical, so the results must agree exactly.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+import sympy
+from sympy.matrices.normalforms import hermite_normal_form
+
+import torusmirror
+from torusmirror.lattice import (
+    coset_reduce,
+    coset_representatives,
+    enumerate_below,
+    hnf,
+    inertia,
+    mat,
+    mat_det,
+    mat_inv,
+    nullspace,
+    rank,
+)
+
+DRAWS = 400
+
+
+def fractions_of(m: sympy.Matrix):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows))
+
+
+def low_rank(rng, rows, cols, scale=3):
+    """A random integer rows x cols matrix of rank at most a random r."""
+    r = rng.randint(0, min(rows, cols))
+    left = [[rng.randint(-scale, scale) for _ in range(r)] for _ in range(rows)]
+    right = [[rng.randint(-scale, scale) for _ in range(cols)] for _ in range(r)]
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def random_symmetric(rng, n):
+    """Symmetric rational n x n matrices, often singular or with a zero diagonal."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        b = low_rank(rng, n, n)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        a = [[sum(b[k][i] * signs[k] * b[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+    else:
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or kind == 1:
+                    a[i][j] = a[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return mat(a)
+
+
+def sympy_inertia(a):
+    m = sympy.Matrix(a)
+    roots = m.charpoly().real_roots()  # symmetric: every root is real
+    neg = sum(1 for r in roots if r.is_negative)
+    pos = sum(1 for r in roots if r.is_positive)
+    return neg, len(a) - neg - pos, pos
+
+
+# -- row reduction: det, inverse, rank, nullspace --------------------------------
+
+
+def test_row_reduction_kernels_match_sympy():
+    rng = random.Random(1)
+    for _ in range(DRAWS):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[Fraction(x, rng.choice([1, 1, 2, 3])) for x in row]
+             for row in low_rank(rng, rows, cols)]
+        ref = sympy.Matrix(m)
+        assert rank(m) == ref.rank()
+        assert nullspace(m) == [fractions_of(v.T)[0] for v in ref.nullspace()]
+        n = rng.randint(1, 4)
+        sq = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        assert mat_det(sq) == sympy.Matrix(sq).det()
+        if mat_det(sq):
+            assert mat_inv(sq) == fractions_of(sympy.Matrix(sq).inv())
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                mat_inv(sq)
+
+
+def test_nullspace_of_zero_full_rank_and_empty_matrices():
+    e = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    assert nullspace([[0, 0, 0], [0, 0, 0]]) == e
+    assert nullspace([], 3) == e
+    assert nullspace([[1, 2], [3, 4]]) == []
+    assert nullspace([[1, 2, 3], [2, 4, 7]]) == [(-2, 1, 0)]
+    assert rank([]) == 0 and rank([[0, 0]]) == 0
+
+
+def test_det_tracks_row_swaps():
+    assert mat_det(mat([[0, 1], [1, 0]])) == -1
+    assert mat_det(mat([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
+    assert mat_det(mat([[1, 2], [2, 4]])) == 0
+
+
+# -- inertia ---------------------------------------------------------------------
+
+
+def test_inertia_matches_sympy_on_seeded_symmetric_matrices():
+    rng = random.Random(2)
+    for _ in range(DRAWS):
+        a = random_symmetric(rng, rng.randint(1, 3))
+        assert inertia(a) == sympy_inertia(a), a
+
+
+def test_inertia_edge_cases():
+    assert inertia(mat([[0, 1], [1, 0]])) == (1, 0, 1)  # zero diagonal
+    assert inertia(mat([[1, 1], [1, 1]])) == (0, 1, 1)
+    assert inertia(mat([[0, 0], [0, 0]])) == (0, 2, 0)
+    assert inertia(mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == (1, 1, 1)
+    assert inertia(mat([[Fraction(-1, 3)]])) == (1, 0, 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        inertia(mat([[1, 2], [0, 1]]))
+
+
+# -- Hermite normal form and cosets ------------------------------------------------
+
+
+def test_hnf_matches_sympy_on_seeded_nonsingular_matrices():
+    rng = random.Random(3)
+    seen = 0
+    while seen < DRAWS:
+        n = rng.randint(1, 3)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if sympy.Matrix(a).det() == 0:
+            continue
+        seen += 1
+        ref = hermite_normal_form(sympy.Matrix(a))
+        assert hnf(mat(a)) == tuple(tuple(int(x) for x in ref.row(i)) for i in range(n)), a
+
+
+def test_hnf_convention_on_a_negative_determinant():
+    a = mat([[0, 3], [2, 1]])  # det -6; columns (0, 2) and (3, 1)
+    # row 1 has gcd 1, so h[1][1] = 1 and h[0][0] = |det| = 6; the column
+    # (3, 1) keeps its top entry 3, already reduced modulo 6
+    assert hnf(a) == ((6, 3), (0, 1))
+    assert hnf(a) == tuple(tuple(int(x) for x in row)
+                           for row in hermite_normal_form(sympy.Matrix(a)).tolist())
+
+
+def test_hnf_of_a_singular_matrix_raises():
+    with pytest.raises(ValueError, match="nonsingular"):
+        hnf(mat([[2, 4], [1, 2]]))
+    with pytest.raises(ValueError, match="nonsingular"):
+        hnf(mat([[0, 0], [0, 0]]))
+
+
+def test_coset_representatives_are_canonical_and_complete():
+    for rows in ([[2, 1], [1, 3]], [[0, 3], [2, 1]], [[2, 0, 1], [0, 2, 1], [1, 1, 3]]):
+        a = mat(rows)
+        h = hnf(a)
+        reps = coset_representatives(a)
+        assert len(reps) == len(set(reps)) == abs(mat_det(a))
+        assert all(coset_reduce(h, r) == r for r in reps)
+        n = len(rows)
+        # every point of a box reduces onto a representative, and moving by a
+        # lattice vector does not change it
+        for x in product(range(-3, 4), repeat=n):
+            r = coset_reduce(h, x)
+            assert r in reps
+            shifted = [x[i] + sum(int(rows[i][j]) * (j + 1) for j in range(n)) for i in range(n)]
+            assert coset_reduce(h, shifted) == r
+
+
+# -- enumeration below a bound -----------------------------------------------------
+
+
+def test_enumerate_below_matches_a_box_scan():
+    m = mat([[2, 1], [1, 3]])
+    v = (Fraction(-7, 3), Fraction(5, 2))
+    c = Fraction(-4)
+
+    def q(t):
+        return (Fraction(1, 2) * sum(m[i][j] * t[i] * t[j] for i in range(2) for j in range(2))
+                + v[0] * t[0] + v[1] * t[1] + c)
+
+    for bound in (Fraction(-6), Fraction(-5), Fraction(0), Fraction(7, 2), Fraction(20)):
+        box = [t for t in product(range(-15, 16), repeat=2) if q(t) < bound]
+        assert sorted(enumerate_below(m, v, c, bound)) == box
+    assert list(enumerate_below(m, v, c, Fraction(-100))) == []
+
+
+def test_enumerate_below_rejects_indefinite_and_semidefinite_forms():
+    for rows in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            list(enumerate_below(mat(rows), (Fraction(1, 2), Fraction(0)), Fraction(0),
+                                 Fraction(5)))
+
+
+# -- layering ---------------------------------------------------------------------
+
+
+def test_exact_layers_import_without_sympy():
+    src = str(Path(torusmirror.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys\n"
+            "import torusmirror.criteria, torusmirror.mirror, torusmirror.randomgen, "
+            "torusmirror.transfer\n"
+            "print('sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

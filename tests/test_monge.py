@@ -20,7 +20,6 @@ from torusmirror.monge import (
     involution_error,
     legendre,
     ma_residual,
-    validate_affine_chart,
 )
 
 H = Fraction(1, 32)
@@ -205,15 +204,7 @@ def test_conjugation_reverses_pointwise_order(a, bump):
     assert np.all(Kd.values >= Ld.values - 1e-12)
 
 
-# -- affine chart metadata -------------------------------------------------------
-
-
-def test_validate_affine_chart():
-    assert validate_affine_chart([[1, 1], [0, 1]], [Fraction(1, 2), 0])
-    assert not validate_affine_chart([[2, 0], [0, 1]], [0, 0])  # det 2
-    assert not validate_affine_chart([[1, 0], [0, -1]], [0, 0])  # det -1
-    assert not validate_affine_chart([[1, Fraction(1, 2)], [0, 1]], [0, 0])
-    assert not validate_affine_chart([[1, 0]], [0])  # not square (1x2 row)
+# -- discrete Hessian ------------------------------------------------------------
 
 
 def test_hessian_determinants_shape():
