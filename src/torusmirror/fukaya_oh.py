@@ -36,11 +36,11 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
-    enumerate_below,
     hnf,
     inertia,
     is_positive_definite,
     is_symmetric,
+    lattice_points,
     mat,
     mat_det,
     mat_inv,
@@ -49,6 +49,7 @@ from .lattice import (
     mat_vec,
     quad_form,
     vec,
+    vec_add,
     vec_sub,
 )
 from .novikov import NovikovElem
@@ -148,6 +149,65 @@ def _holonomy_factor(
     return factor
 
 
+def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian):
+    """m2 of one triple as a function of (x0, x1, cutoff).  What its products
+    share (transversality, the points of (L_0, L_2), the inverses, the weight
+    form, the HNF of gamma) is computed once, here."""
+    if not transversal([l0, l1, l2]):
+        raise ValueError("non-transversal triple")
+    alpha, beta, gamma = _increment(l0, l1), _increment(l1, l2), _increment(l0, l2)
+    convex = is_positive_definite(alpha) and is_positive_definite(beta)
+    points02 = intersections(l0, l2)
+    ainv, binv, ginv = mat_inv(alpha), mat_inv(beta), mat_inv(gamma)
+    c01, c12 = vec_sub(l1.shift, l0.shift), vec_sub(l2.shift, l1.shift)
+    gamma_h = hnf(gamma)
+    beta_z = [[int(x) for x in row] for row in beta]
+    twisted = any(u != 1 for l in (l0, l1, l2) for u in l.holonomy)
+    # W(t) = Q(m, k0 + beta t) with Q(x, y) = (1/2)(x^T a^{-1} x + y^T b^{-1} y
+    #        - (x+y)^T g^{-1} (x+y)); expand to (1/2) t^T M t + v^T t + c.
+    bg = mat_mul(beta, mat_sub(binv, ginv))
+    mq, bginv = mat_mul(bg, beta), mat_mul(beta, ginv)
+
+    def product(x0: IntersectionPoint, x1: IntersectionPoint, cutoff):
+        cutoff = Fraction(cutoff)
+        if cutoff <= 0:
+            raise ValueError("cutoff must be positive")
+        targets = {p.coset: p for p in points02 if p.degree == x0.degree + x1.degree}
+        if not targets:
+            return {}
+        if not convex:
+            raise ValueError(
+                "m2 enumeration is implemented for convex-ordered triples "
+                "(positive-definite slope increments) only"
+            )
+        m = vec_sub(vec(x0.coset), c01)  # = alpha * y0, fixed lift of x0
+        k0 = vec_sub(vec(x1.coset), c12)  # base lift of x1; translates k0 + beta*t
+        vq = vec_sub(mat_vec(bg, k0), mat_vec(bginv, m))
+        cq = (quad_form(ainv, m) + quad_form(binv, k0) - quad_form(ginv, vec_add(m, k0))) / 2
+        # s + b_2 - b_0 = x0 + x1 + beta t, an integer vector, names the target coset
+        base = [a + b for a, b in zip(x0.coset, x1.coset)]
+        acc: Dict[IntersectionPoint, Dict[int, Fraction]] = {p: {} for p in targets.values()}
+        den, points = lattice_points(mq, vq, cq, cutoff)
+        for t, weight in points:
+            if weight < 0:
+                raise RuntimeError(f"negative triangle weight {Fraction(weight, den)}")
+            bt = [sum(b * x for b, x in zip(row, t)) for row in beta_z]
+            target = targets.get(coset_reduce(gamma_h, [a + b for a, b in zip(base, bt)]))
+            if target is None:
+                continue
+            hol = Fraction(1)
+            if twisted:
+                k = vec_add(k0, bt)
+                hol = _holonomy_factor((l0, l1, l2), mat_vec(ainv, m), mat_vec(binv, k),
+                                       mat_vec(ginv, vec_add(m, k)))
+            row = acc[target]
+            row[weight] = row.get(weight, 0) + hol
+        return {p: NovikovElem(((Fraction(w, den), c) for w, c in row.items()), cutoff)
+                for p, row in acc.items()}
+
+    return product
+
+
 def m2(
     l0: AffineLagrangian,
     l1: AffineLagrangian,
@@ -163,68 +223,12 @@ def m2(
     are excluded by the grading and the map is zero there.  Configurations
     are enumerated in the universal cover: the lift of x0 is fixed and the
     lift of x1 ranges over its full coset, which exhausts the deck orbits
-    exactly once.  Termination: the weight is a positive-definite quadratic
-    in the lattice translate.
+    exactly once.  The weight is a positive-definite quadratic in the
+    lattice translate, so ``lattice_points`` finds every configuration below
+    the cutoff, each weight an integer numerator over its one denominator;
+    a target's weights are gathered and become one NovikovElem.
     """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if not transversal([l0, l1, l2]):
-        raise ValueError("non-transversal triple")
-    alpha, beta, gamma = _increment(l0, l1), _increment(l1, l2), _increment(l0, l2)
-    targets = [p for p in intersections(l0, l2) if p.degree == x0.degree + x1.degree]
-    if not targets:
-        return {}
-    if not (is_positive_definite(alpha) and is_positive_definite(beta)):
-        raise ValueError(
-            "m2 enumeration is implemented for convex-ordered triples "
-            "(positive-definite slope increments) only"
-        )
-    ainv, binv, ginv = mat_inv(alpha), mat_inv(beta), mat_inv(gamma)
-    c01 = vec_sub(l1.shift, l0.shift)
-    c12 = vec_sub(l2.shift, l1.shift)
-    c02 = vec_sub(l2.shift, l0.shift)
-    gamma_h = hnf(gamma)
-    by_coset = {p.coset: p for p in targets}
-    result: Dict[IntersectionPoint, NovikovElem] = {
-        p: NovikovElem.zero(cutoff) for p in targets
-    }
-
-    m = vec_sub(vec(x0.coset), c01)  # = alpha * y0, fixed lift of x0
-    k0 = vec_sub(vec(x1.coset), c12)  # base lift of x1; translates k0 + beta*t
-
-    # W(t) = Q(m, k0 + beta t) with Q(x, y) = (1/2)(x^T a^{-1} x + y^T b^{-1} y
-    #        - (x+y)^T g^{-1} (x+y)); expand to (1/2) t^T M t + v^T t + c.
-    bg = mat_sub(binv, ginv)
-    mq = mat_mul(beta, mat_mul(bg, beta))
-    vq = vec_sub(mat_vec(mat_mul(beta, bg), k0), mat_vec(mat_mul(beta, ginv), m))
-    sk = vec(a + b for a, b in zip(m, k0))
-    cq = (
-        Fraction(1, 2) * quad_form(ainv, m)
-        + Fraction(1, 2) * quad_form(binv, k0)
-        - Fraction(1, 2) * quad_form(ginv, sk)
-    )
-
-    y0 = mat_vec(ainv, m)
-    for t in enumerate_below(mq, vq, cq, cutoff):
-        k = vec(a + b for a, b in zip(k0, mat_vec(beta, vec(t))))
-        s = vec(a + b for a, b in zip(m, k))
-        weight = (
-            Fraction(1, 2) * quad_form(ainv, m)
-            + Fraction(1, 2) * quad_form(binv, k)
-            - Fraction(1, 2) * quad_form(ginv, s)
-        )
-        if weight < 0:
-            raise RuntimeError(f"negative triangle weight {weight}")
-        key = coset_reduce(gamma_h, [int(a + b) for a, b in zip(s, c02)])
-        target = by_coset.get(key)
-        if target is None:
-            continue
-        y1 = mat_vec(binv, k)
-        y2 = mat_vec(ginv, s)
-        hol = _holonomy_factor((l0, l1, l2), y0, y1, y2)
-        result[target] = result[target] + NovikovElem.q_power(weight, hol, cutoff)
-    return result
+    return _triangle_products(l0, l1, l2)(x0, x1, cutoff)
 
 
 def triangle_product_table(
@@ -236,9 +240,10 @@ def triangle_product_table(
     """
     table: Dict[Tuple, NovikovElem] = {}
     points12 = intersections(l1, l2)
+    product = _triangle_products(l0, l1, l2)
     for x0 in intersections(l0, l1):
         for x1 in points12:
-            out = m2(l0, l1, l2, x0, x1, cutoff)
+            out = product(x0, x1, cutoff)
             for x2, value in out.items():
                 table[(x0.coset, x1.coset, x2.coset)] = value
     return table

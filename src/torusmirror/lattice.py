@@ -4,15 +4,17 @@ The package's one home for exact linear algebra: rational matrix arithmetic
 on tuples of Fractions; one Fraction Gauss-Jordan reduction, read by det,
 inverse, rank and nullspace; inertia by symmetric elimination; coset
 representatives of Z^n modulo an integer matrix via an integer Hermite
-normal form; and complete enumeration of the integer points where a
-positive-definite rational quadratic stays below a bound.  RREF, HNF and
+normal form; and one integer kernel that enumerates the lattice points
+where a positive-definite rational quadratic stays below a bound, each with
+its value as an integer numerator over one denominator.  RREF, HNF and
 inertia are canonical, so no result depends on the elimination order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import ceil, floor, isqrt, lcm
 from typing import Iterator, Optional, Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
@@ -227,43 +229,74 @@ def coset_representatives(a: Mat) -> list:
     return [coset_reduce(h, x) for x in sorted(reps)]
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+@lru_cache(maxsize=256)
+def _definite_form(m: Mat) -> Tuple[Mat, int]:
+    """m^{-1} and the least d with d m integral and d m_ii even, checked once per matrix."""
+    if not is_positive_definite(m):
+        raise ValueError("quadratic form must be positive definite")
+    return mat_inv(m), lcm(*(x.denominator for row in m for x in row),
+                           *((m[i][i] / 2).denominator for i in range(len(m))))
+
+
+def _int_range(center: Fraction, rad2: Fraction) -> range:
+    """The integers x with (x - center)^2 <= rad2."""
+    if rad2 < 0:
+        return range(0)
+    p, q = center.numerator, center.denominator
+    r = isqrt(floor(rad2 * q * q))
+    return range(-((r - p) // q), (p + r) // q + 1)
+
+
+def lattice_points(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Tuple[int, list]:
+    """A denominator D and every (t, D q(t)) with q(t) = (1/2) t^T m t + v^T t + c < bound.
+
+    t runs over the integer vectors in lexicographic order, and each D q(t)
+    is an integer.  m must be symmetric positive definite.  Completeness
+    rests on nested bounds: with t0 the real minimizer, q(t) - q(t0) =
+    (1/2)(t-t0)^T m (t-t0) >= (t_d - t0_d)^2 / (2 (m^{-1})_dd), which
+    confines each of the first n - 1 coordinates to an exact interval; once
+    they are fixed, D q is an integer quadratic a x^2 + b x + C in the last
+    coordinate, and the isqrt of its integer discriminant gives exactly the x
+    with D q < D bound.  Partial sums of D q are updated in integers.
+    """
+    minv, dm = _definite_form(m)
+    n = len(m)
+    den = lcm(dm, c.denominator, *(x.denominator for x in v))
+    h = [[int(x * den) for x in row] for row in m]
+    top = ceil(den * bound) - 1  # largest D q(t) kept
+    a = h[-1][-1] // 2
+    out: list = []
+    if n > 1:
+        t0 = [-x for x in mat_vec(minv, v)]
+        gap = bound - c - dot(v, t0) / 2  # bound - q(t0)
+        ranges = [_int_range(t0[d], 2 * gap * minv[d][d]) for d in range(n - 1)]
+
+    def descend(k, prefix, lin, const):
+        # lin[i], const: the coefficients of t_i and 1 in D q once t_<k is fixed
+        if k < n - 1:
+            for x in ranges[k]:
+                descend(k + 1, prefix + (x,), [b + row[k] * x for b, row in zip(lin, h)],
+                        const + (h[k][k] // 2 * x + lin[k]) * x)
+            return
+        b = lin[k]
+        disc = b * b - 4 * a * (const - top)
+        if disc < 0:
+            return
+        r = isqrt(disc)  # |2 a x + b| <= r
+        x, hi = -((r + b) // (2 * a)), (r - b) // (2 * a)
+        val = (a * x + b) * x + const
+        while x <= hi:
+            out.append((prefix + (x,), val))
+            val += a * (2 * x + 1) + b
+            x += 1
+
+    descend(0, (), [x.numerator * (den // x.denominator) for x in v],
+            c.numerator * (den // c.denominator))
+    return den, out
 
 
 def enumerate_below(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Iterator[Tuple[int, ...]]:
-    """All integer t with q(t) = (1/2) t^T m t + v^T t + c < bound.
-
-    m must be symmetric positive definite.  Completeness: with t0 the real
-    minimizer, q(t) - q(t0) = (1/2)(t-t0)^T m (t-t0) >= (t_d - t0_d)^2 / (2 (m^{-1})_{dd})
-    for every coordinate d, so each coordinate is confined to an explicitly
-    computable interval; candidates in the box are filtered exactly.
-    """
-    n = len(m)
-    if not is_positive_definite(m):
-        raise ValueError("quadratic form must be positive definite")
-    minv = mat_inv(m)
-    t0 = tuple(-x for x in mat_vec(minv, v))
-    qmin = Fraction(1, 2) * quad_form(m, t0) + dot(v, t0) + c
-    gap = bound - qmin
-    if gap <= 0:
-        return
-    ranges = []
-    for d in range(n):
-        r2 = 2 * gap * minv[d][d]
-        radius = isqrt(_ceil_fraction(r2)) + 1
-        lo = _ceil_fraction(t0[d]) - radius
-        hi = _ceil_fraction(t0[d]) + radius
-        ranges.append(range(lo, hi + 1))
-
-    def rec(prefix):
-        d = len(prefix)
-        if d == n:
-            t = vec(prefix)
-            if Fraction(1, 2) * quad_form(m, t) + dot(v, t) + c < bound:
-                yield tuple(prefix)
-            return
-        for value in ranges[d]:
-            yield from rec(prefix + [value])
-
-    yield from rec([])
+    """All integer t with q(t) = (1/2) t^T m t + v^T t + c < bound, in
+    lexicographic order: the points of ``lattice_points``."""
+    for t, _num in lattice_points(m, v, c, bound)[1]:
+        yield t

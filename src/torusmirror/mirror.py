@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
@@ -23,14 +24,13 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
-    enumerate_below,
     hnf,
     is_positive_definite,
+    lattice_points,
     mat_add,
     mat_det,
     mat_inv,
     mat_sub,
-    mat_vec,
     quad_form,
     vec,
     vec_add,
@@ -150,28 +150,49 @@ def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
     return Fraction(1, 2) * quad_form(ainv, d)
 
 
+def _coset_points(a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...], bound: Fraction):
+    """Denominator D and the (m, D w(m)) with m = j + A t and w(m) < bound, t in the
+    kernel's order: w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j)."""
+    den, points = lattice_points(a, vec_sub(vec(j), center), _theta_weight(ainv, center, vec(j)),
+                                 bound)
+    rows = [[int(x) for x in row] for row in a]
+    return den, [(tuple(x + sum(r * y for r, y in zip(row, t)) for x, row in zip(j, rows)), w)
+                 for t, w in points]
+
+
 def _coset_minimum(
     a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], Fraction]:
-    """Representative s = j mod A minimizing (1/2)(s-center)^T A^{-1} (s-center)."""
-    j = vec(j)
-    # w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j); search with a
-    # growing bound until nonempty, then take the exact argmin.
-    vlin = vec_sub(j, center)
-    c0 = _theta_weight(ainv, center, j)
+    """Representative s = j mod A minimizing (1/2)(s-center)^T A^{-1} (s-center).
+
+    The bound doubles until some point falls below it; of equal minima, the
+    first in the kernel's order wins.
+    """
     bound = Fraction(1)
     while True:
-        pts = list(enumerate_below(a, vlin, c0, bound))
-        if pts:
-            break
+        den, points = _coset_points(a, ainv, center, j, bound)
+        if points:
+            s, w = min(points, key=lambda p: p[1])
+            return s, Fraction(w, den)
         bound *= 2
-    best = None
-    for t in pts:
-        s = tuple(int(x + y) for x, y in zip(j, mat_vec(a, vec(t))))
-        w = _theta_weight(ainv, center, vec(s))
-        if best is None or w < best[1]:
-            best = (s, w)
-    return best
+
+
+def _grid(e: LineBundleObj) -> int:
+    """A denominator of every theta weight (1/2)(m-b)^T A^{-1} (m-b) of e: 2 q^2 |det A|
+    with q the denominator of b, which is also a multiple of each kernel denominator."""
+    q = lcm(*(x.denominator for x in e.lagrangian.shift))
+    return 2 * q * q * e.rank_of_sections
+
+
+def _sections(e: LineBundleObj, cutoff: Fraction, den: int) -> list:
+    """Theta sections of e below the cutoff, as (j, [(m, den w(m))]); _grid(e) divides den."""
+    a = e.lagrangian.slope
+    ainv = mat_inv(a)
+    out = []
+    for j in coset_representatives(a):
+        d, points = _coset_points(a, ainv, e.lagrangian.shift, j, cutoff)
+        out.append((j, [(m, w * (den // d)) for m, w in points]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -195,19 +216,12 @@ def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:
             e.n, (((0,) * e.n, NovikovElem.one(cutoff)),), Fraction(1)
         )
         return ThetaBasis(e, cutoff, (((0,) * e.n, one),))
-    a = e.lagrangian.slope
-    ainv = mat_inv(a)
-    center = e.lagrangian.shift
-    sections = []
-    for j in coset_representatives(a):
-        vlin = vec_sub(vec(j), center)
-        c0 = _theta_weight(ainv, center, vec(j))
-        terms = []
-        for t in enumerate_below(a, vlin, c0, cutoff):
-            m = tuple(int(x + y) for x, y in zip(j, mat_vec(a, vec(t))))
-            w = _theta_weight(ainv, center, vec(m))
-            terms.append((m, NovikovElem.q_power(w, 1, cutoff)))
-        sections.append((j, LaurentSeriesNd(e.n, tuple(terms), Fraction(1))))
+    den = _grid(e)
+    sections = [
+        (j, LaurentSeriesNd(e.n, tuple((m, NovikovElem.q_power(Fraction(w, den), 1, cutoff))
+                                       for m, w in terms), Fraction(1)))
+        for j, terms in _sections(e, cutoff, den)
+    ]
     return ThetaBasis(e, cutoff, tuple(sections))
 
 
@@ -228,14 +242,17 @@ class ThetaSolveError(ValueError):
 def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProductTable:
     """Expand products of theta sections in the tensor-bundle theta basis.
 
-    Every theta term is a monomial q^w z^m, so sections are read as (m, w)
-    pairs, a product of two sections is a table {s: {q-exponent: count}},
-    and NovikovElems are built only for the final coefficients.  Sections
+    Every theta term is a monomial q^w z^m, so sections are read as (m, L w)
+    pairs, with L w the kernel's integer numerator put over one denominator L
+    for all weights; a product of two sections is a table {s: {L q-exponent:
+    count}}, the solve and the consistency check run on these integers, and
+    NovikovElems are built only for the final coefficients.  Sections
     are expanded to internal = cutoff + max w* + 1, where w* is the least
     weight of a target section, taken at z^s*; the coefficient of a target
     section is the product row at s* divided by q^w*.  Every product row is
     then checked against its solved coefficient below min(internal,
-    cutoff + w(s)); a mismatch reports the cutoff that would be required.
+    cutoff + w(s)), with w(s) computed afresh by _theta_weight rather than
+    read from the kernel; a mismatch reports the cutoff that would be required.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -261,45 +278,47 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     minima = {j3: _coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
     internal = cutoff + max(w for _s, w in minima.values()) + 1
 
-    def monomials(e):
-        return [
-            (j, [(m, a.val()) for m, a in sec.terms])
-            for j, sec in theta_basis(e, internal).sections
-        ]
-
-    sections2 = monomials(e2)
-    target = {}  # s -> (coset of s, weight of z^s in the target bundle)
+    # one integer grid for the section, product and target weights
+    den = lcm(_grid(e1), _grid(e2), _grid(e3), *(w.denominator for _s, w in minima.values()))
+    sections1, sections2 = _sections(e1, internal, den), _sections(e2, internal, den)
+    top, low = ceil(internal * den), ceil(cutoff * den)  # a product term is kept iff L w < top
+    stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
+    target = {}  # s -> (coset of s, weight of z^s in the target bundle, as Fraction and L w)
     coeffs = []
-    for j1, sec1 in monomials(e1):
+    for j1, sec1 in sections1:
         for j2, sec2 in sections2:
-            prod: Dict[Tuple[int, ...], Dict[Fraction, int]] = {}
+            prod: Dict[Tuple[int, ...], Dict[int, int]] = {}
             for m1, w1 in sec1:
                 for m2, w2 in sec2:
                     row = prod.setdefault(tuple(x + y for x, y in zip(m1, m2)), {})
                     w = w1 + w2
-                    if w < internal:
+                    if w < top:
                         row[w] = row.get(w, 0) + 1
             # Weights are >= 0, so every dropped term has weight >= internal
             # and a product row is complete below internal.  Divided by q^w*
             # it is complete below internal - w* > cutoff, so every solved
             # coefficient is stored with exactly the requested cutoff.
             solved = {}
-            for j3, (s_star, w_star) in minima.items():
+            for j3, (s_star, w_star) in stars.items():
                 solved[j3] = {l - w_star: c for l, c in prod.get(s_star, {}).items()}
             for s in sorted(prod):
                 if s not in target:
-                    target[s] = (coset_reduce(gamma_h, s), _theta_weight(ginv, c3, vec(s)))
-                j3, w = target[s]
-                common = min(internal, cutoff + w)
+                    w = _theta_weight(ginv, c3, vec(s))
+                    if (w * den).denominator != 1:
+                        raise RuntimeError(f"target weight {w} is off the grid Z/{den}")
+                    target[s] = (coset_reduce(gamma_h, s), w, int(w * den))
+                j3, w, wl = target[s]
+                common = min(top, low + wl)
                 have = {l: c for l, c in prod[s].items() if l < common}
-                want = {l + w: c for l, c in solved[j3].items() if l + w < common}
+                want = {l + wl: c for l, c in solved[j3].items() if l + wl < common}
                 if have != want:
                     raise ThetaSolveError(
                         f"inconsistent theta solve at z^{s} for pair ({j1}, {j2})",
                         cutoff + w + 1,
                     )
             for j3 in target_cosets:
-                coeffs.append(((j1, j2, j3), NovikovElem(solved[j3].items(), cutoff)))
+                coeffs.append(((j1, j2, j3), NovikovElem(
+                    ((Fraction(l, den), c) for l, c in solved[j3].items()), cutoff)))
     return ThetaProductTable(cutoff, tuple(coeffs))
 
 

@@ -120,6 +120,33 @@ def test_holonomy_weights_triangles_by_integer_windings():
                 assert cu == cd == c == 1  # the zero triangle has no winding
 
 
+def test_holonomy_table_of_a_2d_triple():
+    """Holonomies (2, 1/3) on L_1 and (1/2, 3) on L_2 weight each triangle by
+    its windings; the table is pinned term by term, and m2 on the one input
+    pair agrees with it."""
+    l0 = AffineLagrangian(((0, 0), (0, 0)), (0, 0))
+    l1 = AffineLagrangian(((1, 0), (0, 1)), (Fraction(1, 3), 0), (2, Fraction(1, 3)))
+    l2 = AffineLagrangian(((3, 1), (1, 2)), (0, Fraction(1, 2)), (Fraction(1, 2), 3))
+    cut = Fraction(3, 2)
+    expected = {  # target coset: "exponent coefficient" terms
+        (0, 0): "103/360 3/4, 163/360 54, 223/360 1/18, 523/360 1/1296",
+        (1, 0): "23/72 27, 35/72 1/36, 47/72 2, 83/72 3/8, 107/72 1944",
+        (2, 0): "43/360 1, 283/360 27/2, 343/360 69985/72, 463/360 72",
+        (3, 0): "67/360 1/4, 127/360 18, 367/360 243",
+        (4, 0): "7/360 3, 307/360 1/24, 427/360 69985/324, 487/360 2/9",
+    }
+    expected = {
+        ((0, 0), (0, 0), c2): NovikovElem(
+            [tuple(Fraction(x) for x in term.split()) for term in terms.split(", ")], cut)
+        for c2, terms in expected.items()
+    }
+    assert triangle_product_table(l0, l1, l2, cut) == expected
+    (x0,) = intersections(l0, l1)
+    (x1,) = intersections(l1, l2)
+    out = m2(l0, l1, l2, x0, x1, cut)
+    assert {(x0.coset, x1.coset, x2.coset): v for x2, v in out.items()} == expected
+
+
 def test_associativity_holds_below_cutoff():
     """The raw arity-3 defect is zero, and every entry is known to at least
     the cutoff: the truncated zeros of the triangle tables stay in m2 with

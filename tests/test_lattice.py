@@ -11,19 +11,24 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor, isqrt, lcm
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form
 
 import torusmirror
+from torusmirror import lattice
 from torusmirror.lattice import (
     coset_reduce,
     coset_representatives,
     enumerate_below,
     hnf,
     inertia,
+    lattice_points,
     mat,
     mat_det,
     mat_inv,
@@ -194,6 +199,88 @@ def test_enumerate_below_matches_a_box_scan():
         box = [t for t in product(range(-15, 16), repeat=2) if q(t) < bound]
         assert sorted(enumerate_below(m, v, c, bound)) == box
     assert list(enumerate_below(m, v, c, Fraction(-100))) == []
+
+
+halves = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def definite_forms(draw):
+    """(m, v, c, bound) with m symmetric, half-integral and strictly diagonally
+    dominant with a positive diagonal, hence positive definite."""
+    n = draw(st.integers(1, 3))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(halves)
+    for i in range(n):
+        m[i][i] = sum(abs(x) for x in m[i]) + Fraction(draw(st.integers(1, 4)), 2)
+    v = tuple(draw(small) for _ in range(n))
+    bound = draw(st.fractions(min_value=-2, max_value=5, max_denominator=4))
+    return mat(m), v, draw(small), bound
+
+
+def q_of(m, v, c, t):
+    n = len(t)
+    return (Fraction(1, 2) * sum(m[i][j] * t[i] * t[j] for i in range(n) for j in range(n))
+            + sum(a * x for a, x in zip(v, t)) + c)
+
+
+def box_scan(m, v, c, bound):
+    """Every t with q(t) < bound, scanned over a box in lexicographic order.
+
+    Each coordinate obeys (t_d - t0_d)^2 <= 2 (bound - q(t0)) (m^{-1})_dd, with
+    t0 the real minimizer; inside the box, 2 L q(t) < 2 L bound is decided in
+    integers, L the common denominator of all the data.
+    """
+    n = len(m)
+    minv = mat_inv(m)
+    t0 = [-sum(minv[i][j] * v[j] for j in range(n)) for i in range(n)]
+    gap = bound - q_of(m, v, c, t0)
+    if gap <= 0:
+        return []
+    radii = [isqrt(ceil(2 * gap * minv[d][d])) + 1 for d in range(n)]
+    box = product(*(range(floor(t0[d]) - r, ceil(t0[d]) + r + 1) for d, r in enumerate(radii)))
+    den = lcm(*(x.denominator for x in (*(e for row in m for e in row), *v, c, bound)))
+    mi = [[int(e * den) for e in row] for row in m]
+    vi, ci, top = [int(2 * x * den) for x in v], int(2 * c * den), 2 * bound * den
+    return [t for t in box
+            if sum(mi[i][j] * t[i] * t[j] for i in range(n) for j in range(n))
+            + sum(a * x for a, x in zip(vi, t)) + ci < top]
+
+
+@settings(max_examples=150)
+@given(definite_forms())
+def test_lattice_points_match_a_box_scan_with_exact_numerators(form):
+    m, v, c, bound = form
+    den, points = lattice_points(m, v, c, bound)
+    ts = [t for t, _ in points]
+    assert ts == box_scan(m, v, c, bound)
+    assert all(s < t for s, t in zip(ts, ts[1:]))  # strictly lexicographic
+    for t, num in points:
+        assert isinstance(num, int) and Fraction(num, den) == q_of(m, v, c, t)
+
+
+@settings(max_examples=60)
+@given(definite_forms(), st.fractions(min_value=0, max_value=2, max_denominator=4))
+def test_a_bound_at_or_below_the_minimum_yields_nothing(form, drop):
+    m, v, c, _bound = form
+    lowest = min(q_of(m, v, c, t) for t in box_scan(m, v, c, c + 1))  # q(0) = c
+    assert lattice_points(m, v, c, lowest - drop)[1] == []
+    den, points = lattice_points(m, v, c, lowest + Fraction(1, 10**6))
+    assert points and all(Fraction(num, den) == lowest for _t, num in points)
+
+
+def test_repeated_enumeration_checks_definiteness_once(monkeypatch):
+    calls = []
+    real = lattice.inertia
+    monkeypatch.setattr(lattice, "inertia", lambda a: calls.append(a) or real(a))
+    lattice._definite_form.cache_clear()
+    m = mat([[4, 1], [1, 3]])
+    for bound in range(1, 8):
+        list(enumerate_below(m, (Fraction(1, 3), Fraction(-1, 2)), Fraction(0), Fraction(bound)))
+    assert calls == [m]
 
 
 def test_enumerate_below_rejects_indefinite_and_semidefinite_forms():

@@ -158,6 +158,34 @@ def test_mirror_comparison_2d():
     assert rep.equal
 
 
+def sections(slopes, shifts):
+    return [AffineLagrangian(a, b) for a, b in zip(slopes, shifts)]
+
+
+def test_mirror_comparison_2d_off_diagonal_with_shifts():
+    """A non-diagonal slope and rational shifts in both coordinates: a theta
+    section that steps through its coset in the wrong coordinate order fails
+    here, though it passes on diagonal slopes with zero shifts."""
+    ls = sections(
+        (((0, 0), (0, 0)), ((1, 0), (0, 1)), ((3, 1), (1, 2))),
+        ((0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 2))),
+    )
+    rep = mirror_compare(*ls, Fraction(6))
+    assert rep.equal
+    assert len(rep.triangle_table) == len(rep.theta_table) == 5
+
+
+def test_mirror_comparison_3d_off_diagonal_with_shifts():
+    ls = sections(
+        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         ((3, 1, 0), (1, 3, 1), (0, 1, 3))),
+        ((0, 0, 0), (Fraction(1, 2), 0, Fraction(1, 3)), (0, Fraction(1, 5), 0)),
+    )
+    rep = mirror_compare(*ls, Fraction(4))
+    assert rep.equal
+    assert len(rep.triangle_table) == len(rep.theta_table) == 84
+
+
 def test_mirror_comparison_preconditions():
     with pytest.raises(ValueError, match="non-transversal"):
         mirror_compare(line(0), line(1), line(1), 10)
