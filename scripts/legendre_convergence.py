@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Convergence study for the discrete Legendre transform.
 
-Samples a convex potential on a sequence of refined grids, measures the
-double-transform involution error, the product-of-Hessian-determinants
-error, and the dual Monge-Ampere residual, and prints observed orders of
-convergence between consecutive grids.
+Runs the Legendre duality check on a sequence of refined grids and prints
+the quartic potential's double-transform involution error and
+product-of-Hessian-determinants error per grid, with observed orders of
+convergence between consecutive grids.  The check is
+``torusmirror.criteria.legendre_duality``.
 """
 
 from __future__ import annotations
@@ -13,55 +14,30 @@ import argparse
 import math
 from fractions import Fraction
 
-from torusmirror.monge import (
-    ConvexGridFunction,
-    hessian_duality_check,
-    involution_error,
-    legendre,
-    ma_residual,
-)
-
-POTENTIALS = {
-    "quartic": (lambda x: 0.25 * x**4,
-                [(Fraction(1, 2), Fraction(1))],
-                [(Fraction(1, 4), Fraction(3, 4))]),
-    "quadratic": (lambda x: 0.5 * x * x,
-                  [(Fraction(-1), Fraction(1))],
-                  [(Fraction(-1, 2), Fraction(1, 2))]),
-}
+from torusmirror.criteria import legendre_duality
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--potential", choices=sorted(POTENTIALS), default="quartic")
     ap.add_argument("--coarsest", type=Fraction, default=Fraction(1, 16))
     ap.add_argument("--levels", type=int, default=3)
-    ap.add_argument("--margin", type=float, default=0.1)
     args = ap.parse_args()
 
-    f, box, dual_box = POTENTIALS[args.potential]
-    rows = []
-    h = args.coarsest
-    for _ in range(args.levels):
-        K = ConvexGridFunction.sample(f, box, h)
-        e_inv = involution_error(K, dual_box, h)
-        rep = hessian_duality_check(K, dual_box, h, margin=args.margin)
-        dual = legendre(K, dual_box, h)
-        rows.append((h, e_inv, rep.max_det_error, ma_residual(dual)))
-        h = h / 2
-
-    print(f"potential {args.potential}  box {box}  dual box {dual_box}")
-    print(f"{'h':>8} {'involution':>12} {'det product':>12} {'dual MA':>12}"
-          f" {'ord(inv)':>9} {'ord(det)':>9}")
+    grids = [args.coarsest / 2**i for i in range(args.levels)]
+    out = legendre_duality(grids)
+    print(*out.cases, sep="\n")
+    print(f"{len(out.failures)} failures", *out.failures, sep="\n")
+    print(f"{'h':>8} {'involution':>12} {'det product':>12} {'ord(inv)':>9} {'ord(det)':>9}")
     prev = None
-    for h, e_inv, e_det, res in rows:
+    for h in grids:
+        e_inv, e_det = out.figures[f"involution h={h}"], out.figures[f"det h={h}"]
         if prev is None:
             oi = od = ""
         else:
-            oi = f"{math.log2(prev[1] / e_inv):9.2f}" if e_inv else "     inf"
-            od = f"{math.log2(prev[2] / e_det):9.2f}" if e_det else "     inf"
-        print(f"{str(h):>8} {e_inv:12.3e} {e_det:12.3e} {res:12.3e} {oi:>9} {od:>9}")
-        prev = (h, e_inv, e_det)
+            oi = f"{math.log2(prev[0] / e_inv):9.2f}" if e_inv else "     inf"
+            od = f"{math.log2(prev[1] / e_det):9.2f}" if e_det else "     inf"
+        print(f"{str(h):>8} {e_inv:12.3e} {e_det:12.3e} {oi:>9} {od:>9}")
+        prev = (e_inv, e_det)
 
 
 if __name__ == "__main__":

@@ -271,11 +271,12 @@ def legendre_duality(grids: Sequence[Fraction]) -> Outcome:
     quadratics a x^2/2, a in {1, 2, 1/2}, have involution errors
     <= min(C h^2, 1e-10) and Monge-Ampere residuals, primal and dual,
     <= 10 C h^2.  Over two or more grids the observed orders of the quartic
-    errors between the coarsest and finest grid must be >= 1.8."""
+    errors between the coarsest and finest grid must be >= 1.8.  The
+    quartic's errors on each grid are the figures "involution h=<h>" and
+    "det h=<h>"."""
     C = 1.0
     box, dual_box = [(Fraction(1, 2), Fraction(1))], [(Fraction(1, 4), Fraction(3, 4))]
     out = Outcome()
-    errs = {"involution": [], "det": []}
     for h in grids:
         bound = C * float(h) ** 2
         K = ConvexGridFunction.sample(lambda x: 0.25 * x**4, box, h)
@@ -285,8 +286,8 @@ def legendre_duality(grids: Sequence[Fraction]) -> Outcome:
         out.check(e_det <= bound, f"quartic det product error {e_det:.3e} at h={h}")
         out.check(hessian_duality_check(K, dual_box, h).max_det_error <= 0.01,
                   f"quartic det error without margin too large at h={h}")
-        errs["involution"].append(e_inv)
-        errs["det"].append(e_det)
+        out.figures[f"involution h={h}"] = e_inv
+        out.figures[f"det h={h}"] = e_det
         out.cases.append(f"quartic h={h}: involution {e_inv:.3e}, det {e_det:.3e}")
         for a in (Fraction(1), Fraction(2), Fraction(1, 2)):
             K = ConvexGridFunction.sample(lambda x, a=a: 0.5 * float(a) * x * x, [(-1, 1)], h)
@@ -299,7 +300,8 @@ def legendre_duality(grids: Sequence[Fraction]) -> Outcome:
         out.cases.append(f"quadratic h={h}: a in 1, 2, 1/2")
     if len(grids) >= 2:
         span = math.log2(grids[0] / grids[-1])
-        for name, e in errs.items():
-            order = out.figures[f"{name}_order"] = math.log2(e[0] / e[-1]) / span
+        for name in ("involution", "det"):
+            e0, e1 = out.figures[f"{name} h={grids[0]}"], out.figures[f"{name} h={grids[-1]}"]
+            order = out.figures[f"{name}_order"] = math.log2(e0 / e1) / span
             out.check(order >= 1.8, f"{name} order {order:.2f} < 1.8")
     return out

@@ -46,23 +46,12 @@ from .novikov import NovikovElem
 
 @dataclass(frozen=True)
 class LaurentSeriesNd:
-    """Finitely many stored terms a_k z^k plus a declared tail bound.
-
-    tail_bound is the caller's witness c > 0 asserting v(a_k) >= c|k|_1 - O(1)
-    for the unstored terms; a truncation alone cannot certify convergence,
-    so the witness is explicit data.  tail_bound = None declares the series
-    finitely supported (no tail at all).
-    """
+    """Finitely many terms a_k z^k in n variables, sorted by exponent k."""
 
     n: int
     terms: Tuple[Tuple[Tuple[int, ...], NovikovElem], ...]
-    tail_bound: Optional[Fraction]
 
     def __post_init__(self):
-        if self.tail_bound is not None:
-            object.__setattr__(self, "tail_bound", Fraction(self.tail_bound))
-            if self.tail_bound <= 0:
-                raise ValueError("tail bound must be positive")
         seen = {}
         for k, a in self.terms:
             k = tuple(int(x) for x in k)
@@ -86,12 +75,7 @@ class LaurentSeriesNd:
                 k = tuple(x + y for x, y in zip(k1, k2))
                 p = a1 * a2
                 acc[k] = acc[k] + p if k in acc else p
-        tail = (
-            None
-            if self.tail_bound is None and other.tail_bound is None
-            else min(t for t in (self.tail_bound, other.tail_bound) if t is not None)
-        )
-        return LaurentSeriesNd(self.n, tuple(acc.items()), tail)
+        return LaurentSeriesNd(self.n, tuple(acc.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +196,12 @@ def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if e.is_unit:
-        one = LaurentSeriesNd(
-            e.n, (((0,) * e.n, NovikovElem.one(cutoff)),), Fraction(1)
-        )
+        one = LaurentSeriesNd(e.n, (((0,) * e.n, NovikovElem.one(cutoff)),))
         return ThetaBasis(e, cutoff, (((0,) * e.n, one),))
     den = _grid(e)
     sections = [
         (j, LaurentSeriesNd(e.n, tuple((m, NovikovElem.q_power(Fraction(w, den), 1, cutoff))
-                                       for m, w in terms), Fraction(1)))
+                                       for m, w in terms)))
         for j, terms in _sections(e, cutoff, den)
     ]
     return ThetaBasis(e, cutoff, tuple(sections))

@@ -33,7 +33,7 @@ from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ainfty import GradedBasis, MultilinearOp
-from .intervals import Interval, eval_poly
+from .intervals import eval_poly
 from .lattice import rank
 from .novikov import NovikovElem
 
@@ -164,26 +164,16 @@ class TrigPolynomial:
     sin_coeffs: Tuple[Tuple[int, Fraction], ...]  # (k, b_k), k >= 1
 
     def __post_init__(self):
-        cos_c = {}
-        for k, a in self.cos_coeffs:
-            k, a = int(k), Fraction(a)
-            if k < 0:
-                raise ValueError("cosine harmonic must be >= 0")
-            if a:
-                cos_c[k] = cos_c.get(k, Fraction(0)) + a
-        sin_c = {}
-        for k, b in self.sin_coeffs:
-            k, b = int(k), Fraction(b)
-            if k < 1:
-                raise ValueError("sine harmonic must be >= 1")
-            if b:
-                sin_c[k] = sin_c.get(k, Fraction(0)) + b
-        object.__setattr__(
-            self, "cos_coeffs", tuple(sorted((k, a) for k, a in cos_c.items() if a))
-        )
-        object.__setattr__(
-            self, "sin_coeffs", tuple(sorted((k, b) for k, b in sin_c.items() if b))
-        )
+        """Sum repeated harmonics, drop zeros, sort by harmonic."""
+        for attr, name, low in (("cos_coeffs", "cosine", 0), ("sin_coeffs", "sine", 1)):
+            merged = {}
+            for k, c in getattr(self, attr):
+                k, c = int(k), Fraction(c)
+                if k < low:
+                    raise ValueError(f"{name} harmonic must be >= {low}")
+                if c:
+                    merged[k] = merged.get(k, Fraction(0)) + c
+            object.__setattr__(self, attr, tuple(sorted((k, c) for k, c in merged.items() if c)))
 
     @staticmethod
     def from_dicts(cos_c: Dict[int, Fraction], sin_c: Dict[int, Fraction]) -> "TrigPolynomial":
@@ -203,13 +193,10 @@ class TrigPolynomial:
         return self.max_harmonic == 0
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        cos_c = dict(self.cos_coeffs)
-        for k, a in other.cos_coeffs:
-            cos_c[k] = cos_c.get(k, Fraction(0)) - a
-        sin_c = dict(self.sin_coeffs)
-        for k, b in other.sin_coeffs:
-            sin_c[k] = sin_c.get(k, Fraction(0)) - b
-        return TrigPolynomial.from_dicts(cos_c, sin_c)
+        return TrigPolynomial(
+            self.cos_coeffs + tuple((k, -a) for k, a in other.cos_coeffs),
+            self.sin_coeffs + tuple((k, -b) for k, b in other.sin_coeffs),
+        )
 
     def __neg__(self) -> "TrigPolynomial":
         return TrigPolynomial.zero() - self
@@ -274,61 +261,71 @@ def _dtheta_cached(f: TrigPolynomial) -> TrigPolynomial:
 
 
 class CirclePoint:
-    """A point of R/Z given exactly: y = 1/2, or t = tan(pi y) as a real
-    algebraic number with a refinable rational isolating interval.
+    """A point of R/Z given exactly: y = 1/2 (coeffs None), or t = tan(pi y)
+    as a real algebraic number with a refinable isolating interval.
 
-    Invariant for inexact points: the (squarefree, integer) defining
-    polynomial has exactly one root in (lo, hi], with a fixed nonzero sign
-    at hi, so bisection with exact integer arithmetic refines the enclosure.
+    The interval is [a/d, b/d] with integers a <= b and d > 0.  Invariant
+    for inexact points: the (squarefree, integer) defining polynomial has
+    exactly one root in (a/d, b/d], with a fixed nonzero sign s_hi at b/d,
+    so bisection with exact integer arithmetic refines the enclosure.
     """
 
-    def __init__(self, at_half: bool, coeffs: Optional[Tuple[int, ...]] = None, iv: Optional[Interval] = None):
-        self.at_half = at_half
+    def __init__(self, coeffs: Optional[Tuple[int, ...]], lo: Fraction, hi: Fraction):
+        self.at_half = coeffs is None
         self.coeffs = coeffs
-        self.iv = iv
+        self.d = lcm(lo.denominator, hi.denominator)
+        self.a = lo.numerator * (self.d // lo.denominator)
+        self.b = hi.numerator * (self.d // hi.denominator)
         self.s_hi = 0
-        if not at_half and iv is not None and iv.lo != iv.hi:
-            self.s_hi = _sign_at(coeffs, iv.hi.numerator, iv.hi.denominator)
+        if self.a != self.b:
+            self.s_hi = _sign_at(coeffs, self.b, self.d)
             if self.s_hi == 0:
-                self.iv = Interval(iv.hi, iv.hi)
+                self.a = self.b
 
     @staticmethod
     def half() -> "CirclePoint":
-        return CirclePoint(True)
+        return CirclePoint(None, Fraction(0), Fraction(0))
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(self.b - self.a, self.d)
 
     def refine(self, eps: Fraction) -> None:
-        """Bisect until the width is at most eps, on integer numerators
-        a < b over one denominator d that doubles with each midpoint."""
-        if self.at_half or self.iv.width <= eps:
-            return
-        lo, hi = self.iv.lo, self.iv.hi
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        """Bisect in place until the width is at most eps; each midpoint
+        doubles d."""
+        a, b, d = self.a, self.b, self.d
         while (b - a) * eps.denominator > eps.numerator * d:
             mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
             s = _sign_at(self.coeffs, mid, d)
             if s == 0:
-                self.iv = Interval.point(Fraction(mid, d))
-                return
-            if s == self.s_hi:
+                a = b = mid
+            elif s == self.s_hi:
                 b = mid
             else:
                 a = mid
-        self.iv = Interval(Fraction(a, d), Fraction(b, d))
+        self.a, self.b, self.d = a, b, d
 
     def sector(self) -> int:
         """0 for t >= 0 (y in [0,1/2)), 1 for y = 1/2, 2 for t < 0 (y in (1/2,1))."""
         if self.at_half:
             return 1
         eps = Fraction(1, 2**8)
-        while self.iv.contains_zero():
-            if self.iv.lo == self.iv.hi:
+        while self.a <= 0 <= self.b:
+            if self.a == self.b:
                 return 0  # exact root t = 0
             self.refine(eps)
             eps /= 2**8
             if eps < Fraction(1, 2**2000):  # pragma: no cover
                 raise RuntimeError("sector refinement failed")
-        return 0 if self.iv.lo > 0 else 2
+        return 0 if self.a > 0 else 2
 
     def less_than(self, other: "CirclePoint") -> bool:
         """Strict cyclic-coordinate comparison; the points must be distinct."""
@@ -338,13 +335,14 @@ class CirclePoint:
         if sa == 1:
             raise ValueError("comparing equal points at y = 1/2")
         for _ in range(4000):
-            if self.iv.hi < other.iv.lo:
+            if self.b * other.d < other.a * self.d:
                 return True
-            if other.iv.hi < self.iv.lo:
+            if other.b * self.d < self.a * other.d:
                 return False
-            if self.iv.lo == self.iv.hi == other.iv.lo == other.iv.hi:
+            if self.a == self.b and other.a == other.b:
                 raise ValueError("comparing equal points")
-            eps = min(self.iv.width, other.iv.width, Fraction(1, 4)) / 4
+            # an exact point has width 0 and cannot shrink: refine the other
+            eps = min(w for w in (self.width, other.width, Fraction(1, 4)) if w) / 4
             self.refine(eps)
             other.refine(eps)
         raise RuntimeError("comparison refinement failed")  # pragma: no cover
@@ -360,27 +358,28 @@ def _certified_sign(h: TrigPolynomial, p: CirclePoint) -> int:
     num = h.numerator_coeffs()
     eps = Fraction(1, 2**8)
     for _ in range(400):
-        s = eval_poly(num, p.iv).sign()
-        if s != 0:
-            return s
+        lo, hi, _den = eval_poly(num, p.a, p.b, p.d)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         p.refine(eps)
         eps /= 2**8
     raise RuntimeError("sign refinement failed")  # pragma: no cover
 
 
-def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Interval:
-    """Certified enclosure of h(p) of width <= eps."""
+def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Tuple[Fraction, Fraction]:
+    """Certified enclosure (lo, hi) of h(p) with hi - lo <= eps."""
     if p.at_half:
-        return Interval.point(h.at_half())
+        v = h.at_half()
+        return v, v
     num = h.numerator_coeffs()
     k = h.max_harmonic
-    target = p.iv.width
+    target = p.width
     while True:
-        t = p.iv
         # the interval (1 + t*t)^k on integer endpoints: with t = [a, b] / s,
         # 1 + t*t = [lo, hi] / s^2
-        s = lcm(t.lo.denominator, t.hi.denominator)
-        a, b = t.lo.numerator * (s // t.lo.denominator), t.hi.numerator * (s // t.hi.denominator)
+        a, b, s = p.a, p.b, p.d
         sq = (a * a, a * b, b * b)
         lo, hi = s * s + min(sq), s * s + max(sq)
         d_lo = d_hi = 1
@@ -389,28 +388,27 @@ def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Interva
             d_lo, d_hi = min(prods), max(prods)
         if d_lo <= 0:
             raise ZeroDivisionError("interval contains zero")
-        # v / ([d_lo, d_hi] / s^(2k)) with 0 < d_lo <= d_hi: each end of v
-        # goes over the end of d that keeps it extreme
-        v, scale = eval_poly(num, t), s ** (2 * k)
-        out = Interval(
-            Fraction(v.lo.numerator * scale, v.lo.denominator * (d_hi if v.lo >= 0 else d_lo)),
-            Fraction(v.hi.numerator * scale, v.hi.denominator * (d_lo if v.hi >= 0 else d_hi)),
-        )
-        if out.width <= eps:
-            return out
+        # [v_lo, v_hi] / den over [d_lo, d_hi] / s^(2k) with 0 < d_lo <= d_hi:
+        # each end of v goes over the end of d that keeps it extreme
+        v_lo, v_hi, den = eval_poly(num, a, b, s)
+        scale = s ** (2 * k)
+        lo = Fraction(v_lo * scale, den * (d_hi if v_lo >= 0 else d_lo))
+        hi = Fraction(v_hi * scale, den * (d_lo if v_hi >= 0 else d_hi))
+        if hi - lo <= eps:
+            return lo, hi
         target /= 2**8
         p.refine(target)
 
 
-def _dyadic(v: Interval) -> Fraction:
+def _dyadic(lo: Fraction, hi: Fraction) -> Fraction:
     """Deterministic rational representative of a certified enclosure.
 
     Rounds toward zero so that negating the enclosed value negates the
     representative; basis_rescale relies on this odd symmetry to be an
     exact involution."""
-    if v.lo == v.hi:
-        return v.lo
-    scaled = v.mid * _VALUE_GRID
+    if lo == hi:
+        return lo
+    scaled = (lo + hi) / 2 * _VALUE_GRID
     num = scaled.__floor__() if scaled >= 0 else -(-scaled).__floor__()
     return Fraction(num, _VALUE_GRID)
 
@@ -461,7 +459,7 @@ def _y_interval(p: CirclePoint) -> Tuple[Fraction, Fraction]:
     # rational endpoints is accurate to far better than the 2**-60 pad.
     with mpmath.workprec(120):
         vals = []
-        for bound in (p.iv.lo, p.iv.hi):
+        for bound in (p.lo, p.hi):
             x = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
             y = mpmath.atan(x) / mpmath.pi
             vals.append(Fraction(mpmath.nstr(y, 30, strip_zeros=False)))
@@ -499,7 +497,7 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
     isolating = sympy.Poly.from_list(_monic(sqf), sympy.Symbol("t"), domain=sympy.QQ).intervals()
     pts: List[Tuple[int, CirclePoint]] = []
     for (lo, hi), _mult in isolating:
-        cp = CirclePoint(False, sqf, Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
+        cp = CirclePoint(sqf, Fraction(lo.p, lo.q), Fraction(hi.p, hi.q))
         s2 = _certified_sign(g2, cp)
         pts.append((s2, cp))
     if g1.at_half() == 0:
@@ -512,7 +510,7 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
         half = [q for q in pts if q[1].sector() == 1]
         neg = [q for q in pts if q[1].sector() == 2]
         for group in (zero_sector, neg):
-            group.sort(key=lambda q: q[1].iv.lo)  # isolating intervals are disjoint
+            group.sort(key=lambda q: q[1].lo)  # isolating intervals are disjoint
         return zero_sector + half + neg
 
     ordered = sort_key_groups()
@@ -628,17 +626,18 @@ def _weight_scalar(
         return 1
     eps = _VALUE_EPS
     while True:
-        w = (
-            _value_interval(g02, x2.point, eps)
-            - _value_interval(g01, x0.point, eps)
-            - _value_interval(g12, x1.point, eps)
+        (lo2, hi2), (lo0, hi0), (lo1, hi1) = (
+            _value_interval(g02, x2.point, eps),
+            _value_interval(g01, x0.point, eps),
+            _value_interval(g12, x1.point, eps),
         )
-        if w.sign() != 0:
+        lo, hi = lo2 - hi0 - hi1, hi2 - lo0 - lo1
+        if lo > 0 or hi < 0:
             break
         eps /= 2**8
-    if w.sign() < 0:
+    if hi < 0:
         raise AssertionError("negative total variation in a gradient tree")
-    return NovikovElem.q_power(_dyadic(w), 1, cutoff)
+    return NovikovElem.q_power(_dyadic(lo, hi), 1, cutoff)
 
 
 def m2(
@@ -745,8 +744,8 @@ def basis_rescale(op: MultilinearOp, f_list: Sequence[TrigPolynomial], cutoff=No
         cutoff = Fraction(cutoff)
 
     def factor(g: TrigPolynomial, c: CriticalPoint, sign: int) -> NovikovElem:
-        v = _value_interval(g, c.point, _VALUE_EPS)
-        return NovikovElem.q_power(sign * _dyadic(v), 1, cutoff)
+        lo, hi = _value_interval(g, c.point, _VALUE_EPS)
+        return NovikovElem.q_power(sign * _dyadic(lo, hi), 1, cutoff)
 
     entries: Dict[Tuple, Dict] = {}
     for ins, row in op.entries.items():

@@ -13,7 +13,10 @@ left comb on three leaves.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Tuple
+
+from .ainfty import compositions
 
 
 class PlanarTree:
@@ -114,31 +117,11 @@ def enumerate_binary(n: int) -> list:
 def _gen(n: int, min_val: int, max_val) -> tuple:
     if n == 1:
         return (LEAF,)
-    out = []
     top = n if max_val is None else min(n, max_val)
-    for k in range(min_val, top + 1):
-        for split in _compositions(n, k):
-            for combo in _products(
-                tuple(_gen(m, min_val, max_val) for m in split)
-            ):
-                out.append(PlanarTree(combo))
-    return tuple(out)
+    return tuple(
+        PlanarTree(combo)
+        for k in range(min_val, top + 1)
+        for split in compositions(n, k)
+        for combo in product(*(_gen(m, min_val, max_val) for m in split))
+    )
 
-
-def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered k-tuples of positive integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _products(pools: tuple) -> Iterator[tuple]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _products(pools[1:]):
-            yield (head,) + tail

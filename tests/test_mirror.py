@@ -32,22 +32,19 @@ def line(slope, shift=0, holonomy=1):
 
 def test_laurent_series_merges_and_validates():
     a = NovikovElem.q_power(1)
-    s = LaurentSeriesNd(1, (((2,), a),), Fraction(1))
+    s = LaurentSeriesNd(1, (((2,), a),))
     assert s.terms == (((2,), a),)
     with pytest.raises(ValueError):
-        LaurentSeriesNd(1, (((2,), a), ((2,), a)), None)  # duplicate exponent
+        LaurentSeriesNd(1, (((2,), a), ((2,), a)))  # duplicate exponent
     with pytest.raises(ValueError):
-        LaurentSeriesNd(1, (((2, 1), a),), None)  # dimension mismatch
-    with pytest.raises(ValueError):
-        LaurentSeriesNd(1, (), Fraction(-1))  # nonpositive tail bound
+        LaurentSeriesNd(1, (((2, 1), a),))  # dimension mismatch
 
 
 def test_laurent_multiplication_adds_exponents():
     a = NovikovElem.q_power(1)
-    s = LaurentSeriesNd(1, (((1,), a), ((-1,), a)), None)
+    s = LaurentSeriesNd(1, (((1,), a), ((-1,), a)))
     p = s.multiply(s)
     assert dict(p.terms) == {(-2,): a * a, (0,): a * a + a * a, (2,): a * a}
-    assert p.tail_bound is None
 
 
 # -- theta bases ---------------------------------------------------------------

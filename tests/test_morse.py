@@ -1,7 +1,9 @@
 """Exact Morse theory on the circle: certified critical points, the
 differential, the gradient-tree product, weights, and rescaling."""
 
+import hashlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import sympy
 from torusmirror import morse
 from torusmirror.ainfty import GradedBasis, MultilinearOp
 from torusmirror.criteria import morse_triples
-from torusmirror.intervals import Interval, eval_poly
+from torusmirror.intervals import eval_poly
 from torusmirror.morse import (
     CirclePoint,
     NonMorseError,
@@ -160,6 +162,35 @@ def test_basis_rescale_requires_matching_object_count():
         basis_rescale(op, [f0, f1])
 
 
+def morse_digest(triples):
+    """sha256 over the critical points of each pairwise difference (label,
+    index, y_interval, second_sign) and the entries of m2 unweighted,
+    weighted with cutoff 5 and without cutoff, and the rescaled weighted m2."""
+    h = hashlib.sha256()
+    for f0, f1, f2 in triples:
+        for g in (f0 - f1, f1 - f2, f0 - f2):
+            for p in critical_points(g).points:
+                h.update(repr((p.label, p.index, p.y_interval, p.second_sign)).encode())
+        weighted = m2(f0, f1, f2, weighted=True)
+        for op in (m2(f0, f1, f2), m2(f0, f1, f2, weighted=True, cutoff=5), weighted,
+                   basis_rescale(weighted, [f0, f1, f2])):
+            for ins, row in sorted(op.entries.items()):
+                for out, e in sorted(row.items()):
+                    v = (e.terms, e.cutoff) if isinstance(e, NovikovElem) else e
+                    h.update(repr((ins, out, v)).encode())
+    return h.hexdigest()
+
+
+def test_morse_output_bytes_are_pinned():
+    # refinement mutates cached critical points and enclosures start from the
+    # current refinement: a fresh cache keeps the digest independent of test order
+    critical_points.cache_clear()
+    triples = seeded_triples(7, 20)
+    assert sum(len(critical_points(f0 - f1).points) for f0, f1, _ in triples) == 70
+    assert morse_digest(triples) == (
+        "0bf17d48386a8dec11d30a65798e330fcaf0fd465899ccdd3415d218f3eb111b")
+
+
 # -- exact kernels against sympy and rational references ------------------------
 
 _t = sympy.symbols("t")
@@ -232,7 +263,31 @@ def test_gcd_and_square_free_part_match_sympy():
             assert morse._monic(got) == fractions_of(a.sqf_part())
 
 
-def reference_refine(coeffs, iv, eps):
+@dataclass(frozen=True)
+class Interval:
+    """Reference interval arithmetic on Fraction endpoints."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @staticmethod
+    def point(x):
+        return Interval(Fraction(x), Fraction(x))
+
+    def __add__(self, other):
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other):
+        prods = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(prods), max(prods))
+
+    def __truediv__(self, other):
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("interval contains zero")
+        return self * Interval(1 / other.hi, 1 / other.lo)
+
+
+def reference_refine(coeffs, lo, hi, eps):
     """Rational bisection on the monic square-free part (exactly one root in
     (lo, hi], midpoints of the current interval)."""
 
@@ -242,20 +297,19 @@ def reference_refine(coeffs, iv, eps):
             acc = acc * x + c
         return acc
 
-    lo, hi = iv.lo, iv.hi
     if lo != hi and value(hi) == 0:
-        return Interval(hi, hi)
+        return hi, hi
     s_hi = value(hi) > 0
     while hi - lo > eps:
         mid = (lo + hi) / 2
         v = value(mid)
         if v == 0:
-            return Interval(mid, mid)
+            return mid, mid
         if (v > 0) == s_hi:
             hi = mid
         else:
             lo = mid
-    return Interval(lo, hi)
+    return lo, hi
 
 
 def test_refine_matches_rational_bisection_on_sympy_intervals():
@@ -269,13 +323,23 @@ def test_refine_matches_rational_bisection_on_sympy_intervals():
             sqf = morse._sqf_part(morse._primitive(fractions_of(poly)))
             monic = morse._monic(sqf)
             for (lo, hi), _ in qq_poly(monic).intervals():
-                iv = Interval(Fraction(str(lo)), Fraction(str(hi)))
+                lo, hi = Fraction(str(lo)), Fraction(str(hi))
                 for eps in (Fraction(1, 2**10), Fraction(1, 2**50)):
-                    cp = CirclePoint(False, sqf, iv)
+                    cp = CirclePoint(sqf, lo, hi)
                     cp.refine(eps)
-                    assert cp.iv == reference_refine(monic, iv, eps)
+                    assert (cp.lo, cp.hi) == reference_refine(monic, lo, hi, eps)
+                    assert cp.width == cp.hi - cp.lo <= eps
                     seen += 1
     assert seen > 200
+
+
+def test_exact_point_compares_with_an_overlapping_interval():
+    # t = 1/2 exactly against t = sqrt(2501)/100, whose interval still holds
+    # 1/2 after the sector refinement: only the inexact point can shrink
+    p = CirclePoint((2, -1), Fraction(1, 2), Fraction(1, 2))
+    q = CirclePoint((10000, 0, -2501), Fraction(0), Fraction(1))
+    assert p.less_than(q) and not q.less_than(p)
+    assert q.lo > Fraction(1, 2) and p.width == 0
 
 
 def reference_eval_poly(coeffs, x):
@@ -289,9 +353,13 @@ def test_interval_horner_matches_interval_arithmetic():
     rng = random.Random(41)
     for f in seeded_trigs(41, 100):
         num = f.numerator_coeffs()
-        a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-        x = Interval(a, a + Fraction(rng.randint(0, 30), rng.randint(1, 9)))
-        assert eval_poly(num, x) == reference_eval_poly(num, x)
+        d = rng.randint(1, 81)
+        a = rng.randint(-40 * d, 40 * d)
+        b = a + rng.randint(0, 30 * d)
+        lo, hi, den = eval_poly(num, a, b, d)
+        assert den > 0
+        assert Interval(Fraction(lo, den), Fraction(hi, den)) == reference_eval_poly(
+            num, Interval(Fraction(a, d), Fraction(b, d)))
 
 
 def test_value_interval_matches_interval_arithmetic():
@@ -300,8 +368,8 @@ def test_value_interval_matches_interval_arithmetic():
     checked = raised = 0
     for f in seeded_trigs(43, 100):
         a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        iv = Interval(a, a + Fraction(rng.randint(1, 20), rng.randint(1, 7)))
-        t = CirclePoint(False, (1, 0, 1), iv).iv  # t^2 + 1 never vanishes: no collapse
+        b = a + Fraction(rng.randint(1, 20), rng.randint(1, 7))
+        t = Interval(a, b)  # t^2 + 1 never vanishes, so the point keeps [a, b]
         den = Interval.point(1) + t * t
         d = Interval.point(1)
         for _ in range(f.max_harmonic):
@@ -310,10 +378,11 @@ def test_value_interval_matches_interval_arithmetic():
             expected = reference_eval_poly(f.numerator_coeffs(), t) / d
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                morse._value_interval(f, CirclePoint(False, (1, 0, 1), iv), huge)
+                morse._value_interval(f, CirclePoint((1, 0, 1), a, b), huge)
             raised += 1
             continue
-        assert morse._value_interval(f, CirclePoint(False, (1, 0, 1), iv), huge) == expected
+        got = morse._value_interval(f, CirclePoint((1, 0, 1), a, b), huge)
+        assert got == (expected.lo, expected.hi)
         checked += 1
     assert checked > 50 and raised > 0
 
