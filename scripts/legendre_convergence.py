@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from fractions import Fraction
 
 from torusmirror.criteria import legendre_duality
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--coarsest", type=Fraction, default=Fraction(1, 16))
     ap.add_argument("--levels", type=int, default=3)
@@ -38,7 +39,8 @@ def main() -> None:
             od = f"{math.log2(prev[1] / e_det):9.2f}" if e_det else "     inf"
         print(f"{str(h):>8} {e_inv:12.3e} {e_det:12.3e} {oi:>9} {od:>9}")
         prev = (e_inv, e_det)
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

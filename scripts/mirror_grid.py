@@ -8,6 +8,7 @@ prints EQUAL or the first discrepancy for every combination.  The check is
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,7 +16,7 @@ from itertools import combinations, product
 from torusmirror.criteria import mirror_grid
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--slopes", default="0,1,2,3",
                     help="comma-separated integer slope pool")
@@ -31,7 +32,8 @@ def main() -> None:
     print(*out.cases, sep="\n")
     print(f"done: {len(out.cases)} comparisons, {len(out.failures)} unequal, "
           f"cutoff {args.cutoff}, {time.monotonic() - t0:.1f}s")
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,12 +9,13 @@ arity 3 together with the expected cohomology ranks.  The check is
 """
 
 import argparse
+import sys
 import time
 
 from torusmirror.criteria import morse_triples
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=20240901)
     ap.add_argument("--count", type=int, default=20, help="transversal triples")
@@ -25,7 +26,8 @@ def main() -> None:
     print(*out.cases, sep="\n")
     print(f"done: {len(out.cases)} transversal of {out.figures['drawn']} drawn, "
           f"{len(out.failures)} failures, {time.monotonic() - t0:.1f}s")
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

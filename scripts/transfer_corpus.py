@@ -9,12 +9,13 @@ up to the requested arities, together with timings.  The check is
 """
 
 import argparse
+import sys
 import time
 
 from torusmirror.criteria import retraction_corpus, transfer_corpus
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=20240901)
     ap.add_argument("--count", type=int, default=50, help="number of algebras")
@@ -27,7 +28,8 @@ def main() -> None:
     print(*out.cases, sep="\n")
     print(f"done: {args.count} algebras, {len(out.failures)} failures, "
           f"{time.monotonic() - t0:.1f}s")
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

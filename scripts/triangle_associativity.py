@@ -8,6 +8,7 @@ is ``torusmirror.criteria.fukaya_associativity``.
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,7 @@ from itertools import combinations
 from torusmirror.criteria import fukaya_associativity
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--slopes", default="0,1,2,3,4",
                     help="comma-separated integer slope pool")
@@ -28,7 +29,8 @@ def main() -> None:
     print(*out.cases, sep="\n")
     print(f"done: {len(out.cases)} quadruples, {len(out.failures)} failures, "
           f"cutoff {args.cutoff}, {time.monotonic() - t0:.1f}s")
+    return 1 if out.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

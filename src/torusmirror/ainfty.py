@@ -6,7 +6,9 @@ code only uses ring operations and zero tests.
 
 Composites of operations, ``outer o (s_1 x ... x s_k)``, all go through one
 kernel, :func:`compose`: the structure relations, the morphism equations
-and the tree formulas of homotopy transfer.  The morphism equations and
+and the tree formulas of homotopy transfer.  The kernel has no sign: every
+Koszul and suspension sign reads the inputs of a single table, so it is a
++-1 on that table's rows (:func:`signed`).  The morphism equations and
 homotopy transfer compose rational tables as integer numerators over one
 denominator per table (:func:`_integral`), and go back to ``Fraction``
 only when an operation is built.
@@ -65,12 +67,6 @@ class GradedBasis:
     @property
     def degrees(self) -> Dict[Label, int]:
         return dict(self.elements)
-
-    def degree(self, label: Label) -> int:
-        for l, d in self.elements:
-            if l == label:
-                return d
-        raise KeyError(label)
 
     def __len__(self):
         return len(self.elements)
@@ -134,30 +130,6 @@ class MultilinearOp:
             for out, c in sorted(row.items(), key=repr):
                 if not is_zero_scalar(c):
                     yield ins, out, c
-
-    def scaled(self, s) -> "MultilinearOp":
-        return MultilinearOp(
-            self.arity,
-            self.source,
-            self.target,
-            self.shift,
-            {ins: {o: s * c for o, c in row.items()} for ins, row in self.entries.items()},
-            check_degrees=False,
-        )
-
-    def __add__(self, other: "MultilinearOp") -> "MultilinearOp":
-        if (self.arity, self.shift) != (other.arity, other.shift):
-            raise ValueError("cannot add ops of different arity/shift")
-        merged = add_into({ins: dict(row) for ins, row in self.entries.items()}, other.entries)
-        return MultilinearOp(
-            self.arity, self.source, self.target, self.shift, merged, check_degrees=False
-        )
-
-    def __sub__(self, other: "MultilinearOp") -> "MultilinearOp":
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
 
 def zero_op(arity: int, source: GradedBasis, target: GradedBasis, shift: int) -> MultilinearOp:
@@ -265,17 +237,16 @@ def _scalar_from_obj(o):
 # ---------------------------------------------------------------------------
 
 
-def compose(
-    outer: Table, slots: Sequence[Optional[Table]], sign: Optional[Callable[[tuple], int]] = None
-) -> Table:
+def compose(outer: Table, slots: Sequence[Optional[Table]]) -> Table:
     """Table of  outer o (s_1 x ... x s_k)  for sparse tables
     ``input tuple -> {output label: coefficient}``.
 
     A slot of ``None`` is the identity.  The walk starts from the entries
     of ``outer`` and looks each of their inputs up among the outputs of
     its slot, so a term is visited only if it reaches an entry of
-    ``outer``.  ``sign(blocks)``, when given, is the +-1 of a term from the
-    input tuples its slots consumed, one tuple per slot.
+    ``outer``.  Signs are not the kernel's business: each sign factor reads
+    the inputs of one table, so callers put it on that table's rows with
+    :func:`signed`.
     """
     by_output: Dict[int, Dict[Label, list]] = {}
     for s in slots:
@@ -287,29 +258,28 @@ def compose(
     index = [None if s is None else by_output[id(s)] for s in slots]
     out: Table = {}
     for o_ins, o_row in outer.items():
-        # partial terms: (input key, coefficient or None for 1, blocks)
-        terms = [((), None, ())]
+        # partial terms: (input key, coefficient or None for 1)
+        terms = [((), None)]
         for lab, idx in zip(o_ins, index):
             if idx is None:
-                blk = (lab,)
-                terms = [(key + blk, c, blocks + (blk,)) for key, c, blocks in terms]
+                terms = [(key + (lab,), c) for key, c in terms]
                 continue
             producers = idx.get(lab)
             if not producers:
                 break
-            terms = [
-                (key + ins, p if c is None else c * p, blocks + (ins,))
-                for key, c, blocks in terms
-                for ins, p in producers
-            ]
+            terms = [(key + ins, p if c is None else c * p) for key, c in terms for ins, p in producers]
         else:
-            for key, c, blocks in terms:
-                if sign is not None and sign(blocks) < 0:
-                    c = -1 if c is None else -c
+            for key, c in terms:
                 dst = out.setdefault(key, {})
                 for o, o_c in o_row.items():
                     dst[o] = dst.get(o, 0) + (o_c if c is None else c * o_c)
     return out
+
+
+def signed(table: Table, sign: Callable[[tuple], int]) -> Table:
+    """The table with each row multiplied by ``sign(inputs)``, a +-1; rows
+    with sign +1 are shared, not copied."""
+    return {ins: row if sign(ins) > 0 else {o: -c for o, c in row.items()} for ins, row in table.items()}
 
 
 def add_into(acc: Table, table: Table, scale=1) -> Table:
@@ -346,20 +316,20 @@ def _rational(table: Table, D: int) -> Table:
     return {ins: {o: Fraction(c, D) for o, c in row.items()} for ins, row in table.items()}
 
 
-def _compose_pairs(outer: Pair, slots: Sequence[Optional[Pair]], sign=None) -> Pair:
+def _compose_pairs(outer: Pair, slots: Sequence[Optional[Pair]]) -> Pair:
     """:func:`compose` on integer forms; the denominators multiply."""
     D = outer[1] * prod(s[1] for s in slots if s is not None)
-    return compose(outer[0], [None if s is None else s[0] for s in slots], sign), D
+    return compose(outer[0], [None if s is None else s[0] for s in slots]), D
 
 
-def _sum_pairs(terms: Sequence[Tuple[Table, int, int]]) -> Pair:
-    """Sum of  scale * numerators / D  over ``(numerators, D, scale)``
-    terms, each rescaled to the lcm of the D's; the result is divided by
-    the gcd of its numerators and denominator."""
-    L = lcm(*(D for _t, D, _s in terms))
+def _sum_pairs(terms: Sequence[Pair]) -> Pair:
+    """Sum of the tables  numerators / D, each rescaled to the lcm of the
+    D's; the result is divided by the gcd of its numerators and
+    denominator."""
+    L = lcm(*(D for _t, D in terms))
     acc: Table = {}
-    for t, D, s in terms:
-        add_into(acc, t, s * (L // D))
+    for t, D in terms:
+        add_into(acc, t, L // D)
     if L > 1:
         g = gcd(L, *(c for row in acc.values() for c in row.values()))
         if g > 1:
@@ -384,7 +354,9 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
     """Left-hand side of the arity-n structure relation as an operation.
 
     Zero (to the stored precision of its entries) iff the relation holds
-    at arity n.  The output has shift 3 - n.
+    at arity n.  The output has shift 3 - n.  eps(l, j) reads only the
+    inputs a_0, ..., a_{l-1} ahead of the inner slot, which the identity
+    slots pass through unchanged, so it sits on the rows of m_i.
     """
     deg = A.basis.degrees
     acc: Table = {}
@@ -395,14 +367,13 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
         if not (inner.entries and outer.entries):
             continue
         for l in range(0, i):
-
-            def sgn(blocks, j=j, l=l, i=i):
-                e = j * sum(deg[a] for (a,) in blocks[:l]) + l * (j - 1) + j * (i - 1)
-                return -1 if e % 2 else 1
-
+            const = l * (j - 1) + j * (i - 1)
+            rows = outer.entries
+            if j % 2 or const % 2:
+                rows = signed(rows, lambda ins: -1 if (j * sum(deg[a] for a in ins[:l]) + const) % 2 else 1)
             slots = [None] * i
             slots[l] = inner.entries
-            add_into(acc, compose(outer.entries, slots, sgn))
+            add_into(acc, compose(rows, slots))
     return MultilinearOp(n, A.basis, A.basis, 3 - n, acc, check_degrees=False)
 
 
@@ -424,53 +395,50 @@ def morphism_defect(F: AInftyMorphismData, n: int) -> MultilinearOp:
         (-1)^{ S(w_1..w_i) + sum_t S(block_t) }
     RHS term for an insertion  f_s(..., m_r(...), ...) at position j:
         (-1)^{ sum_{t<j}(deg a_t - 1) + S(block) + S(new inputs) }
-    where S is the suspension exponent sum_q (k-q)(deg_q - 1) and w_t is
-    the degree of f_{k_t}(block_t).
+    where S is the suspension exponent :func:`suspended_coefficient` and
+    w_t is the degree of f_{k_t}(block_t).  Each factor reads the inputs of
+    one table, so it sits on that table's rows: S(w) on m_i^W, S(block_t)
+    on f_{k_t}, S(block) on m_r^V, and the rest (with the minus of the
+    RHS) on f_s, once per position.  w_t is read as the degree of the
+    W-label f_{k_t} outputs, which is the degree rule that
+    :class:`MultilinearOp` checks by default and every operation this
+    package builds satisfies.
     """
     V, W = F.source, F.target
-    degV = V.basis.degrees
+    degV, degW = V.basis.degrees, W.basis.degrees
+
     ops = {"mW": W.m, "mV": V.m, "f": F.f}
     pairs = _integral({(X, k): op(k).entries for X, op in ops.items() for k in range(1, n + 1)})
-    terms: List[Tuple[Table, int, int]] = []
+    terms: List[Pair] = []
 
-    def S(degs: Tuple[int, ...]) -> int:
-        k = len(degs)
-        return sum((k - q) * (d - 1) for q, d in enumerate(degs, start=1))
-
-    def lhs_sign(blocks):
-        degs = [tuple(degV[x] for x in blk) for blk in blocks]
-        e = S(tuple(sum(d) + 1 - len(d) for d in degs)) + sum(S(d) for d in degs)
-        return -1 if e % 2 else 1
+    def rows(key, deg, exponent=lambda ins: 0) -> Pair:
+        # (-1)^{exponent(inputs) + S(inputs)} on the rows of pairs[key]
+        t, D = pairs[key]
+        return signed(t, lambda ins: -1 if (exponent(ins) + suspended_coefficient(ins, deg)) % 2 else 1), D
 
     # LHS: sum over block sizes of  m_i^W(f_{k_1}(..), ..., f_{k_i}(..))
+    f_susp = {k: rows(("f", k), degV) for k in range(1, n + 1)}
     for i in range(1, n + 1):
-        mi = pairs["mW", i]
-        if not mi[0]:
+        if not pairs["mW", i][0]:
             continue
+        mi = rows(("mW", i), degW)
         for ks in compositions(n, i):
-            fs = [pairs["f", k] for k in ks]
+            fs = [f_susp[k] for k in ks]
             if all(f[0] for f in fs):
-                terms.append((*_compose_pairs(mi, fs, lhs_sign), 1))
+                terms.append(_compose_pairs(mi, fs))
 
     # RHS (subtracted): insertions f_s(a_1, ..., m_r^V(...), ..., a_n)
     for r in range(1, n + 1):
         s = n - r + 1
-        fs_op = pairs["f", s]
-        mr = pairs["mV", r]
-        if not (fs_op[0] and mr[0]):
+        if not (pairs["f", s][0] and pairs["mV", r][0]):
             continue
+        mr = rows(("mV", r), degV)
         for l in range(0, s):
-
-            def rhs_sign(blocks, r=r, l=l):
-                bd = tuple(degV[x] for x in blocks[l])
-                ds = [degV[x] for (x,) in blocks[:l]] + [sum(bd) + 2 - r]
-                ds += [degV[x] for (x,) in blocks[l + 1 :]]
-                e = sum(d - 1 for d in ds[:l]) + S(bd) + S(tuple(ds))
-                return -1 if e % 2 else 1
-
+            # the leading 1 subtracts the RHS
+            fs = rows(("f", s), degV, lambda ins: 1 + sum(degV[a] - 1 for a in ins[:l]))
             slots = [None] * s
             slots[l] = mr
-            terms.append((*_compose_pairs(fs_op, slots, rhs_sign), -1))
+            terms.append(_compose_pairs(fs, slots))
 
     acc = _rational(*_sum_pairs(terms))
     return MultilinearOp(n, V.basis, W.basis, 2 - n, acc, check_degrees=False)

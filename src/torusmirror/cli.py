@@ -24,6 +24,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 DEFAULT_SEED = 20240901
+# exceptions that malformed or unusable input raises; they give an ERROR report
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +333,17 @@ def cmd_suite(seed: int, cutoff: Fraction, modules: Optional[List[str]]) -> RunR
         return RunReport(
             "suite", _digest(inputs), "ERROR", {"error": f"unknown modules {unknown}"}, 0.0
         )
-    payload = {name: all_modules[name]() for name in sorted(selected)}
-    ok = all(result["status"] == "PASS" for result in payload.values())
-    return RunReport("suite", _digest(inputs), "PASS" if ok else "FAIL", payload, 0.0)
+    def run(name) -> dict:
+        # one module's error is that module's result; the others still report
+        try:
+            return all_modules[name]()
+        except _INPUT_ERRORS as e:
+            return {"error": f"{type(e).__name__}: {e}", "status": "ERROR"}
+
+    payload = {name: run(name) for name in sorted(selected)}
+    statuses = {result["status"] for result in payload.values()}
+    status = "ERROR" if "ERROR" in statuses else "FAIL" if "FAIL" in statuses else "PASS"
+    return RunReport("suite", _digest(inputs), status, payload, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_suite(args.seed, args.cutoff, args.modules)
         else:  # pragma: no cover
             raise SystemExit(2)
-    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
+    except _INPUT_ERRORS as e:
         report = RunReport(
             args.command, "", "ERROR", {"error": f"{type(e).__name__}: {e}"}, 0.0
         )

@@ -33,6 +33,7 @@ from .ainfty import (
     compose,
     compositions,
     is_zero_scalar,
+    signed,
     suspended_coefficient,
 )
 from .trees import PlanarTree, enumerate_trees
@@ -150,31 +151,32 @@ def _suspension_signed(table: Table, deg) -> Table:
     """Table with each row multiplied by the suspension sign of its inputs;
     the sign is its own inverse, so this both suspends m_n to b_n and
     unsuspends b_n back to m_n."""
-    out = {}
-    for ins, row in table.items():
-        s = -1 if suspended_coefficient(ins, deg) % 2 else 1
-        out[ins] = {o: s * c for o, c in row.items()}
-    return out
+    return signed(table, lambda ins: -1 if suspended_coefficient(ins, deg) % 2 else 1)
 
 
 class _SuspendedTransfer:
     """Shared recursion computing q_n, g_n and b_n^B in the bar normalization.
 
         q_n   = sum_{k>=2} sum_{n_1+...+n_k=n} b_k o (g_{n_1} x ... x g_{n_k})
-        g_1   = i,   g_n = H o q_n   (n >= 2)
+        g_1   = i,   g_n = -H o q_n   (n >= 2)
         b_n^B = p o q_n              (n >= 2),  b_1^B = p o b_1 o i
 
     All component maps have suspended degree 0 except H (-1) and b_k (+1),
     so the tensor products above carry no Koszul signs.  b_k, i, p and H
     are converted to integer form once; q_n and g_n are kept as
-    ``(numerators, D)`` pairs.
+    ``(numerators, D)`` pairs.  ``self.H`` holds -H.
     """
 
     def __init__(self, r: RetractionData):
         degA = r.ambient.basis.degrees
         b = {k: _suspension_signed(op.entries, degA) for k, op in r.ambient.ops.items() if not op.is_zero()}
         pairs = _integral({"i": r.include.entries, "p": r.project.entries, "H": r.homotopy.entries, **b})
-        self.i, self.p, self.H = pairs.pop("i"), pairs.pop("p"), pairs.pop("H")
+        self.i, self.p = pairs.pop("i"), pairs.pop("p")
+        # the homotopy enters with a minus sign: the perturbation lemma
+        # wants the convention  dH + Hd = ip - 1,  while validate()
+        # checks the opposite normalization 1 - ip = dH + Hd.
+        H, D = pairs.pop("H")
+        self.H: Pair = signed(H, lambda ins: -1), D
         self.b: Dict[int, Pair] = pairs
         self.g: Dict[int, Pair] = {1: self.i}
         self.q: Dict[int, Pair] = {}
@@ -189,24 +191,21 @@ class _SuspendedTransfer:
             bk = self.b.get(k)
             if bk is not None:
                 for parts in compositions(n, k):
-                    terms.append((*_compose_pairs(bk, [self.g[m] for m in parts]), 1))
+                    terms.append(_compose_pairs(bk, [self.g[m] for m in parts]))
         self.q[n] = _sum_pairs(terms)
         return self.q[n]
 
     def g_pair(self, n: int) -> Pair:
         if n not in self.g:
-            # the homotopy enters with a minus sign: the perturbation lemma
-            # wants the convention  dH + Hd = ip - 1,  while validate()
-            # checks the opposite normalization 1 - ip = dH + Hd.
-            self.g[n] = _sum_pairs([(*_compose_pairs(self.H, [self.q_pair(n)]), -1)])
+            self.g[n] = _compose_pairs(self.H, [self.q_pair(n)])
         return self.g[n]
 
     def bB_table(self, n: int) -> Table:
         return _rational(*_compose_pairs(self.p, [self.q_pair(n)]))
 
     def tree_pair(self, t: PlanarTree) -> Pair:
-        """:func:`tree_term` in integer form; -H on each internal edge gives
-        the per-tree sign (-1)^{number of internal edges}."""
+        """:func:`tree_term` in integer form; the stored -H on each internal
+        edge gives the per-tree sign (-1)^{number of internal edges}."""
 
         def eval_node(node: PlanarTree) -> Pair:
             if node.is_leaf:
@@ -215,8 +214,7 @@ class _SuspendedTransfer:
             if bk is None:
                 return {}, 1
             return _compose_pairs(bk, [
-                eval_node(c) if c.is_leaf
-                else _sum_pairs([(*_compose_pairs(self.H, [eval_node(c)]), -1)])
+                eval_node(c) if c.is_leaf else _compose_pairs(self.H, [eval_node(c)])
                 for c in node.children
             ])
 
@@ -278,6 +276,6 @@ def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInfty
     st = _SuspendedTransfer(r)
 
     def tree_sum(n: int) -> Table:
-        return _rational(*_sum_pairs([(*st.tree_pair(t), 1) for t in enumerate_trees(n, 2)]))
+        return _rational(*_sum_pairs([st.tree_pair(t) for t in enumerate_trees(n, 2)]))
 
     return _transferred(r, max_arity, tree_sum)

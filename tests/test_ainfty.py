@@ -21,6 +21,7 @@ from torusmirror.ainfty import (
     compose,
     morphism_defect,
     relation_defect,
+    signed,
     suspended_coefficient,
     zero_op,
 )
@@ -57,11 +58,10 @@ def test_op_enforces_degree_rule():
 
 
 def test_op_arithmetic_and_zero_cleanup():
+    """Table sums go through add_into; only exact zeros are dropped."""
     basis = GradedBasis((("x", 0), ("y", 1)))
-    d = MultilinearOp(1, basis, basis, 1, {("x",): {"y": 3}})
-    assert (d - d).is_zero()
-    assert (d + d)(("x",)) == {"y": 6}
-    assert d.scaled(0).is_zero()
+    d = {("x",): {"y": 3}}
+    assert MultilinearOp(1, basis, basis, 1, add_into({("x",): {"y": 3}}, d, -1)).is_zero()
     assert zero_op(2, basis, basis, 0).is_zero()
     # only exact zeros are dropped; a truncated zero keeps its O(q^5) bound
     for exact in (0, Fraction(0), NovikovElem.zero()):
@@ -69,12 +69,13 @@ def test_op_arithmetic_and_zero_cleanup():
     inexact = MultilinearOp(1, basis, basis, 1, {("x",): {"y": NovikovElem.zero(5)}})
     assert inexact.entries == {("x",): {"y": NovikovElem.zero(5)}}
     assert inexact.is_zero() and list(inexact.nonzero_entries()) == []
-    assert list((inexact + d).nonzero_entries()) == [(("x",), "y", NovikovElem.scalar(3, 5))]
+    total = MultilinearOp(1, basis, basis, 1, add_into({("x",): {"y": NovikovElem.zero(5)}}, d))
+    assert list(total.nonzero_entries()) == [(("x",), "y", NovikovElem.scalar(3, 5))]
 
 
 def test_compose_kernel():
     """outer o (s_1 x s_2): an identity slot, two producers of one label,
-    accumulation, an input with no producer, and the sign callback."""
+    accumulation, an input with no producer, and signs on table rows."""
     outer = {("u", "v"): {"w": 2}, ("u", "z"): {"w": 7}}
     s1 = {("a",): {"u": 3}, ("b",): {"u": 5}}
     s2 = {("c", "d"): {"v": 1}, ("e",): {"v": 4}}
@@ -92,17 +93,19 @@ def test_compose_kernel():
         ("a",): {"w": 21},
     }
     assert add_into({("a",): {"w": 3}}, {("a",): {"w": 4}}, -1) == {("a",): {"w": -1}}
+    # a sign that reads the second slot's inputs sits on that slot's rows
     seen = []
 
-    def sign(blocks):
-        seen.append(blocks)
-        return -1 if blocks[1] == ("e",) else 1
+    def sign(ins):
+        seen.append(ins)
+        return -1 if ins == ("e",) else 1
 
-    assert compose(outer, [s1, s2], sign) == {
+    assert compose(outer, [s1, signed(s2, sign)]) == {
         ("a", "c", "d"): {"w": 6}, ("a", "e"): {"w": -24},
         ("b", "c", "d"): {"w": 10}, ("b", "e"): {"w": -40},
     }
-    assert sorted(seen) == [(("a",), ("c", "d")), (("a",), ("e",)), (("b",), ("c", "d")), (("b",), ("e",))]
+    assert sorted(seen) == [("c", "d"), ("e",)]
+    assert signed(s2, lambda ins: 1) == s2
 
     # integer form: numerators over one denominator per table; a composite
     # multiplies the denominators and converts back to reduced Fractions
@@ -114,9 +117,10 @@ def test_compose_kernel():
         "outer": ({("u", "v"): {"w": 8}, ("u", "z"): {"w": 21, "x": 60}}, 12),
         "s1": ({("a",): {"u": 9}, ("b",): {"u": 25, "y": 30}}, 30),
     }
-    for sgn in (None, lambda blocks: -1 if blocks[0] == ("b",) else 1):
-        got = _rational(*_compose_pairs(pairs["outer"], [pairs["s1"], None], sgn))
-        assert got == compose(outer, [s1, None], sgn)
+    for sgn in (lambda ins: 1, lambda ins: -1 if ins == ("b",) else 1):
+        slot = signed(pairs["s1"][0], sgn), pairs["s1"][1]
+        got = _rational(*_compose_pairs(pairs["outer"], [slot, None]))
+        assert got == compose(outer, [signed(s1, sgn), None])
         assert all(type(c) is Fraction for row in got.values() for c in row.values())
     assert got[("a", "v")] == {"w": q(1, 5)} and got[("b", "z")] == {"w": -q(35, 24), "x": q(-25, 6)}
 

@@ -149,6 +149,21 @@ def test_suite_subset_and_determinism(capsys, tmp_path):
     assert code == 1 and rep["status"] == "ERROR"
 
 
+def test_suite_module_error_keeps_other_modules(capsys, monkeypatch):
+    """A module that raises is reported as that module's ERROR; the other
+    modules still report, and the suite is ERROR with exit code 1."""
+    from torusmirror import criteria
+
+    def broken(*args):
+        raise ValueError("tree count exploded")
+
+    monkeypatch.setattr(criteria, "tree_counts", broken)
+    code, rep = run(capsys, "suite", "--modules", "novikov,trees", "--seed", "11")
+    assert code == 1 and rep["status"] == "ERROR"
+    assert rep["payload"]["trees"] == {"error": "ValueError: tree count exploded", "status": "ERROR"}
+    assert rep["payload"]["novikov"]["status"] == "PASS"
+
+
 def test_missing_file_reports_error(capsys):
     code, rep = run(capsys, "check-ainfty", "/nonexistent.json")
     assert code == 1 and rep["status"] == "ERROR"

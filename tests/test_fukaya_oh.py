@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusmirror.ainfty import AInftyStructure, MultilinearOp, relation_defect
+from torusmirror.ainfty import AInftyStructure, MultilinearOp, add_into, relation_defect
 from torusmirror.criteria import circle_sections
 from torusmirror.fukaya_oh import (
     AffineLagrangian,
@@ -169,8 +169,9 @@ def test_perturbed_m2_fails_associativity_below_cutoff_only():
     ins, out, _ = next(e for e in A.m(2).nonzero_entries() if e[0][0][:2] == (0, 2))
 
     def moved(e):
-        bump = MultilinearOp(2, A.basis, A.basis, 0, {ins: {out: NovikovElem.q_power(e)}})
-        return AInftyStructure(A.basis, {2: A.m(2) + bump})
+        table = add_into({k: dict(row) for k, row in A.m(2).entries.items()},
+                         {ins: {out: NovikovElem.q_power(e)}})
+        return AInftyStructure(A.basis, {2: MultilinearOp(2, A.basis, A.basis, 0, table)})
 
     def defect_rows(B):
         return {ins for ins, _out, _c in relation_defect(B, 3).nonzero_entries()}

@@ -1,4 +1,5 @@
-"""Each experiment script runs at a tiny size and reports no failures."""
+"""Each experiment script runs at a tiny size and reports no failures; a
+script exits 1 when any of its checks fails."""
 
 import os
 import re
@@ -19,17 +20,29 @@ CASES = [
     (["morse_products.py", "--count", "1"], DONE_CLEAN),
     (["transfer_corpus.py", "--count", "2", "--relations-to", "3", "--morphism-to", "2"],
      DONE_CLEAN),
-    # no verdict line: the last row is the finer of the two grids
-    (["legendre_convergence.py", "--levels", "2"], r"^\s*1/32\s"),
+    # default three grids; the last row is the finest grid
+    (["legendre_convergence.py"], r"^\s*1/64\s"),
 ]
+
+
+def run_script(argv):
+    src = str(Path(torusmirror.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv, last_line", CASES, ids=[c[0][0] for c in CASES])
 def test_script_runs_clean(argv, last_line):
-    src = str(Path(torusmirror.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script(argv)
+    assert proc.returncode == 0, proc.stdout + proc.stderr  # 0 means no failures
     assert re.search(last_line, proc.stdout.splitlines()[-1]), proc.stdout
+
+
+def test_script_failure_exits_1():
+    """On two grids the quartic's det order falls below 1.8: the Legendre
+    script reports the failure and exits 1."""
+    proc = run_script(["legendre_convergence.py", "--levels", "2"])
+    assert proc.returncode == 1, proc.stderr
+    assert "1 failures" in proc.stdout.splitlines(), proc.stdout

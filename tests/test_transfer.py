@@ -1,22 +1,37 @@
 """Homotopy transfer: retraction validation, transferred structure
 relations, the comparison morphism, and the tree-sum cross-check."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from torusmirror.ainfty import AInftyStructure, GradedBasis, MultilinearOp
+from torusmirror.ainfty import (
+    AInftyMorphismData,
+    AInftyStructure,
+    GradedBasis,
+    MultilinearOp,
+    bar_check,
+    morphism_defect,
+    relation_defect,
+)
 from torusmirror.criteria import (
     retraction_corpus,
     transfer_morphism_equations,
     transferred_relations,
 )
 from torusmirror.novikov import NovikovElem
-from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
+from torusmirror.randomgen import (
+    _conjugate,
+    corrupt_structure,
+    random_dg_algebra,
+    retraction_onto_cohomology,
+)
 from torusmirror.transfer import (
     RetractionData,
+    transfer_morphism,
     transfer_structure,
     transfer_structure_by_trees,
     tree_term,
@@ -25,18 +40,42 @@ from torusmirror.transfer import (
 from torusmirror.trees import enumerate_trees
 
 
-def massey_dga():
+def massey_dga(deg=1, unit=False):
     """A dga with a nonzero Massey product <a, b, c> = w: du = ab, dv = bc,
-    a.b = ab, b.c = bc, u.c = a.v = w.  Its transfer has nonzero m3 and m4,
-    whereas the seeded corpus transfers to zero above arity 2."""
-    B = GradedBasis(
-        (("a", 1), ("b", 1), ("c", 1), ("u", 1), ("v", 1), ("ab", 2), ("bc", 2), ("w", 2))
-    )
+    a.b = ab, b.c = bc, u.c = w and a.v = (-1)^(deg+1) w, with a, b, c of
+    degree deg.  Its transfer has nonzero m3 and m4, whereas the seeded
+    corpus transfers to zero above arity 2.  With ``unit`` a unit 1 of
+    degree 0 multiplies every element."""
+    e = deg
+    elems = [("a", e), ("b", e), ("c", e), ("u", 2 * e - 1), ("v", 2 * e - 1),
+             ("ab", 2 * e), ("bc", 2 * e), ("w", 3 * e - 1)]
+    mul = {("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("u", "c"): {"w": 1},
+           ("a", "v"): {"w": 1 if deg % 2 else -1}}
+    if unit:
+        elems.insert(0, ("1", 0))
+        for x, _ in elems:
+            mul[("1", x)] = mul[(x, "1")] = {x: 1}
+    B = GradedBasis(tuple(elems))
     d = MultilinearOp(1, B, B, 1, {("u",): {"ab": 1}, ("v",): {"bc": 1}})
-    m = MultilinearOp(2, B, B, 0, {
-        ("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("u", "c"): {"w": 1}, ("a", "v"): {"w": 1},
-    })
-    return AInftyStructure(B, {1: d, 2: m})
+    return AInftyStructure(B, {1: d, 2: MultilinearOp(2, B, B, 0, mul)})
+
+
+def koszul_dga(k):
+    """Lambda(theta) (x) Q[x]/(x^k) with deg theta = 1, deg x = 2 and
+    d theta = x, so d(theta x^j) = x^(j+1).  The differential is nonzero on
+    odd inputs, so the Koszul prefix j * sum_{s<l} deg a_s of the relation
+    sign is seen."""
+    elems = [((e, j), e + 2 * j) for e in (0, 1) for j in range(k)]
+    mul = {((e1, j1), (e2, j2)): {(e1 + e2, j1 + j2): 1}
+           for (e1, j1), _ in elems for (e2, j2), _ in elems if e1 + e2 <= 1 and j1 + j2 < k}
+    B = GradedBasis(tuple(elems))
+    d = MultilinearOp(1, B, B, 1, {((1, j),): {(0, j + 1): 1} for j in range(k - 1)})
+    return AInftyStructure(B, {1: d, 2: MultilinearOp(2, B, B, 0, mul)})
+
+
+def conjugated(A, rng):
+    """A dga under a seeded random basis change of each degree."""
+    return _conjugate(list(A.basis.elements), A.m(1).entries, A.m(2).entries, rng)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +109,7 @@ def test_branch_recursion_matches_tree_sum(corpus, massey):
         B1 = transfer_structure(r, max_arity=4)
         B2 = transfer_structure_by_trees(r, max_arity=4)
         for n in range(1, 5):
-            assert (B1.m(n) - B2.m(n)).is_zero()
+            assert B1.m(n).entries == B2.m(n).entries
 
 
 def test_single_tree_terms_sum_to_ternary_product(corpus, massey):
@@ -106,6 +145,89 @@ def test_massey_transfer_is_non_formal_and_exact(massey):
     assert out.ok, out.failures
     out = transfer_morphism_equations([massey], 3)
     assert out.ok, out.failures
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("basis_change", [False, True])
+def test_koszul_dga_relations_transfer_and_morphism(k, basis_change):
+    """The dga Lambda(theta) (x) Q[x]/(x^k) with d theta = x, plain and
+    conjugated: its relations (n <= 3), bar_check, the transferred
+    relations and the comparison morphism's equations all hold."""
+    A = koszul_dga(k)
+    if basis_change:
+        A = conjugated(A, random.Random(k))
+    assert not A.m(1).is_zero()
+    for n in range(1, 4):
+        assert relation_defect(A, n).is_zero()
+    assert bar_check(A, 3).ok
+    r = retraction_onto_cohomology(A, random.Random(k))
+    out = transferred_relations([r], 4)
+    assert out.ok, out.failures
+    out = transfer_morphism_equations([r], 4)
+    assert out.ok, out.failures
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_unital_massey_dga_transfers_exactly(deg):
+    """The Massey dga with a unit of degree 0, with a, b, c of degree 1 or
+    2: the unit has deg - 1 odd and a, b, c have even deg - 1 at deg 2, so
+    the morphism equations' prefix signs sum_{t<l}(deg a_t - 1) are seen on
+    a nonzero m3."""
+    A = massey_dga(deg, unit=True)
+    for n in range(1, 4):
+        assert relation_defect(A, n).is_zero()
+    r = retraction_onto_cohomology(A, random.Random(0))
+    B1 = transfer_structure(r, max_arity=4)
+    assert not B1.m(3).is_zero()
+    B2 = transfer_structure_by_trees(r, max_arity=4)
+    for n in range(1, 5):
+        assert B1.m(n).entries == B2.m(n).entries
+        assert relation_defect(B1, n).is_zero()
+    out = transfer_morphism_equations([r], 4)
+    assert out.ok, out.failures
+
+
+def _sign_fixtures():
+    """Seeded dgas whose relations and morphism equations reach every sign
+    factor: the randomgen families, and the Koszul and unital Massey dgas,
+    each plain and conjugated."""
+    dgas = [random_dg_algebra(random.Random(seed)) for seed in range(12)]
+    plain = [koszul_dga(k) for k in (2, 3)] + [massey_dga(deg, unit=True) for deg in (1, 2)]
+    return dgas + plain + [conjugated(A, random.Random(i)) for i, A in enumerate(plain)]
+
+
+def test_nonzero_defect_values_are_pinned():
+    """The entries of nonzero defects hash to the values the per-term sign
+    callbacks gave: relation_defect (n <= 3) on a corrupted copy of each
+    fixture, and morphism_defect (n <= 4) on each comparison morphism with
+    one entry of every component raised by 1.  A zero test cannot see a sign
+    moved from one term to another; this can."""
+    h = hashlib.sha256()
+    count = 0
+
+    def feed(key, op):
+        nonlocal count
+        for ins, out, c in op.nonzero_entries():
+            h.update(repr((key, ins, out, str(Fraction(c)))).encode())
+            count += 1
+
+    for i, A in enumerate(_sign_fixtures()):
+        rng = random.Random(100 + i)
+        bad = corrupt_structure(A, rng)
+        for n in range(1, 4):
+            feed(("relation", i, n), relation_defect(bad, n))
+        F = transfer_morphism(retraction_onto_cohomology(A, rng), 4)
+        comps = {}
+        for k, op in F.components.items():
+            ins, out, c = next(op.nonzero_entries())
+            table = {key: dict(row) for key, row in op.entries.items()}
+            table[ins][out] = c + 1
+            comps[k] = MultilinearOp(k, op.source, op.target, op.shift, table)
+        bent = AInftyMorphismData(F.source, F.target, comps)
+        for n in range(1, 5):
+            feed(("morphism", i, n), morphism_defect(bent, n))
+    assert (count, h.hexdigest()) == (
+        1098, "129bab1b79f3447cf658ad674fee9ee68e621e049fc88970b3489b308fee7287")
 
 
 def _lift_scalars(obj, keep_rational=()):
@@ -173,4 +295,4 @@ def test_retraction_json_roundtrip(corpus):
     B1 = transfer_structure(r, max_arity=3)
     B2 = transfer_structure(r2, max_arity=3)
     for n in range(1, 4):
-        assert (B1.m(n) - B2.m(n)).is_zero()
+        assert B1.m(n).entries == B2.m(n).entries
