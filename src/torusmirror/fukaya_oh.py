@@ -195,15 +195,14 @@ def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLag
             target = targets.get(coset_reduce(gamma_h, [a + b for a, b in zip(base, bt)]))
             if target is None:
                 continue
-            hol = Fraction(1)
+            hol = 1  # the count stays an int unless some holonomy is nontrivial
             if twisted:
                 k = vec_add(k0, bt)
                 hol = _holonomy_factor((l0, l1, l2), mat_vec(ainv, m), mat_vec(binv, k),
                                        mat_vec(ginv, vec_add(m, k)))
             row = acc[target]
             row[weight] = row.get(weight, 0) + hol
-        return {p: NovikovElem(((Fraction(w, den), c) for w, c in row.items()), cutoff)
-                for p, row in acc.items()}
+        return {p: NovikovElem._over(row, den, cutoff) for p, row in acc.items()}
 
     return product
 

@@ -134,6 +134,18 @@ def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
     return Fraction(1, 2) * quad_form(ainv, d)
 
 
+def _weight_numerator(ainv: Mat, center: Vec):
+    """(N, W) with N(m) / W = (1/2)(m - center)^T A^{-1} (m - center), N integral over the common
+    denominators of ainv and center: the check's own weight, apart from the kernel's _theta_weight."""
+    g, S = lcm(*(x.denominator for row in ainv for x in row)), lcm(*(x.denominator for x in center))
+    G, sc = [[int(x * g) for x in row] for row in ainv], [int(x * S) for x in center]
+
+    def num(m) -> int:
+        d = [S * x - y for x, y in zip(m, sc)]
+        return sum(x * sum(a * y for a, y in zip(row, d)) for x, row in zip(d, G))
+    return num, 2 * g * S * S
+
+
 def _coset_points(a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...], bound: Fraction):
     """Denominator D and the (m, D w(m)) with m = j + A t and w(m) < bound, t in the
     kernel's order: w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j)."""
@@ -228,13 +240,15 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     pairs, with L w the kernel's integer numerator put over one denominator L
     for all weights; a product of two sections is a table {s: {L q-exponent:
     count}}, the solve and the consistency check run on these integers, and
-    NovikovElems are built only for the final coefficients.  Sections
-    are expanded to internal = cutoff + max w* + 1, where w* is the least
-    weight of a target section, taken at z^s*; the coefficient of a target
-    section is the product row at s* divided by q^w*.  Every product row is
-    then checked against its solved coefficient below min(internal,
-    cutoff + w(s)), with w(s) computed afresh by _theta_weight rather than
-    read from the kernel; a mismatch reports the cutoff that would be required.
+    each final coefficient becomes a NovikovElem straight from its integer
+    row over L.  Sections are expanded to internal = cutoff + max w* + 1,
+    where w* is the least weight of a target section, taken at z^s*; the
+    coefficient of a target section is the product row at s* divided by q^w*.
+    Every product row is then checked against its solved coefficient below
+    min(internal, cutoff + w(s)).  The target weight w(s) = (1/2)(s - c)^T
+    Gamma^{-1} (s - c) is computed afresh, in integers from Gamma^{-1} and the
+    shift c over their common denominators, and never read from the kernel;
+    a mismatch reports the cutoff that would be required.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -265,7 +279,8 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     sections1, sections2 = _sections(e1, internal, den), _sections(e2, internal, den)
     top, low = ceil(internal * den), ceil(cutoff * den)  # a product term is kept iff L w < top
     stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
-    target = {}  # s -> (coset of s, weight of z^s in the target bundle, as Fraction and L w)
+    wnum, wden = _weight_numerator(ginv, c3)
+    target = {}  # s -> (coset of s, L w(s))
     coeffs = []
     for j1, sec1 in sections1:
         for j2, sec2 in sections2:
@@ -285,22 +300,21 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
                 solved[j3] = {l - w_star: c for l, c in prod.get(s_star, {}).items()}
             for s in sorted(prod):
                 if s not in target:
-                    w = _theta_weight(ginv, c3, vec(s))
-                    if (w * den).denominator != 1:
-                        raise RuntimeError(f"target weight {w} is off the grid Z/{den}")
-                    target[s] = (coset_reduce(gamma_h, s), w, int(w * den))
-                j3, w, wl = target[s]
+                    wl, r = divmod(wnum(s) * den, wden)
+                    if r:
+                        raise RuntimeError(f"target weight {Fraction(wnum(s), wden)} is off the grid Z/{den}")
+                    target[s] = (coset_reduce(gamma_h, s), wl)
+                j3, wl = target[s]
                 common = min(top, low + wl)
                 have = {l: c for l, c in prod[s].items() if l < common}
                 want = {l + wl: c for l, c in solved[j3].items() if l + wl < common}
                 if have != want:
                     raise ThetaSolveError(
                         f"inconsistent theta solve at z^{s} for pair ({j1}, {j2})",
-                        cutoff + w + 1,
+                        cutoff + Fraction(wl, den) + 1,
                     )
             for j3 in target_cosets:
-                coeffs.append(((j1, j2, j3), NovikovElem(
-                    ((Fraction(l, den), c) for l, c in solved[j3].items()), cutoff)))
+                coeffs.append(((j1, j2, j3), NovikovElem._over(solved[j3], den, cutoff)))
     return ThetaProductTable(cutoff, tuple(coeffs))
 
 

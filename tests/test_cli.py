@@ -177,7 +177,15 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
 
     obj = json.loads(open(ainfty_file).read())
     bad = tmp_path / "bad.json"
-    for scalar in ({"q": [1, 0]}, {"q": [1]}, 5):  # zero denominator, short, bare number
+    for scalar in (
+        {"q": [1, 0]},  # zero denominator
+        {"q": [1]},  # short
+        5,  # bare number
+        {"nov": {"terms": [[1, 0, 1, 1]], "cutoff": None}},  # zero exponent denominator
+        {"nov": {"terms": [[1, 1, 1, 1]], "cutoff": [1, 0]}},  # zero cutoff denominator
+        {"nov": {"terms": [[1, 1, 1]], "cutoff": None}},  # 3-element term
+        {"nov": {"terms": [[1.5, 2, 1, 1]], "cutoff": None}},  # float numerator
+    ):
         obj["ops"][0]["entries"][0][2] = scalar
         bad.write_text(json.dumps(obj))
         code, rep = run(capsys, "check-ainfty", str(bad))

@@ -1,12 +1,14 @@
 """Non-archimedean mirror side: Laurent series, theta bases,
 theta multiplication, and the exact comparison oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from torusmirror import cli, mirror
 from torusmirror.fukaya_oh import AffineLagrangian
+from torusmirror.lattice import mat_inv, quad_form, vec, vec_sub
 from torusmirror.mirror import (
     LaurentSeriesNd,
     LineBundleObj,
@@ -123,6 +125,32 @@ def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
     rep = cli.cmd_mirror([Fraction(0), Fraction(1), Fraction(3)], [Fraction(0)] * 3, cut)
     assert rep.status == "ERROR"
     assert "retry with cutoff >=" in rep.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "slope, shift",
+    [
+        (((5,),), (Fraction(1, 3),)),
+        (((2, 1), (1, 3)), (Fraction(1, 2), Fraction(-2, 5))),
+        (((2, 1, 0), (1, 3, 1), (0, 1, 4)), (Fraction(1, 3), Fraction(0), Fraction(3, 4))),
+    ],
+)
+def test_integer_target_weight_is_the_fraction_quadratic_form(slope, shift):
+    """The consistency check's w(s), an integer numerator over one denominator,
+    is (1/2)(s - c)^T Gamma^{-1} (s - c) evaluated in Fractions."""
+    ginv = mat_inv(slope)
+    num, den = mirror._weight_numerator(ginv, shift)
+    for s in itertools.product(range(-3, 4), repeat=len(shift)):
+        assert Fraction(num(s), den) == Fraction(1, 2) * quad_form(ginv, vec_sub(vec(s), shift))
+
+
+def test_theta_coefficient_bytes_are_pinned():
+    """A shifted 1D coefficient serializes as it did with Fraction pairs."""
+    e1 = LineBundleObj(AffineLagrangian(((2,),), (Fraction(1, 3),)))
+    e2 = LineBundleObj(AffineLagrangian(((3,),), (Fraction(1, 4),)))
+    c = dict(theta_multiply(e1, e2, 6).coefficients)[(0,), (0,), (1,)]
+    assert c.to_obj() == {"terms": [[125, 48, 1, 1], [245, 48, 1, 1]], "cutoff": [6, 1]}
+    assert repr(c) == "Nov(1*q^125/48 + 1*q^245/48 + O(q^6))"
 
 
 # -- comparison ----------------------------------------------------------------
