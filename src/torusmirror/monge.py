@@ -5,7 +5,10 @@ Legendre transform is computed by exact maximization over grid nodes plus a
 local refinement of a degree-4 interpolant around each argmax, giving
 O(h^2) accuracy.  The refinement and the dual Hessian read-off run over all
 nodes at once, on stacked stencil interpolants evaluated by one batched
-contraction with per-axis power tables.  The module also checks the two
+contraction with per-axis power tables; each Newton iteration's step
+halvings take two such contractions.  A grid function keeps each transform
+it has been given, so the involution and Hessian checks on one grid share
+one forward transform.  The module also checks the two
 desk-scale duality identities: the Monge-Ampere residual (constancy of
 det Hess K) and the Hessian duality
 det Hess K(x) * det Hess Khat(grad K(x)) = 1 together with the metric
@@ -61,7 +64,8 @@ class ConvexGridFunction:
 
     The convexity certificate is the minimal eigenvalue of the centered
     second-difference Hessian over interior nodes (the margin); construction
-    fails when it is below -tol.
+    fails when it is below -tol.  `legendre` keeps each transform of the
+    grid with it, so the values are a read-only copy that cannot go stale.
     """
 
     box: Box
@@ -69,11 +73,14 @@ class ConvexGridFunction:
     values: np.ndarray
     convexity_margin: float = field(init=False)
     tol: float = 1e-9
+    _duals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box))
         object.__setattr__(self, "h", Fraction(self.h))
-        vals = np.asarray(self.values, dtype=float)
+        # a copy: the write flag of an asarray view would lock the caller's array
+        vals = np.array(self.values, dtype=float)
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         shape = tuple(len(_axis_nodes(lo, hi, self.h)) for lo, hi in self.box)
         if vals.shape != shape:
@@ -252,6 +259,29 @@ def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
+def _line_search(gain, t, best, rows, step, hi_t) -> np.ndarray:
+    """Backtracking along step from t[rows], clipped to [0, hi_t]: each row
+    takes the first tau = 2^-k, k < 30, whose trial gains more than 1e-18
+    over best, and t and best take that trial in place.  A row's t and best
+    stay put while it halves, so tau = 1 is tried for all rows in one call,
+    and the other 29 halvings in one more.  Returns the positions in rows
+    that no trial improved."""
+    pending = np.arange(len(rows))
+    for taus in (np.ones(1), 0.5 ** np.arange(1, 30)):
+        trial = np.repeat(pending, len(taus))
+        t_new = np.clip(t[rows[trial]] + np.tile(taus, len(pending))[:, None] * step[trial],
+                        0.0, hi_t)
+        v_new = gain(rows[trial], t_new)
+        better = (v_new > best[rows[trial]] + 1e-18).reshape(len(pending), len(taus))
+        found = better.any(axis=1)
+        first = np.flatnonzero(found) * len(taus) + np.argmax(better[found], axis=1)
+        t[rows[pending[found]]], best[rows[pending[found]]] = t_new[first], v_new[first]
+        pending = pending[~found]
+        if not len(pending):
+            break
+    return pending
+
+
 def legendre(K: ConvexGridFunction, dual_box, dual_h) -> ConvexGridFunction:
     """Discrete Legendre transform Khat(y) = max_x (<x, y> - K(x)).
 
@@ -260,12 +290,22 @@ def legendre(K: ConvexGridFunction, dual_box, dual_h) -> ConvexGridFunction:
     to 4 per axis) on a stencil around each argmax is maximized by Newton
     ascent clipped to the stencil hull (a gradient step where the Hessian is
     singular), until the gradient is below 1e-14, 30 step halvings gain
-    nothing, or 60 iterations.  The refined values carry the interpolation
-    error O(h^5) for smooth K, so second differences of the transform
-    remain second-order accurate.
+    nothing, or 60 iterations.  Each Newton iteration evaluates its step
+    halvings in two batched calls (`_line_search`).  The refined values
+    carry the interpolation error O(h^5) for smooth K, so second differences
+    of the transform remain second-order accurate.
+
+    The transform is computed once per (dual box, dual h) and kept with K,
+    so repeated checks on one grid share it; a failed transform is not kept.
     """
-    dual_box = _as_box(dual_box)
-    dual_h = Fraction(dual_h)
+    dual_box, dual_h = _as_box(dual_box), Fraction(dual_h)
+    key = (dual_box, dual_h)
+    if key not in K._duals:
+        K._duals[key] = _transform(K, dual_box, dual_h)
+    return K._duals[key]
+
+
+def _transform(K: ConvexGridFunction, dual_box: Box, dual_h: Fraction) -> ConvexGridFunction:
     if len(dual_box) != K.n:
         raise DomainMismatchError("dual box dimension mismatch")
     _check_dual_box(K, dual_box)
@@ -300,22 +340,11 @@ def legendre(K: ConvexGridFunction, dual_box, dual_h) -> ConvexGridFunction:
         grad = hf * ys[active] - grad_p
         moving = ~(np.max(np.abs(grad), axis=1) < 1e-14)
         active = active[moving]
-        step = _newton_steps(hess_p[moving], grad[moving])
-        pending = np.arange(len(active))  # rows of active still halving
-        tau = 1.0
-        for _ in range(30):
-            rows = active[pending]
-            t_new = np.clip(t[rows] + tau * step[pending], 0.0, hi_t)
-            v_new = gain(rows, t_new)
-            better = v_new > best[rows] + 1e-18
-            t[rows[better]], best[rows[better]] = t_new[better], v_new[better]
-            pending = pending[~better]
-            if not len(pending):
-                break
-            tau *= 0.5
-        active = np.delete(active, pending)  # no gain after 30 halvings: done
         if not len(active):
             break
+        step = _newton_steps(hess_p[moving], grad[moving])
+        # no gain after 30 halvings: done
+        active = np.delete(active, _line_search(gain, t, best, active, step, hi_t))
     origin = np.array([float(lo) for lo, _ in K.box])
     x_pt = origin + starts * hf + t * hf
     refined = np.sum(ys * x_pt, axis=1) - _derivative_table(coeffs, t, 0).reshape(len(ys))

@@ -1,7 +1,9 @@
 """Discrete Legendre duality: exactness on quadratics, the closed-form
-quartic conjugate, involution and Hessian-duality errors, and input
-validation."""
+quartic conjugate, involution and Hessian-duality errors, the batched line
+search against one halving at a time, the per-grid transform cache, and
+input validation."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusmirror import criteria, monge
+from torusmirror.cli import cmd_legendre
 from torusmirror.monge import (
     ConvexGridFunction,
     _derivative_table,
@@ -44,12 +48,23 @@ def test_grid_shape_and_convexity_are_validated():
     assert K.convexity_margin == pytest.approx(2.0, abs=1e-9)
 
 
+def test_values_are_a_read_only_copy():
+    raw = np.array([float(x) ** 2 for x in quadratic(1).axis_nodes(0)])
+    K = ConvexGridFunction([(-1, 1)], H, raw)
+    with pytest.raises(ValueError, match="read-only"):
+        K.values[0] = 0.0
+    raw[0] = 5.0  # the caller's array stays writable and apart
+    assert K.values[0] == 1.0
+
+
 def test_dual_box_outside_gradient_range_is_rejected():
     K = quadratic(1)  # gradients in about [-1, 1]
-    with pytest.raises(GradientRangeError):
-        legendre(K, [(-3, 3)], H)
-    with pytest.raises(DomainMismatchError):
-        legendre(K, [(-1, 1), (-1, 1)], H)
+    for _ in range(2):  # a failed transform is not cached
+        with pytest.raises(GradientRangeError):
+            legendre(K, [(-3, 3)], H)
+        with pytest.raises(DomainMismatchError):
+            legendre(K, [(-1, 1), (-1, 1)], H)
+    assert not K._duals
 
 
 # -- exact families --------------------------------------------------------------
@@ -145,6 +160,89 @@ def test_singular_hessian_row_takes_the_gradient_step():
     assert np.array_equal(step[2], grad[2])
     for j in (0, 1, 3, 4):
         assert np.array_equal(step[j], np.linalg.solve(hess[j], grad[j]))
+
+
+def _sequential_line_search(gain, t, best, rows, step, hi_t, halvings):
+    """Reference model of `monge._line_search`: every pending row tries
+    tau = 1, 1/2, ..., 2^-29 one halving at a time and stops at its first
+    gain; the k of each accepted tau = 2^-k is appended to `halvings`."""
+    pending = np.arange(len(rows))
+    tau = 1.0
+    for k in range(30):
+        r = rows[pending]
+        t_new = np.clip(t[r] + tau * step[pending], 0.0, hi_t)
+        v_new = gain(r, t_new)
+        better = v_new > best[r] + 1e-18
+        t[r[better]], best[r[better]] = t_new[better], v_new[better]
+        halvings += [k] * int(np.sum(better))
+        pending = pending[~better]
+        if not len(pending):
+            break
+        tau *= 0.5
+    return pending
+
+
+_FLAT = Fraction(1, 2**40)  # within the 1e-12 slack below the gradient range
+
+LINE_SEARCH_CASES = [
+    (lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)],
+     [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 16)),
+    (lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)],
+     [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 32)),
+    (lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)],
+     [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 64)),
+    # the benchmark's convex_2d with tilt (1/4, -1/8)
+    (lambda x, y: 0.5 * x * x + x**4 / 12 + 0.1 * x * y + 0.5 * y * y + y**4 / 12
+     + 0.25 * x - 0.125 * y, [(-1, 1)] * 2,
+     [(Fraction(-1, 4), Fraction(3, 4)), (Fraction(-5, 8), Fraction(3, 8))], Fraction(1, 12)),
+    # singular Hessians: dual nodes -2^-40 maximize over the flat quadrant,
+    # whose stencils hold only zeros, so their rows take the gradient step
+    (lambda x, y: max(0.0, x) ** 2 + max(0.0, y) ** 2, [(-1, 1)] * 2,
+     [(-_FLAT, Fraction(1, 2) - _FLAT)] * 2, Fraction(1, 8)),
+]
+
+
+def test_batched_line_search_matches_sequential_halving(monkeypatch):
+    """The refined transforms are bit-identical to those of the sequential
+    halving loop, including rows that gain only after 20 or more halvings."""
+    halvings = []
+    for f, box, dual_box, h in LINE_SEARCH_CASES:
+        K = ConvexGridFunction.sample(f, box, h)
+        batched = legendre(K, dual_box, h).values
+        with monkeypatch.context() as m:
+            m.setattr(monge, "_line_search",
+                      lambda *args: _sequential_line_search(*args, halvings))
+            sequential = monge._transform(K, monge._as_box(dual_box), h).values
+        assert batched.tobytes() == sequential.tobytes()
+    assert max(halvings) >= 20
+
+
+def test_transform_is_cached_per_dual_grid(monkeypatch, tmp_path):
+    K = quadratic(1)
+    box = [(Fraction(-1, 4), Fraction(1, 4))]
+    dual = legendre(K, box, H)
+    assert legendre(K, ((-0.25, 0.25),), Fraction(2, 64)) is dual
+    finer = legendre(K, box, H / 2)
+    narrower = legendre(K, [(Fraction(-1, 8), Fraction(1, 4))], H)
+    assert [d.values.shape for d in (dual, finer, narrower)] == [(17,), (33,), (13,)]
+    assert len(K._duals) == 3
+
+    # one forward and one back transform per involution check: criterion 8
+    # on one grid (a quartic and three quadratics) and the CLI command
+    calls = []
+    transform = monge._transform
+    monkeypatch.setattr(monge, "_transform", lambda *a: calls.append(a) or transform(*a))
+    assert criteria.legendre_duality([Fraction(1, 16)]).ok
+    assert len(calls) == 8
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({
+        "box": [[-1, 1]], "h": [1, 32],
+        "values": [float(x) ** 2 / 2 for x in K.axis_nodes(0)],
+        "dual_box": [[[-1, 2], [1, 2]]], "dual_h": [1, 32],
+    }))
+    del calls[:]
+    assert cmd_legendre(str(path), 1e-6).status == "PASS"
+    assert len(calls) == 2
 
 
 def test_node_coordinates_are_correctly_rounded():
