@@ -306,39 +306,41 @@ def cmd_legendre(path: str, tol: float) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def cmd_suite(seed: int, cutoff: Fraction, modules: Optional[List[str]]) -> RunReport:
-    from . import criteria as c
+def _print_cases(name: str, out, elapsed: float) -> None:
+    """One module's case lines, figures and failures, on stderr."""
+    lines = [*out.cases, *(f"{k} = {v:.4g}" for k, v in out.figures.items()),
+             *(f"FAILED {f}" for f in out.failures)]
+    print(*(f"{name}  {line}" for line in lines),
+          f"{name}: {len(out.cases)} cases, {len(out.failures)} failures, {elapsed:.1f}s",
+          sep="\n", file=sys.stderr)
 
-    def module(out, **extra) -> dict:
-        status = "PASS" if out.ok else "FAIL"
-        return {"count": len(out.cases), "failures": out.failures, "status": status, **extra}
 
-    all_modules = {
-        "novikov": lambda: module(c.novikov_laws(seed, 200)),
-        "trees": lambda: module(c.tree_counts(6)),
-        "transfer": lambda: module(c.transfer_corpus(c.retraction_corpus(seed, 10), 4, 3)),
-        "signs": lambda: module(c.sign_agreement(seed, 20, 5), corrupted=5),
-        "morse": lambda: module(c.morse_triples(seed, 5)),
-        "fo": lambda: module(c.fukaya_associativity(
-            ((0, 1, 2, 3), (0, 1, 3, 4)), min(cutoff, Fraction(12)))),
-        "mirror": lambda: module(c.mirror_grid(
-            ((0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 3, 4)),
-            ((0, 0, 0), (0, Fraction(1, 2), 0)), min(cutoff, Fraction(15)))),
-        "legendre": lambda: module(c.legendre_duality([Fraction(1, 32)])),
-    }
-    selected = modules or sorted(all_modules)
-    unknown = [m for m in selected if m not in all_modules]
+def cmd_suite(seed: int, modules: Optional[List[str]], scale: str = "suite",
+              cases: bool = False) -> RunReport:
+    from . import criteria
+
+    sizes = criteria.SIZES[scale]
+    selected = modules or sorted(sizes)
+    unknown = [m for m in selected if m not in sizes]
+    cutoff = max(s["cutoff"] for s in sizes.values() if "cutoff" in s)
     inputs = {"seed": seed, "cutoff": _frac_obj(cutoff), "modules": sorted(selected)}
     if unknown:
         return RunReport(
             "suite", _digest(inputs), "ERROR", {"error": f"unknown modules {unknown}"}, 0.0
         )
+
     def run(name) -> dict:
-        # one module's error is that module's result; the others still report
+        # whatever a module raises is that module's result; the others still report
+        start = time.perf_counter()
         try:
-            return all_modules[name]()
-        except _INPUT_ERRORS as e:
+            out = criteria.run_module(name, scale, seed)
+        except Exception as e:
             return {"error": f"{type(e).__name__}: {e}", "status": "ERROR"}
+        if cases:
+            _print_cases(name, out, time.perf_counter() - start)
+        extra = {"corrupted": sizes[name]["corrupted"]} if name == "signs" else {}
+        status = "PASS" if out.ok else "FAIL"
+        return {"count": len(out.cases), "failures": out.failures, "status": status, **extra}
 
     payload = {name: run(name) for name in sorted(selected)}
     statuses = {result["status"] for result in payload.values()}
@@ -390,8 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("suite", help="consolidated acceptance matrix")
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    s.add_argument("--cutoff", type=Fraction, default=Fraction(15))
     s.add_argument("--modules", type=lambda v: v.split(","), default=None)
+    s.add_argument("--scale", choices=["suite", "acceptance"], default="suite",
+                   help="the sizes of criteria.SIZES to run at")
+    s.add_argument("--cases", action="store_true",
+                   help="print each module's cases and figures to stderr")
 
     return p
 
@@ -415,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "legendre":
             report = cmd_legendre(args.file, args.tol)
         elif args.command == "suite":
-            report = cmd_suite(args.seed, args.cutoff, args.modules)
+            report = cmd_suite(args.seed, args.modules, args.scale, args.cases)
         else:  # pragma: no cover
             raise SystemExit(2)
     except _INPUT_ERRORS as e:

@@ -2,8 +2,9 @@
 
 Every function runs one family of exact checks at the sizes it is given
 and returns an :class:`Outcome`: one label per case checked, one string
-per failed check, and any figures worth reporting.  The acceptance tests,
-``torusmirror suite`` and the scripts in ``scripts/`` only choose sizes.
+per failed check, and any figures worth reporting.  Every size lives in
+:data:`SIZES`, one scale for ``torusmirror suite`` and one for the
+acceptance gate, and :func:`run_module` runs one module at one scale.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, List, Sequence
 
 from . import morse
@@ -167,9 +168,9 @@ def transfer_morphism_equations(corpus: Sequence[RetractionData], max_arity: int
     return out
 
 
-def transfer_corpus(corpus: Sequence[RetractionData], relations_to: int,
-                    morphism_to: int) -> Outcome:
-    """Relations and morphism equations on one corpus, one case per retraction."""
+def transfer_corpus(seed: int, count: int, relations_to: int, morphism_to: int) -> Outcome:
+    """Relations and morphism equations on one seeded corpus, one case per retraction."""
+    corpus = retraction_corpus(seed, count)
     rel = transferred_relations(corpus, relations_to)
     mor = transfer_morphism_equations(corpus, morphism_to)
     cases = [f"{a}  {b}" for a, b in zip(rel.cases, mor.cases)]
@@ -305,3 +306,46 @@ def legendre_duality(grids: Sequence[Fraction]) -> Outcome:
             order = out.figures[f"{name}_order"] = math.log2(e0 / e1) / span
             out.check(order >= 1.8, f"{name} order {order:.2f} < 1.8")
     return out
+
+
+# The size arguments of each module's check, at two scales: "suite" is the
+# default of `torusmirror suite`, "acceptance" the gate's (the acceptance
+# tests and `torusmirror suite --scale acceptance`).
+SIZES = {
+    "suite": {
+        "novikov": {"count": 200},
+        "trees": {"max_leaves": 6},
+        "transfer": {"count": 10, "relations_to": 4, "morphism_to": 3},
+        "signs": {"count": 20, "corrupted": 5},
+        "morse": {"count": 5},
+        "fo": {"quadruples": ((0, 1, 2, 3), (0, 1, 3, 4)), "cutoff": Fraction(12)},
+        "mirror": {"slope_triples": ((0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 3, 4)),
+                   "shift_triples": ((0, 0, 0), (0, Fraction(1, 2), 0)),
+                   "cutoff": Fraction(15)},
+        "legendre": {"grids": (Fraction(1, 32),)},
+    },
+    "acceptance": {
+        "novikov": {"count": 1000},
+        "trees": {"max_leaves": 7},
+        "transfer": {"count": 50, "relations_to": 5, "morphism_to": 4},
+        "signs": {"count": 100, "corrupted": 20},
+        "morse": {"count": 20},
+        "fo": {"quadruples": ((0, 1, 2, 3), (0, 1, 3, 4)), "cutoff": Fraction(20)},
+        "mirror": {"slope_triples": tuple(combinations(range(4), 3)),
+                   "shift_triples": tuple(product((0, Fraction(1, 2)), repeat=3)),
+                   "cutoff": Fraction(25)},
+        "legendre": {"grids": (Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))},
+    },
+}
+
+
+def run_module(name: str, scale: str, seed: int) -> Outcome:
+    """Run the check of module `name` at the sizes SIZES[scale][name]; the
+    seeded checks take `seed` first."""
+    s = SIZES[scale][name]
+    seeded = {"novikov": novikov_laws, "transfer": transfer_corpus,
+              "signs": sign_agreement, "morse": morse_triples}
+    if name in seeded:
+        return seeded[name](seed, **s)
+    return {"trees": tree_counts, "fo": fukaya_associativity, "mirror": mirror_grid,
+            "legendre": legendre_duality}[name](**s)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, isqrt, lcm
+from numbers import Rational
 from typing import Iterator, Optional, Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
@@ -231,11 +232,15 @@ def coset_representatives(a: Mat) -> list:
 
 @lru_cache(maxsize=256)
 def _definite_form(m: Mat) -> Tuple[Mat, int]:
-    """m^{-1} and the least d with d m integral and d m_ii even, checked once per matrix."""
+    """m^{-1} and the least d with d m integral and d m_ii even, checked once per matrix.
+
+    The entries of m may be ints or Fractions, not floats."""
+    if not all(isinstance(x, Rational) for row in m for x in row):
+        raise ValueError("quadratic form entries must be exact rationals")
     if not is_positive_definite(m):
         raise ValueError("quadratic form must be positive definite")
     return mat_inv(m), lcm(*(x.denominator for row in m for x in row),
-                           *((m[i][i] / 2).denominator for i in range(len(m))))
+                           *(Fraction(m[i][i], 2).denominator for i in range(len(m))))
 
 
 def _int_range(center: Fraction, rad2: Fraction) -> range:

@@ -1,8 +1,8 @@
 """Acceptance gate: nine end-to-end criteria with stated tolerances and
-time budgets.  The checks themselves live in ``torusmirror.criteria``; each
-test runs one at the gate's sizes and emits a single machine-readable
-pass/fail line on the real stdout (bypassing capture) so the gate is
-auditable from the raw test log."""
+time budgets.  The checks and their sizes live in ``torusmirror.criteria``;
+each test runs one at the gate's sizes, ``SIZES["acceptance"]``, and emits
+a single machine-readable pass/fail line on the real stdout (bypassing
+capture) so the gate is auditable from the raw test log."""
 
 import sys
 import time
@@ -14,6 +14,7 @@ import pytest
 from torusmirror import criteria
 
 SEED = 20240901
+SIZES = criteria.SIZES["acceptance"]
 
 _CAPMAN = None
 
@@ -43,46 +44,69 @@ def timed(check, *args):
     return out, time.perf_counter() - start
 
 
+def run(name):
+    """One module of ``torusmirror suite --scale acceptance``, timed."""
+    return timed(criteria.run_module, name, "acceptance", SEED)
+
+
+def test_acceptance_sizes_are_the_stated_ones():
+    """The table holds the sizes that the criteria below state: shrinking it
+    fails here, not silently in the gate."""
+    assert SIZES["transfer"] == {"count": 50, "relations_to": 5, "morphism_to": 4}
+    assert SIZES["signs"] == {"count": 100, "corrupted": 20}
+    assert SIZES["mirror"] == {
+        "slope_triples": tuple(combinations((0, 1, 2, 3), 3)),
+        "shift_triples": tuple(product((0, Fraction(1, 2)), repeat=3)),
+        "cutoff": 25,
+    }
+    assert SIZES["fo"] == {"quadruples": ((0, 1, 2, 3), (0, 1, 3, 4)), "cutoff": 20}
+    assert SIZES["morse"] == {"count": 20}
+    assert SIZES["novikov"] == {"count": 1000}
+    assert SIZES["legendre"] == {"grids": (Fraction(1, 16), Fraction(1, 32), Fraction(1, 64))}
+    assert SIZES["trees"] == {"max_leaves": 7}
+
+
 @pytest.fixture(scope="module")
 def dg_corpus():
-    """50 seeded dg-algebras (dim <= 6) with retractions, validated by the
-    criteria that use them."""
-    corpus = criteria.retraction_corpus(SEED, 50)
+    """The transfer module's seeded dg-algebras (dim <= 6) with retractions,
+    validated by the criteria that use them."""
+    corpus = criteria.retraction_corpus(SEED, SIZES["transfer"]["count"])
     assert max(len(r.ambient.basis) for r in corpus) <= 6
     return corpus
 
 
 def test_criterion_1_transferred_relations(dg_corpus):
-    out, elapsed = timed(criteria.transferred_relations, dg_corpus, 5)
-    report(1, "transferred structure relations exact for n <= 5 on 50 dg-algebras",
-           out.ok and elapsed <= 120, elapsed)
+    n = SIZES["transfer"]["relations_to"]
+    out, elapsed = timed(criteria.transferred_relations, dg_corpus, n)
+    report(1, f"transferred structure relations exact for n <= {n} on "
+              f"{len(dg_corpus)} dg-algebras", out.ok and elapsed <= 120, elapsed)
     assert out.ok, out.failures
     assert elapsed <= 120
 
 
 def test_criterion_2_transfer_morphism(dg_corpus):
-    out, elapsed = timed(criteria.transfer_morphism_equations, dg_corpus, 4)
-    report(2, "comparison morphism equations exact for n <= 4 on the same corpus",
+    n = SIZES["transfer"]["morphism_to"]
+    out, elapsed = timed(criteria.transfer_morphism_equations, dg_corpus, n)
+    report(2, f"comparison morphism equations exact for n <= {n} on the same corpus",
            out.ok and elapsed <= 120, elapsed)
     assert out.ok, out.failures
     assert elapsed <= 120
 
 
 def test_criterion_3_sign_cross_validation():
-    out = criteria.sign_agreement(SEED, 100, 20)
+    out, _ = run("signs")
     detected = out.figures["detected"]
-    report(3, "relation_defect and bar_check agree on 100 structures "
-              "(20 corrupted, all detected)", out.ok and detected == 20)
+    report(3, f"relation_defect and bar_check agree on {len(out.cases)} structures "
+              f"({SIZES['signs']['corrupted']} corrupted, all detected)",
+           out.ok and detected == 20)
     assert out.ok, out.failures
     assert detected == 20
 
 
 def test_criterion_4_mirror_oracle():
-    shifts = [Fraction(0), Fraction(1, 2)]
-    out, elapsed = timed(criteria.mirror_grid, list(combinations([0, 1, 2, 3], 3)),
-                         list(product(shifts, repeat=3)), Fraction(25))
+    out, elapsed = run("mirror")
     runs = len(out.cases)
-    report(4, f"mirror_compare EQUAL at cutoff 25 on all {runs} "
+    report(4, f"mirror_compare EQUAL at cutoff {SIZES['mirror']['cutoff']} on all {runs} "
               "slope/shift combinations", out.ok and runs == 32 and elapsed <= 60, elapsed)
     assert out.ok, out.failures
     assert runs == 32
@@ -90,30 +114,29 @@ def test_criterion_4_mirror_oracle():
 
 
 def test_criterion_5_fukaya_associativity():
-    out = criteria.fukaya_associativity(((0, 1, 2, 3), (0, 1, 3, 4)), Fraction(20))
-    report(5, "m2 associativity exact up to cutoff 20 and m3 certified zero "
-              "on both slope quadruples", out.ok)
+    out, _ = run("fo")
+    report(5, f"m2 associativity exact up to cutoff {SIZES['fo']['cutoff']} and m3 "
+              f"certified zero on all {len(out.cases)} slope quadruples", out.ok)
     assert out.ok, out.failures
 
 
 def test_criterion_6_morse_suite():
-    out, elapsed = timed(criteria.morse_triples, SEED, 20)
-    report(6, "Morse relations exact and cohomology ranks (1,1) on 20 "
+    out, elapsed = run("morse")
+    report(6, f"Morse relations exact and cohomology ranks (1,1) on {len(out.cases)} "
               "transversal trig triples", out.ok and elapsed <= 60, elapsed)
     assert out.ok, out.failures
     assert elapsed <= 60
 
 
 def test_criterion_7_novikov_field_laws():
-    out = criteria.novikov_laws(SEED, 1000)
-    report(7, "Novikov field, valuation, and truncation laws exact on 1000 "
+    out, _ = run("novikov")
+    report(7, f"Novikov field, valuation, and truncation laws exact on {len(out.cases)} "
               "seeded cases", out.ok)
     assert out.ok, out.failures[:5]
 
 
 def test_criterion_8_legendre_monge_ampere():
-    grids = [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)]
-    out, elapsed = timed(criteria.legendre_duality, grids)
+    out, elapsed = run("legendre")
     orders = f"{out.figures['involution_order']:.2f}/{out.figures['det_order']:.2f}"
     report(8, f"Legendre errors <= C h^2 with orders {orders} >= 1.8; dual MA "
               "residual within 10 C h^2", out.ok and elapsed <= 30, elapsed)
@@ -122,7 +145,7 @@ def test_criterion_8_legendre_monge_ampere():
 
 
 def test_criterion_9_tree_counts():
-    out = criteria.tree_counts(7)
+    out, _ = run("trees")
     report(9, "tree enumeration matches little-Schroeder and Catalan "
-              "recurrence oracles for n <= 7", out.ok)
+              f"recurrence oracles for n <= {len(out.cases)}", out.ok)
     assert out.ok, out.failures

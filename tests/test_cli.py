@@ -150,18 +150,59 @@ def test_suite_subset_and_determinism(capsys, tmp_path):
 
 
 def test_suite_module_error_keeps_other_modules(capsys, monkeypatch):
-    """A module that raises is reported as that module's ERROR; the other
-    modules still report, and the suite is ERROR with exit code 1."""
+    """A module that raises, on bad input or on a broken invariant, is
+    reported as that module's ERROR; the other modules still report, and the
+    suite is ERROR with exit code 1."""
     from torusmirror import criteria
 
-    def broken(*args):
-        raise ValueError("tree count exploded")
+    def raising(error):
+        def check(*args, **kwargs):
+            raise error
+        return check
 
-    monkeypatch.setattr(criteria, "tree_counts", broken)
-    code, rep = run(capsys, "suite", "--modules", "novikov,trees", "--seed", "11")
+    monkeypatch.setattr(criteria, "tree_counts", raising(ValueError("tree count exploded")))
+    monkeypatch.setattr(criteria, "morse_triples",
+                        raising(RuntimeError("sector refinement failed")))
+    code, rep = run(capsys, "suite", "--modules", "morse,novikov,trees", "--seed", "11")
     assert code == 1 and rep["status"] == "ERROR"
     assert rep["payload"]["trees"] == {"error": "ValueError: tree count exploded", "status": "ERROR"}
+    assert rep["payload"]["morse"] == {
+        "error": "RuntimeError: sector refinement failed", "status": "ERROR"}
     assert rep["payload"]["novikov"]["status"] == "PASS"
+
+
+def test_acceptance_scale_passes_and_a_failing_module_exits_1(capsys, monkeypatch):
+    """`suite --scale acceptance` is the gate: exit 0 when every criterion
+    holds, exit 1 when one module's check fails."""
+    from torusmirror import criteria
+
+    code, rep = run(capsys, "suite", "--scale", "acceptance")
+    assert code == 0 and rep["status"] == "PASS"
+    assert rep["payload"]["mirror"]["count"] == 32
+    assert rep["payload"]["signs"]["corrupted"] == 20
+
+    monkeypatch.setattr(criteria, "legendre_duality",
+                        lambda **sizes: criteria.Outcome(["quartic"], ["det order 1.75 < 1.8"]))
+    code, rep = run(capsys, "suite", "--scale", "acceptance", "--modules", "legendre,trees")
+    assert code == 1 and rep["status"] == "FAIL"
+    assert rep["payload"]["legendre"] == {
+        "count": 1, "failures": ["det order 1.75 < 1.8"], "status": "FAIL"}
+    assert rep["payload"]["trees"]["status"] == "PASS"
+
+
+def test_cases_go_to_stderr_and_keep_stdout(capsys):
+    argv = ["suite", "--modules", "legendre,morse"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--cases"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(plain)
+    err = captured.err.splitlines()
+    assert "legendre  quartic h=1/32: involution 2.239e-08, det 9.081e-04" in err
+    assert "legendre  det h=1/32 = 0.0009081" in err
+    assert "morse  drawn = 6" in err
+    assert any(l.startswith("morse  triple   4  crit points") for l in err)
+    assert any(l.startswith("morse: 5 cases, 0 failures, ") for l in err)
 
 
 def test_missing_file_reports_error(capsys):
@@ -200,7 +241,7 @@ def test_readme_command_lines_parse(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line")[1].split("```")[1]
     lines = [l.split("#")[0] for l in block.splitlines() if l.startswith("torusmirror ")]
-    assert len(lines) == 7
+    assert len(lines) == 8
     for line in lines:
         # file arguments point into the fixture directory
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in line.split()[1:]]

@@ -290,6 +290,26 @@ def test_enumerate_below_rejects_indefinite_and_semidefinite_forms():
                                  Fraction(5)))
 
 
+def test_a_matrix_of_python_ints_enumerates_like_its_fraction_matrix():
+    cases = ((((2, 1), (1, 2)), (0, 0), Fraction(5), 19),
+             (((3, 1, 0), (1, 2, 1), (0, 1, 4)), (Fraction(1, 3), 0, Fraction(-1, 2)),
+              Fraction(40), 726))
+    for rows, v, bound, count in cases:
+        results = []
+        for m in (rows, mat(rows)):
+            lattice._definite_form.cache_clear()  # equal matrices share one cache entry
+            results.append(lattice_points(m, v, 0, bound))
+            assert list(enumerate_below(m, v, 0, bound)) == [t for t, _ in results[-1][1]]
+        assert results[0] == results[1] and len(results[0][1]) == count
+
+
+def test_a_float_matrix_entry_is_rejected():
+    lattice._definite_form.cache_clear()  # a float matrix equals its rational twin
+    for m in (((2.0, 1.0), (1.0, 2.0)), ((2, Fraction(1, 2)), (0.5, 2))):
+        with pytest.raises(ValueError, match="exact rationals"):
+            lattice_points(m, (0, 0), 0, Fraction(5))
+
+
 # -- layering ---------------------------------------------------------------------
 
 

@@ -283,6 +283,13 @@ def test_quartic_duality_errors_shrink_at_second_order():
     assert order_det >= 1.8
 
 
+def test_two_grids_are_a_negative_control_for_the_det_order():
+    """From h = 1/16 to 1/32 alone the quartic's det error falls at order
+    1.75, so criterion 8's order check must fail there and only there."""
+    out = criteria.legendre_duality([Fraction(1, 16), Fraction(1, 32)])
+    assert out.failures == ["det order 1.75 < 1.8"]
+
+
 # -- order reversal --------------------------------------------------------------
 
 
