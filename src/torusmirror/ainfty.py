@@ -6,9 +6,11 @@ code only uses ring operations and zero tests.
 
 Composites of operations, ``outer o (s_1 x ... x s_k)``, all go through one
 kernel, :func:`compose`: the structure relations, the morphism equations
-and the tree formulas of homotopy transfer.  The kernel has no sign: every
-Koszul and suspension sign reads the inputs of a single table, so it is a
-+-1 on that table's rows (:func:`signed`).  The morphism equations and
+and the tree formulas of homotopy transfer.  It fills one slot at a time,
+so a Novikov composite may carry a higher, still valid, O(q^c) than the
+sum of its term products.  The kernel has no sign: every Koszul and
+suspension sign reads the inputs of a single table, so it is a +-1 on
+that table's rows (:func:`signed`).  The morphism equations and
 homotopy transfer compose rational tables as integer numerators over one
 denominator per table (:func:`_integral`), and go back to ``Fraction``
 only when an operation is built.
@@ -241,39 +243,38 @@ def compose(outer: Table, slots: Sequence[Optional[Table]]) -> Table:
     """Table of  outer o (s_1 x ... x s_k)  for sparse tables
     ``input tuple -> {output label: coefficient}``.
 
-    A slot of ``None`` is the identity.  The walk starts from the entries
-    of ``outer`` and looks each of their inputs up among the outputs of
-    its slot, so a term is visited only if it reaches an entry of
-    ``outer``.  Signs are not the kernel's business: each sign factor reads
-    the inputs of one table, so callers put it on that table's rows with
-    :func:`signed`.
+    A slot of ``None`` is the identity.  Slots are filled one at a time,
+    last first, so the positions still to fill do not move: filling slot t
+    looks the label at position t of each key up among the slot's outputs,
+    and the terms that reach one key are summed before the next slot
+    multiplies them.  Every key reached is kept, also when its terms
+    cancel.  On rationals, or with one filled slot, this is the sum over
+    all tuples of producers; on Novikov entries p (a + b) may carry a
+    higher, still valid, O(q^c) than p a + p b when a + b cancels.  Signs
+    are not the kernel's business: each sign factor reads the inputs of
+    one table, so callers put it on that table's rows with :func:`signed`.
     """
+    table = outer
     by_output: Dict[int, Dict[Label, list]] = {}
-    for s in slots:
-        if s is not None and id(s) not in by_output:
+    for t in reversed(range(len(slots))):
+        s = slots[t]
+        if s is None:
+            continue
+        idx = by_output.get(id(s))
+        if idx is None:
             idx = by_output[id(s)] = {}
             for ins, row in s.items():
                 for o, c in row.items():
                     idx.setdefault(o, []).append((ins, c))
-    index = [None if s is None else by_output[id(s)] for s in slots]
-    out: Table = {}
-    for o_ins, o_row in outer.items():
-        # partial terms: (input key, coefficient or None for 1)
-        terms = [((), None)]
-        for lab, idx in zip(o_ins, index):
-            if idx is None:
-                terms = [(key + (lab,), c) for key, c in terms]
-                continue
-            producers = idx.get(lab)
-            if not producers:
-                break
-            terms = [(key + ins, p if c is None else c * p) for key, c in terms for ins, p in producers]
-        else:
-            for key, c in terms:
-                dst = out.setdefault(key, {})
-                for o, o_c in o_row.items():
-                    dst[o] = dst.get(o, 0) + (o_c if c is None else c * o_c)
-    return out
+        out: Table = {}
+        for key, row in table.items():
+            head, tail = key[:t], key[t + 1:]
+            for ins, p in idx.get(key[t], ()):
+                dst = out.setdefault(head + ins + tail, {})
+                for o, c in row.items():
+                    dst[o] = dst.get(o, 0) + p * c
+        table = out
+    return {ins: dict(row) for ins, row in outer.items()} if table is outer else table
 
 
 def signed(table: Table, sign: Callable[[tuple], int]) -> Table:

@@ -211,11 +211,12 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
     )
 
 
-def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
+def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Optional[Fraction]) -> RunReport:
     from .ainfty import relation_defect
-    from .criteria import circle_sections
+    from .criteria import SIZES, circle_sections
     from .fukaya_oh import fukaya_sequence, mk_vanishing_certificate
 
+    cutoff = SIZES["acceptance"]["fo"]["cutoff"] if cutoff is None else cutoff
     inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 4:
         return RunReport("fo", _digest(inputs), "ERROR", {"error": "need 4 slopes"}, 0.0)
@@ -236,10 +237,11 @@ def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> 
     return RunReport("fo", _digest(inputs), status, payload, 0.0)
 
 
-def cmd_mirror(slopes: List[Fraction], shifts: List[Fraction], cutoff: Fraction) -> RunReport:
-    from .criteria import circle_sections
+def cmd_mirror(slopes: List[Fraction], shifts: List[Fraction], cutoff: Optional[Fraction]) -> RunReport:
+    from .criteria import SIZES, circle_sections
     from .mirror import mirror_compare
 
+    cutoff = SIZES["acceptance"]["mirror"]["cutoff"] if cutoff is None else cutoff
     inputs = _slope_inputs(slopes, shifts, cutoff)
     if len(slopes) != 3:
         return RunReport("mirror", _digest(inputs), "ERROR", {"error": "need 3 slopes"}, 0.0)
@@ -379,12 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fo", help="Fukaya product associativity for a slope quadruple")
     s.add_argument("--slopes", type=_fraction_list, required=True)
     s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=Fraction, default=Fraction(20))
+    s.add_argument("--cutoff", type=Fraction, default=None,
+                   help="default: the acceptance cutoff of criteria.SIZES")
 
     s = sub.add_parser("mirror", help="triangle products vs theta multiplication")
     s.add_argument("--slopes", type=_fraction_list, required=True)
     s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=Fraction, default=Fraction(25))
+    s.add_argument("--cutoff", type=Fraction, default=None,
+                   help="default: the acceptance cutoff of criteria.SIZES")
 
     s = sub.add_parser("legendre", help="discrete Legendre duality checks on a JSON grid")
     s.add_argument("file")

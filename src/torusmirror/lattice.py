@@ -232,11 +232,9 @@ def coset_representatives(a: Mat) -> list:
 
 @lru_cache(maxsize=256)
 def _definite_form(m: Mat) -> Tuple[Mat, int]:
-    """m^{-1} and the least d with d m integral and d m_ii even, checked once per matrix.
-
-    The entries of m may be ints or Fractions, not floats."""
-    if not all(isinstance(x, Rational) for row in m for x in row):
-        raise ValueError("quadratic form entries must be exact rationals")
+    """m^{-1} and the least d with d m integral and d m_ii even, checked once per
+    matrix of ints or Fractions (a float matrix would hit its rational twin's
+    cache entry, so :func:`lattice_points` rejects floats before the call)."""
     if not is_positive_definite(m):
         raise ValueError("quadratic form must be positive definite")
     return mat_inv(m), lcm(*(x.denominator for row in m for x in row),
@@ -264,6 +262,8 @@ def lattice_points(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Tuple[int, l
     coordinate, and the isqrt of its integer discriminant gives exactly the x
     with D q < D bound.  Partial sums of D q are updated in integers.
     """
+    if not all(isinstance(x, Rational) for row in m for x in row):
+        raise ValueError("quadratic form entries must be exact rationals")
     minv, dm = _definite_form(m)
     n = len(m)
     den = lcm(dm, c.denominator, *(x.denominator for x in v))

@@ -4,6 +4,7 @@ the bar-construction cross-check."""
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -123,6 +124,89 @@ def test_compose_kernel():
         assert got == compose(outer, [signed(s1, sgn), None])
         assert all(type(c) is Fraction for row in got.values() for c in row.values())
     assert got[("a", "v")] == {"w": q(1, 5)} and got[("b", "z")] == {"w": -q(35, 24), "x": q(-25, 6)}
+
+
+def _one_pass_compose(outer, slots):
+    """Reference model of `compose`: one pass per entry of `outer` over the
+    full cross product of producers of its slots."""
+    index = []
+    for s in slots:
+        idx = None
+        if s is not None:
+            idx = {}
+            for ins, row in s.items():
+                for o, c in row.items():
+                    idx.setdefault(o, []).append((ins, c))
+        index.append(idx)
+    out = {}
+    for o_ins, o_row in outer.items():
+        terms = [((), None)]  # (input key, coefficient or None for 1)
+        for lab, idx in zip(o_ins, index):
+            if idx is None:
+                terms = [(key + (lab,), c) for key, c in terms]
+                continue
+            producers = idx.get(lab)
+            if not producers:
+                break
+            terms = [(key + ins, p if c is None else c * p) for key, c in terms for ins, p in producers]
+        else:
+            for key, c in terms:
+                dst = out.setdefault(key, {})
+                for o, o_c in o_row.items():
+                    dst[o] = dst.get(o, 0) + (o_c if c is None else c * o_c)
+    return out
+
+
+def _random_table(rng, labels, outputs, arities, coeff):
+    """Sparse table: about half of the input tuples over `labels`, each
+    with one or two outputs among `outputs`."""
+    table = {}
+    for k in arities:
+        for ins in product(labels, repeat=k):
+            if rng.random() < 0.5:
+                table[ins] = {o: coeff(rng) for o in rng.sample(outputs, rng.randint(1, 2))}
+    return table
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_compose_matches_the_one_pass_model(kind):
+    """Slot at a time gives the one-pass table, zero-valued keys and value
+    types included: 1-4 slots, identity slots between filled ones, labels
+    that nothing produces, one table in several slots, and +-1 coefficients
+    whose sums cancel."""
+    coeff = (lambda rng: rng.choice((-1, 1, 2))) if kind is int else (
+        lambda rng: Fraction(rng.choice((-1, 1, 3)), rng.choice((1, 2))))
+    zeros = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        k = 1 + seed % 4
+        outer = _random_table(rng, "uvwz", ["r", "s"], [k], coeff)
+        g = _random_table(rng, "ab", list("uvw"), [1, 2], coeff)  # nothing produces "z"
+        slots = [rng.choice((None, g, g, _random_table(rng, "ab", list("uvwz"), [1], coeff)))
+                 for _ in range(k)]
+        got, want = compose(outer, slots), _one_pass_compose(outer, slots)
+        assert got == want
+        assert all(type(c) is type(want[ins][o]) for ins, row in got.items() for o, c in row.items())
+        zeros += sum(c == 0 for row in got.values() for c in row.values())
+    assert zeros > 0
+
+
+def test_compose_novikov_cutoff_is_never_lower():
+    """Summing before multiplying: a (b + c) may carry a higher O(q^c) than
+    a b + a c when b + c cancels its leading terms; the terms below the
+    one-pass cutoff agree."""
+    a = NovikovElem([(7, -2)], 9)
+    b = NovikovElem([(1, 2), (Fraction(3, 2), 2)])
+    c = NovikovElem([(1, -2), (6, 1)], Fraction(13, 2))
+    outer = {("x", "y"): {"o": 1}, ("x", "y2"): {"o": 1}}
+    slots = [{("u",): {"x": a}}, {("v",): {"y": b, "y2": c}}]
+    got = compose(outer, slots)[("u", "v")]["o"]
+    want = _one_pass_compose(outer, slots)[("u", "v")]["o"]
+    assert (got.cutoff, want.cutoff) == (Fraction(21, 2), 10)
+    assert got.truncate(want.cutoff) == want == NovikovElem([(Fraction(17, 2), -4)], 10)
+    # one filled slot multiplies as the one-pass sum does, cutoff included
+    slots = [None, slots[1]]
+    assert compose(outer, slots) == _one_pass_compose(outer, slots)
 
 
 def test_structure_validates_arity_and_shift():

@@ -2,6 +2,9 @@
 JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +100,29 @@ def test_fo_and_mirror_commands(capsys):
     assert code == 1 and rep["status"] == "ERROR"
     code, rep = run(capsys, "fo", "--slopes", "0,1,2", "--cutoff", "8")
     assert code == 1 and rep["status"] == "ERROR"
+
+
+def test_fo_and_mirror_default_to_the_acceptance_cutoffs(capsys):
+    from torusmirror.criteria import SIZES
+
+    for command, slopes in (("fo", "0,1,2,3"), ("mirror", "0,1,2")):
+        cutoff = SIZES["acceptance"][command]["cutoff"]
+        outs = []
+        for extra in ([], ["--cutoff", str(cutoff)]):
+            assert main([command, "--slopes", slopes, *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_neither_numpy_nor_sympy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, torusmirror.cli\nprint(sorted({'numpy', 'sympy'} & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_legendre_command(capsys, tmp_path):

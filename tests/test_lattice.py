@@ -304,7 +304,8 @@ def test_a_matrix_of_python_ints_enumerates_like_its_fraction_matrix():
 
 
 def test_a_float_matrix_entry_is_rejected():
-    lattice._definite_form.cache_clear()  # a float matrix equals its rational twin
+    # also once its rational twin, an equal cache key, has been enumerated
+    assert len(lattice_points(((2, 1), (1, 2)), (0, 0), 0, Fraction(5))[1]) == 19
     for m in (((2.0, 1.0), (1.0, 2.0)), ((2, Fraction(1, 2)), (0.5, 2))):
         with pytest.raises(ValueError, match="exact rationals"):
             lattice_points(m, (0, 0), 0, Fraction(5))
