@@ -67,10 +67,12 @@ def _frac_obj(x: Fraction) -> List[int]:
 
 
 def _frac(v) -> Fraction:
-    """A JSON rational: [numerator, denominator] or anything Fraction reads."""
-    if isinstance(v, list) and v[1] == 0:
-        raise ValueError(f"zero denominator in {v}")
-    return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
+    """A rational from JSON or the command line: [numerator, denominator] or
+    anything Fraction reads; a zero denominator is a ValueError."""
+    try:
+        return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v}") from None
 
 
 def _slope_inputs(slopes, shifts, cutoff) -> dict:
@@ -166,7 +168,7 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
 
     with open(path) as f:
         obj = json.load(f)
-    cut = Fraction(cutoff) if cutoff is not None else None
+    cut = _frac(cutoff) if cutoff is not None else None
     if sub == "crit":
         f0 = _trig_from_obj(obj["f0"])
         f1 = _trig_from_obj(obj.get("f1", {}))
@@ -356,7 +358,7 @@ def cmd_suite(seed: int, modules: Optional[List[str]], scale: str = "suite",
 
 
 def _fraction_list(s: str) -> List[Fraction]:
-    return [Fraction(x) for x in s.split(",") if x]
+    return [_frac(x) for x in s.split(",") if x]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fo", help="Fukaya product associativity for a slope quadruple")
     s.add_argument("--slopes", type=_fraction_list, required=True)
     s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=Fraction, default=None,
+    s.add_argument("--cutoff", type=_frac, default=None,
                    help="default: the acceptance cutoff of criteria.SIZES")
 
     s = sub.add_parser("mirror", help="triangle products vs theta multiplication")
     s.add_argument("--slopes", type=_fraction_list, required=True)
     s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=Fraction, default=None,
+    s.add_argument("--cutoff", type=_frac, default=None,
                    help="default: the acceptance cutoff of criteria.SIZES")
 
     s = sub.add_parser("legendre", help="discrete Legendre duality checks on a JSON grid")

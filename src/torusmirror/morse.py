@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -504,32 +505,15 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
         v = g2.at_half()
         pts.append((1 if v > 0 else -1, CirclePoint.half()))
 
-    # cyclic order on [0,1): t >= 0 ascending, then y = 1/2, then t < 0 ascending
-    def sort_key_groups():
-        zero_sector = [q for q in pts if q[1].sector() == 0]
-        half = [q for q in pts if q[1].sector() == 1]
-        neg = [q for q in pts if q[1].sector() == 2]
-        for group in (zero_sector, neg):
-            group.sort(key=lambda q: q[1].lo)  # isolating intervals are disjoint
-        return zero_sector + half + neg
-
-    ordered = sort_key_groups()
-    crit = []
-    for i, (s2, cp) in enumerate(ordered):
-        crit.append(
-            CriticalPoint(
-                label=i,
-                index=0 if s2 > 0 else 1,
-                point=cp,
-                y_interval=_y_interval(cp),
-                second_sign=s2,
-            )
-        )
-    n_min = sum(1 for c in crit if c.index == 0)
-    n_max = len(crit) - n_min
-    if n_min != n_max or any(
-        crit[i].index == crit[(i + 1) % len(crit)].index for i in range(len(crit))
-    ):
+    # cyclic order on [0,1): t >= 0 ascending, then y = 1/2, then t < 0
+    # ascending (isolating intervals are disjoint); labels are positions
+    pts.sort(key=lambda q: (q[1].sector(), q[1].lo))
+    crit = [
+        CriticalPoint(label=i, index=0 if s2 > 0 else 1, point=cp,
+                      y_interval=_y_interval(cp), second_sign=s2)
+        for i, (s2, cp) in enumerate(pts)
+    ]
+    if any(c.index == crit[i - 1].index for i, c in enumerate(crit)):
         raise NonMorseError("critical points do not alternate min/max")
     return CriticalSet(f, tuple(crit))
 
@@ -546,21 +530,22 @@ def _descent_direction(g: TrigPolynomial, p: CirclePoint) -> int:
 
 def _flow_target(crit: CriticalSet, p: CirclePoint, direction: int) -> CriticalPoint:
     """First critical point of crit met from p moving in the given direction."""
-    pts = crit.points
-    n = len(pts)
-    below = 0
-    for c in pts:
-        if c.point.less_than(p):
-            below += 1
-    if direction > 0:
-        return pts[below % n]
-    return pts[(below - 1) % n]
+    below = sum(1 for c in crit.points if c.point.less_than(p))
+    return crit.points[(below if direction > 0 else below - 1) % len(crit.points)]
 
 
-def _shared_critical_point(ga: TrigPolynomial, gb: TrigPolynomial) -> bool:
-    da, db = _dtheta_cached(ga), _dtheta_cached(gb)
-    common = _gcd(_primitive(da.numerator_coeffs()), _primitive(db.numerator_coeffs()))
-    return _has_real_root(common) or (da.at_half() == 0 and db.at_half() == 0)
+def _transversal_differences(f0: TrigPolynomial, f1: TrigPolynomial, f2: TrigPolynomial):
+    """The differences (f0-f1, f1-f2, f0-f2) and their critical sets.
+
+    Raises ValueError (NonMorseError among them) unless each difference is
+    Morse and no two of them share a critical point."""
+    gs = (f0 - f1, f1 - f2, f0 - f2)
+    crits = tuple(critical_points(g) for g in gs)
+    for da, db in combinations([_dtheta_cached(g) for g in gs], 2):
+        common = _gcd(_primitive(da.numerator_coeffs()), _primitive(db.numerator_coeffs()))
+        if _has_real_root(common) or (da.at_half() == 0 and db.at_half() == 0):
+            raise ValueError("transversality failure: shared critical point")
+    return gs, crits
 
 
 # ---------------------------------------------------------------------------
@@ -601,29 +586,28 @@ def cohomology_ranks(op: MultilinearOp) -> Tuple[int, int]:
     return (len(mins) - r, len(maxs) - r)
 
 
-# Frozen case signs for the three Y-tree shapes.  Convention: orient every
-# tree edge away from the internal vertex; an edge contributes +1 when it
-# leaves the vertex in the positive circle direction, -1 otherwise.  With the
-# direction variables used in m2 below this gives the constants here; the
-# Leibniz relation for (d, m2) on random transversal triples singles out this
-# assignment up to a global flip (the calibration is re-checked in the tests).
+# Signs of the three Y-tree shapes, one row each of the case table in m2.  A
+# row names the slot of the internal vertex: a minimum x2 of g02 (shape
+# (0,0) -> 0), a maximum x0 of g01 ((1,0) -> 1) or a maximum x1 of g12
+# ((0,1) -> 1).  Each other arc leaves the vertex along the descent direction
+# d of its difference there; the arc ends at the first critical point in
+# direction d for an input arc and in -d for the output arc, which descends
+# into the vertex.  A tree's sign is its row's constant times the two d's;
+# the Leibniz relation for (d, m2) on random transversal triples singles out
+# these constants up to a global flip (the calibration is re-checked in the
+# tests).
 _SIGN_MIN_MIN = 1
 _SIGN_MAX_INPUT_0 = -1
 _SIGN_MAX_INPUT_1 = -1
 
 
 def _weight_scalar(
-    weighted: bool,
     cutoff: Optional[Fraction],
-    g01: TrigPolynomial,
-    g12: TrigPolynomial,
-    g02: TrigPolynomial,
-    x0: CriticalPoint,
-    x1: CriticalPoint,
-    x2: CriticalPoint,
-):
-    if not weighted:
-        return 1
+    gs: Sequence[TrigPolynomial],
+    xs: Sequence[CriticalPoint],
+) -> NovikovElem:
+    """q^w for the total variation w = g02(x2) - g01(x0) - g12(x1) of a tree."""
+    (g01, g12, g02), (x0, x1, x2) = gs, xs
     eps = _VALUE_EPS
     while True:
         (lo2, hi2), (lo0, hi0), (lo1, hi1) = (
@@ -636,7 +620,7 @@ def _weight_scalar(
             break
         eps /= 2**8
     if hi < 0:
-        raise AssertionError("negative total variation in a gradient tree")
+        raise RuntimeError("negative total variation in a gradient tree")
     return NovikovElem.q_power(_dyadic(lo, hi), 1, cutoff)
 
 
@@ -658,71 +642,36 @@ def m2(
     """
     if cutoff is not None:
         cutoff = Fraction(cutoff)
-    g01, g12, g02 = f0 - f1, f1 - f2, f0 - f2
-    c01 = critical_points(g01)
-    c12 = critical_points(g12)
-    c02 = critical_points(g02)
-    for ga, gb in ((g01, g12), (g01, g02), (g12, g02)):
-        if _shared_critical_point(ga, gb):
-            raise ValueError("transversality failure: shared critical point")
-
+    gs, crits = _transversal_differences(f0, f1, f2)
+    c01, c12, c02 = crits
+    cases = ((2, c02.minima, _SIGN_MIN_MIN), (0, c01.maxima, _SIGN_MAX_INPUT_0),
+             (1, c12.maxima, _SIGN_MAX_INPUT_1))
     entries: Dict[Tuple, Dict] = {}
-
-    def add(x0: CriticalPoint, x1: CriticalPoint, x2: CriticalPoint, sign: int):
-        scalar = _weight_scalar(weighted, cutoff, g01, g12, g02, x0, x1, x2)
-        row = entries.setdefault((x0.label, x1.label), {})
-        row[x2.label] = row.get(x2.label, 0) + sign * scalar
-
-    # (0,0) -> 0: vertex at the output minimum x2; both input arcs descend
-    # from the vertex and are traversed away from it.
-    for x2 in c02.minima:
-        d1 = _descent_direction(g01, x2.point)
-        d2 = _descent_direction(g12, x2.point)
-        x0 = _flow_target(c01, x2.point, d1)
-        x1 = _flow_target(c12, x2.point, d2)
-        if (x0.index, x1.index) != (0, 0):
-            raise RuntimeError("flow line ends at a critical point of the wrong index")
-        add(x0, x1, x2, _SIGN_MIN_MIN * d1 * d2)
-
-    # (1,0) -> 1: vertex at the maximum x0; the g12 arc descends away from
-    # the vertex, the g02 arc descends from x2 into the vertex.
-    for x0 in c01.maxima:
-        d2 = _descent_direction(g12, x0.point)
-        x1 = _flow_target(c12, x0.point, d2)
-        u = -_descent_direction(g02, x0.point)  # ascent direction
-        x2 = _flow_target(c02, x0.point, u)
-        if (x1.index, x2.index) != (0, 1):
-            raise RuntimeError("flow line ends at a critical point of the wrong index")
-        add(x0, x1, x2, _SIGN_MAX_INPUT_0 * d2 * (-u))
-
-    # (0,1) -> 1: vertex at the maximum x1, symmetric to the previous case.
-    for x1 in c12.maxima:
-        d1 = _descent_direction(g01, x1.point)
-        x0 = _flow_target(c01, x1.point, d1)
-        u = -_descent_direction(g02, x1.point)
-        x2 = _flow_target(c02, x1.point, u)
-        if (x0.index, x2.index) != (0, 1):
-            raise RuntimeError("flow line ends at a critical point of the wrong index")
-        add(x0, x1, x2, _SIGN_MAX_INPUT_1 * d1 * (-u))
-
-    return MultilinearOp(
-        2, c01.basis(), c02.basis(), 0, entries, check_degrees=False
-    )
+    for vertex, vertices, case_sign in cases:
+        for v in vertices:
+            xs, sign = [v, v, v], case_sign
+            for slot in range(3):
+                if slot != vertex:
+                    d = _descent_direction(gs[slot], v.point)
+                    xs[slot] = _flow_target(crits[slot], v.point, -d if slot == 2 else d)
+                    sign *= d
+            x0, x1, x2 = xs  # the degrees of a tree add up
+            if x0.index + x1.index != x2.index:
+                raise RuntimeError("flow line ends at a critical point of the wrong index")
+            scalar = _weight_scalar(cutoff, gs, xs) if weighted else 1
+            row = entries.setdefault((x0.label, x1.label), {})
+            row[x2.label] = row.get(x2.label, 0) + sign * scalar
+    return MultilinearOp(2, c01.basis(), c02.basis(), 0, entries, check_degrees=False)
 
 
 def transversal_triple(f0: TrigPolynomial, f1: TrigPolynomial, f2: TrigPolynomial) -> bool:
     """True iff the three pairwise differences are Morse with pairwise
     disjoint critical sets."""
     try:
-        for g in (f0 - f1, f1 - f2, f0 - f2):
-            critical_points(g)
-    except (NonMorseError, ValueError):
+        _transversal_differences(f0, f1, f2)
+    except ValueError:
         return False
-    g01, g12, g02 = f0 - f1, f1 - f2, f0 - f2
-    return not any(
-        _shared_critical_point(ga, gb)
-        for ga, gb in ((g01, g12), (g01, g02), (g12, g02))
-    )
+    return True
 
 
 def basis_rescale(op: MultilinearOp, f_list: Sequence[TrigPolynomial], cutoff=None) -> MultilinearOp:
@@ -751,12 +700,10 @@ def basis_rescale(op: MultilinearOp, f_list: Sequence[TrigPolynomial], cutoff=No
     for ins, row in op.entries.items():
         scale_in = NovikovElem.one(cutoff)
         for slot, label in enumerate(ins):
-            c = next(p for p in crits[slot].points if p.label == label)
-            scale_in = scale_in * factor(diffs[slot], c, +1)
+            scale_in = scale_in * factor(diffs[slot], crits[slot].points[label], +1)
         new_row = {}
         for out, coeff in row.items():
-            c = next(p for p in crit_out.points if p.label == out)
-            new_row[out] = coeff * scale_in * factor(gout, c, -1)
+            new_row[out] = coeff * scale_in * factor(gout, crit_out.points[out], -1)
         entries[ins] = new_row
     return MultilinearOp(
         op.arity, op.source, op.target, op.shift, entries, check_degrees=False

@@ -263,6 +263,45 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
         assert code == 1 and rep["status"] == "ERROR"
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_mirror_zero_denominator_is_a_usage_error(capsys):
+    for argv in (["--slopes", "0,1/0,2"], ["--slopes", "0,1,2", "--shifts", "0,1/0,0"]):
+        code, err = usage_error(capsys, "mirror", *argv)
+        assert code == 2 and "invalid" in err
+
+
+def test_fo_zero_denominator_cutoff_is_a_usage_error(capsys):
+    code, err = usage_error(capsys, "fo", "--slopes", "0,1,2,3", "--cutoff", "1/0")
+    assert code == 2 and "argument --cutoff" in err
+
+
+def test_morse_zero_denominator_reports_error(capsys, tmp_path):
+    path = tmp_path / "trig.json"
+    path.write_text(json.dumps({"f0": {"cos": {"2": 1}}, "f1": {},
+                                "f2": {"cos": {"1": [1, 2]}, "sin": {"1": [1, 3]}}}))
+    code, rep = run(capsys, "morse", "m2", str(path), "--weighted", "--cutoff", "1/0")
+    assert code == 1 and rep["status"] == "ERROR"
+    assert "zero denominator" in rep["payload"]["error"]
+    path.write_text(json.dumps({"f0": {"cos": {"1": "1/0"}}}))
+    code, rep = run(capsys, "morse", "crit", str(path))
+    assert code == 1 and rep["status"] == "ERROR"
+    assert "zero denominator" in rep["payload"]["error"]
+
+
+def test_legendre_zero_denominator_reports_error(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"box": [[-1, 1]], "h": "1/0", "values": [0.5, 0.0, 0.5],
+                                "dual_box": [[-1, 1]], "dual_h": [1, 2]}))
+    code, rep = run(capsys, "legendre", str(path))
+    assert code == 1 and rep["status"] == "ERROR"
+    assert "zero denominator" in rep["payload"]["error"]
+
+
 def test_readme_command_lines_parse(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line")[1].split("```")[1]

@@ -86,6 +86,7 @@ def test_critical_points_alternate_and_positions_are_certified():
         assert hi - lo < Fraction(1, 2**40)
         assert 0 <= lo and hi < Fraction(3, 2)
         assert p.index != crit.points[(i + 1) % n].index
+    assert [p.label for p in crit.points] == list(range(len(crit.points)))
 
 
 def test_constant_difference_is_rejected():
