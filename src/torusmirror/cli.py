@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -39,26 +39,19 @@ class RunReport:
     inputs_digest: str
     status: str  # PASS | FAIL | ERROR
     payload: dict
-    timing: float
-
-    def to_obj(self) -> dict:
-        # timing excluded: serialized reports must be byte-identical across
-        # runs on identical inputs
-        return {
-            "command": self.command,
-            "inputs_digest": self.inputs_digest,
-            "status": self.status,
-            "payload": self.payload,
-        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
+def _report(command: str, inputs, status: str, payload: dict) -> RunReport:
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True, default=str).encode())
+    return RunReport(command, digest.hexdigest()[:16], status, payload)
+
+
+def _load(path: str):
+    with open(path) as f:
+        return json.load(f)
 
 
 def _frac_obj(x: Fraction) -> List[int]:
@@ -66,7 +59,7 @@ def _frac_obj(x: Fraction) -> List[int]:
     return [x.numerator, x.denominator]
 
 
-def _frac(v) -> Fraction:
+def rational(v) -> Fraction:
     """A rational from JSON or the command line: [numerator, denominator] or
     anything Fraction reads; a zero denominator is a ValueError."""
     try:
@@ -75,12 +68,8 @@ def _frac(v) -> Fraction:
         raise ValueError(f"zero denominator in {v}") from None
 
 
-def _slope_inputs(slopes, shifts, cutoff) -> dict:
-    return {
-        "slopes": [_frac_obj(s) for s in slopes],
-        "shifts": [_frac_obj(s) for s in shifts],
-        "cutoff": _frac_obj(cutoff),
-    }
+def rational_list(s: str) -> List[Fraction]:
+    return [rational(x) for x in s.split(",") if x]
 
 
 def _label_str(label) -> str:
@@ -95,110 +84,81 @@ def _label_str(label) -> str:
 def cmd_check_ainfty(path: str, max_arity: Optional[int]) -> RunReport:
     from .ainfty import AInftyStructure, bar_check, relation_defect
 
-    with open(path) as f:
-        obj = json.load(f)
+    obj = _load(path)
     A = AInftyStructure.from_obj(obj)
     top = max_arity or A.max_arity() + 1
     defects = []
-    ok = True
     for n in range(1, top + 1):
         d = relation_defect(A, n)
         entry = {"arity": n, "zero": d.is_zero()}
         if not d.is_zero():
-            ok = False
-            ins, out, c = next(d.nonzero_entries())
+            ins, out, _c = next(d.nonzero_entries())
             entry["first_failure"] = {
                 "inputs": [_label_str(l) for l in ins],
                 "output": _label_str(out),
             }
         defects.append(entry)
+    ok = all(entry["zero"] for entry in defects)
     bar = bar_check(A, min(top, 4))
     payload = {
         "max_arity": top,
         "defects": defects,
         "bar_check": {"ok": bar.ok, "failures": sorted(bar.failures)},
     }
-    return RunReport(
-        "check-ainfty", _digest(obj), "PASS" if ok and bar.ok else "FAIL", payload, 0.0
-    )
+    return _report("check-ainfty", obj, "PASS" if ok and bar.ok else "FAIL", payload)
 
 
 def cmd_transfer(path: str, max_arity: int) -> RunReport:
     from .ainfty import relation_defect
     from .transfer import RetractionData, transfer_structure, validate
 
-    with open(path) as f:
-        obj = json.load(f)
+    obj = _load(path)
     r = RetractionData.from_obj(obj)
     rep = validate(r)
     if not rep.ok:
-        return RunReport(
-            "transfer",
-            _digest(obj),
-            "ERROR",
-            {"validation": sorted(rep.failures)},
-            0.0,
-        )
+        return _report("transfer", obj, "ERROR", {"validation": sorted(rep.failures)})
     B = transfer_structure(r, max_arity=max_arity)
-    defects = []
-    ok = True
-    for n in range(1, max_arity + 1):
-        d = relation_defect(B, n)
-        defects.append({"arity": n, "zero": d.is_zero()})
-        ok = ok and d.is_zero()
+    defects = [{"arity": n, "zero": relation_defect(B, n).is_zero()}
+               for n in range(1, max_arity + 1)]
     payload = {
         "sub_dimension": len(r.sub_basis),
         "transferred": B.to_obj(),
         "defects": defects,
     }
-    return RunReport("transfer", _digest(obj), "PASS" if ok else "FAIL", payload, 0.0)
+    ok = all(entry["zero"] for entry in defects)
+    return _report("transfer", obj, "PASS" if ok else "FAIL", payload)
 
 
 def _trig_from_obj(obj):
     from .morse import TrigPolynomial
 
     def coeffs(part):
-        return {int(k): _frac(v) for k, v in obj.get(part, {}).items()}
+        return {int(k): rational(v) for k, v in obj.get(part, {}).items()}
 
     return TrigPolynomial.from_dicts(coeffs("cos"), coeffs("sin"))
 
 
-def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> RunReport:
+def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[Fraction]) -> RunReport:
     from . import morse
 
-    with open(path) as f:
-        obj = json.load(f)
-    cut = _frac(cutoff) if cutoff is not None else None
+    obj = _load(path)
     if sub == "crit":
         f0 = _trig_from_obj(obj["f0"])
         f1 = _trig_from_obj(obj.get("f1", {}))
         crit = morse.critical_points(f0 - f1)
-        payload = {
-            "points": [
-                {
-                    "label": p.label,
-                    "index": p.index,
-                    "y_interval": [_frac_obj(p.y_interval[0]), _frac_obj(p.y_interval[1])],
-                }
-                for p in crit.points
-            ]
-        }
+        payload = {"points": [
+            {"label": p.label, "index": p.index, "y_interval": [_frac_obj(y) for y in p.y_interval]}
+            for p in crit.points
+        ]}
     elif sub == "diff":
         op = morse.morse_differential(_trig_from_obj(obj["f0"]), _trig_from_obj(obj["f1"]))
         payload = {
-            "entries": [
-                [list(ins), out, int(c)] for ins, out, c in op.nonzero_entries()
-            ],
+            "entries": [[list(ins), out, int(c)] for ins, out, c in op.nonzero_entries()],
             "cohomology_ranks": list(morse.cohomology_ranks(op)),
         }
-    elif sub == "m2":
-        op = morse.m2(
-            _trig_from_obj(obj["f0"]),
-            _trig_from_obj(obj["f1"]),
-            _trig_from_obj(obj["f2"]),
-            weighted=weighted,
-            cutoff=cut,
-        )
+    else:  # m2; argparse's choices admit nothing else
+        fs = (_trig_from_obj(obj[k]) for k in ("f0", "f1", "f2"))
+        op = morse.m2(*fs, weighted=weighted, cutoff=cutoff)
         payload = {
             "weighted": weighted,
             "entries": [
@@ -206,85 +166,89 @@ def cmd_morse(sub: str, path: str, weighted: bool, cutoff: Optional[str]) -> Run
                 for ins, out, c in op.nonzero_entries()
             ],
         }
-    else:  # pragma: no cover
-        raise ValueError(sub)
-    return RunReport(
-        f"morse-{sub}", _digest(obj), "PASS", payload, 0.0
-    )
+    return _report(f"morse-{sub}", obj, "PASS", payload)
 
 
-def cmd_fo(slopes: List[Fraction], shifts: List[Fraction], cutoff: Optional[Fraction]) -> RunReport:
-    from .ainfty import relation_defect
-    from .criteria import SIZES, circle_sections
-    from .fukaya_oh import fukaya_sequence, mk_vanishing_certificate
+def _slope_report(command: str, count: int, slopes: List[Fraction],
+                  shifts: Optional[List[Fraction]], cutoff: Optional[Fraction],
+                  check) -> RunReport:
+    """The report of `fo` or `mirror`: the shifts default to zeros and the
+    cutoff to the acceptance cutoff of criteria.SIZES; a slope count other
+    than `count` is an ERROR, and otherwise check(slopes, shifts, cutoff)
+    gives the status and the payload."""
+    from .criteria import SIZES
 
-    cutoff = SIZES["acceptance"]["fo"]["cutoff"] if cutoff is None else cutoff
-    inputs = _slope_inputs(slopes, shifts, cutoff)
-    if len(slopes) != 4:
-        return RunReport("fo", _digest(inputs), "ERROR", {"error": "need 4 slopes"}, 0.0)
-    ls = circle_sections(slopes, shifts)
-    d = relation_defect(fukaya_sequence(ls, cutoff), 3)
-    defect = {ins for ins, _out, _c in d.nonzero_entries()}
-    cert = mk_vanishing_certificate(ls, 3)
-    payload = {
-        "associative": not defect,
-        "defect_count": len(defect),
-        "m3_certificate": {
-            "certified": cert.certified,
-            "reason": cert.reason,
-            "generator_degrees": list(cert.generator_degrees),
-        },
+    shifts = shifts or [Fraction(0)] * len(slopes)
+    cutoff = SIZES["acceptance"][command]["cutoff"] if cutoff is None else cutoff
+    inputs = {
+        "slopes": [_frac_obj(s) for s in slopes],
+        "shifts": [_frac_obj(s) for s in shifts],
+        "cutoff": _frac_obj(cutoff),
     }
-    status = "PASS" if not defect and cert.certified else "FAIL"
-    return RunReport("fo", _digest(inputs), status, payload, 0.0)
+    if len(slopes) != count:
+        return _report(command, inputs, "ERROR", {"error": f"need {count} slopes"})
+    return _report(command, inputs, *check(slopes, shifts, cutoff))
 
 
-def cmd_mirror(slopes: List[Fraction], shifts: List[Fraction], cutoff: Optional[Fraction]) -> RunReport:
-    from .criteria import SIZES, circle_sections
-    from .mirror import mirror_compare
+def cmd_fo(slopes: List[Fraction], shifts: Optional[List[Fraction]],
+           cutoff: Optional[Fraction]) -> RunReport:
+    def check(slopes, shifts, cutoff):
+        from .ainfty import relation_defect
+        from .criteria import circle_sections
+        from .fukaya_oh import fukaya_sequence, mk_vanishing_certificate
 
-    cutoff = SIZES["acceptance"]["mirror"]["cutoff"] if cutoff is None else cutoff
-    inputs = _slope_inputs(slopes, shifts, cutoff)
-    if len(slopes) != 3:
-        return RunReport("mirror", _digest(inputs), "ERROR", {"error": "need 3 slopes"}, 0.0)
-    try:
-        rep = mirror_compare(*circle_sections(slopes, shifts), cutoff)
-    except ValueError as e:
-        return RunReport("mirror", _digest(inputs), "ERROR", {"error": str(e)}, 0.0)
-    payload = {
-        "status": rep.status,
-        "table_size": len(rep.triangle_table),
-    }
-    if rep.first_discrepancy is not None:
-        key, a, b = rep.first_discrepancy
-        payload["first_discrepancy"] = {
-            "key": _label_str(key),
-            "triangle": a.to_obj(),
-            "theta": b.to_obj(),
+        ls = circle_sections(slopes, shifts)
+        d = relation_defect(fukaya_sequence(ls, cutoff), 3)
+        defect = {ins for ins, _out, _c in d.nonzero_entries()}
+        cert = mk_vanishing_certificate(ls, 3)
+        payload = {
+            "associative": not defect,
+            "defect_count": len(defect),
+            "m3_certificate": {
+                "certified": cert.certified,
+                "reason": cert.reason,
+                "generator_degrees": list(cert.generator_degrees),
+            },
         }
-    return RunReport(
-        "mirror", _digest(inputs), "PASS" if rep.equal else "FAIL", payload, 0.0
-    )
+        return ("PASS" if not defect and cert.certified else "FAIL"), payload
+
+    return _slope_report("fo", 4, slopes, shifts, cutoff, check)
+
+
+def cmd_mirror(slopes: List[Fraction], shifts: Optional[List[Fraction]],
+               cutoff: Optional[Fraction]) -> RunReport:
+    def check(slopes, shifts, cutoff):
+        from .criteria import circle_sections
+        from .mirror import mirror_compare
+
+        try:
+            rep = mirror_compare(*circle_sections(slopes, shifts), cutoff)
+        except ValueError as e:
+            return "ERROR", {"error": str(e)}
+        payload = {"status": rep.status, "table_size": len(rep.triangle_table)}
+        if rep.first_discrepancy is not None:
+            key, a, b = rep.first_discrepancy
+            payload["first_discrepancy"] = {
+                "key": _label_str(key),
+                "triangle": a.to_obj(),
+                "theta": b.to_obj(),
+            }
+        return ("PASS" if rep.equal else "FAIL"), payload
+
+    return _slope_report("mirror", 3, slopes, shifts, cutoff, check)
 
 
 def cmd_legendre(path: str, tol: float) -> RunReport:
-    from .monge import (
-        ConvexGridFunction,
-        hessian_duality_check,
-        involution_error,
-        legendre,
-        ma_residual,
-    )
-
-    with open(path) as f:
-        obj = json.load(f)
-
     import numpy as np
 
-    box = [(_frac(lo), _frac(hi)) for lo, hi in obj["box"]]
-    h = _frac(obj["h"])
-    dual_box = [(_frac(lo), _frac(hi)) for lo, hi in obj["dual_box"]]
-    dual_h = _frac(obj["dual_h"])
+    from .monge import (ConvexGridFunction, hessian_duality_check, involution_error, legendre,
+                        ma_residual)
+
+    obj = _load(path)
+    box = [(rational(lo), rational(hi)) for lo, hi in obj["box"]]
+    h = rational(obj["h"])
+    dual_box = [(rational(lo), rational(hi)) for lo, hi in obj["dual_box"]]
+    dual_h = rational(obj["dual_h"])
     try:
         K = ConvexGridFunction(tuple(box), h, np.array(obj["values"], dtype=float))
         inv = involution_error(K, dual_box, dual_h)
@@ -300,9 +264,9 @@ def cmd_legendre(path: str, tol: float) -> RunReport:
             "tolerance": tol,
         }
     except ValueError as e:
-        return RunReport("legendre", _digest(obj), "ERROR", {"error": str(e)}, 0.0)
+        return _report("legendre", obj, "ERROR", {"error": str(e)})
     ok = inv <= tol and duality.max_det_error <= tol
-    return RunReport("legendre", _digest(obj), "PASS" if ok else "FAIL", payload, 0.0)
+    return _report("legendre", obj, "PASS" if ok else "FAIL", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +293,7 @@ def cmd_suite(seed: int, modules: Optional[List[str]], scale: str = "suite",
     cutoff = max(s["cutoff"] for s in sizes.values() if "cutoff" in s)
     inputs = {"seed": seed, "cutoff": _frac_obj(cutoff), "modules": sorted(selected)}
     if unknown:
-        return RunReport(
-            "suite", _digest(inputs), "ERROR", {"error": f"unknown modules {unknown}"}, 0.0
-        )
+        return _report("suite", inputs, "ERROR", {"error": f"unknown modules {unknown}"})
 
     def run(name) -> dict:
         # whatever a module raises is that module's result; the others still report
@@ -349,16 +311,12 @@ def cmd_suite(seed: int, modules: Optional[List[str]], scale: str = "suite",
     payload = {name: run(name) for name in sorted(selected)}
     statuses = {result["status"] for result in payload.values()}
     status = "ERROR" if "ERROR" in statuses else "FAIL" if "FAIL" in statuses else "PASS"
-    return RunReport("suite", _digest(inputs), status, payload, 0.0)
+    return _report("suite", inputs, status, payload)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each subcommand's arguments and its handler, args -> RunReport
 # ---------------------------------------------------------------------------
-
-
-def _fraction_list(s: str) -> List[Fraction]:
-    return [_frac(x) for x in s.split(",") if x]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,32 +327,35 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-ainfty", help="verify structure relations on a JSON structure")
     s.add_argument("file")
     s.add_argument("--max-arity", type=int, default=None)
+    s.set_defaults(run=lambda a: cmd_check_ainfty(a.file, a.max_arity))
 
     s = sub.add_parser("transfer", help="transfer a retraction fixture and verify")
     s.add_argument("file")
     s.add_argument("--max-arity", type=int, default=4)
+    s.set_defaults(run=lambda a: cmd_transfer(a.file, a.max_arity))
 
     s = sub.add_parser("morse", help="Morse data on the circle")
     s.add_argument("sub", choices=["crit", "diff", "m2"])
     s.add_argument("file")
     s.add_argument("--weighted", action="store_true")
-    s.add_argument("--cutoff", default=None)
+    s.add_argument("--cutoff", type=rational, default=None)
+    s.set_defaults(run=lambda a: cmd_morse(a.sub, a.file, a.weighted, a.cutoff))
 
-    s = sub.add_parser("fo", help="Fukaya product associativity for a slope quadruple")
-    s.add_argument("--slopes", type=_fraction_list, required=True)
-    s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=_frac, default=None,
-                   help="default: the acceptance cutoff of criteria.SIZES")
-
-    s = sub.add_parser("mirror", help="triangle products vs theta multiplication")
-    s.add_argument("--slopes", type=_fraction_list, required=True)
-    s.add_argument("--shifts", type=_fraction_list, default=None)
-    s.add_argument("--cutoff", type=_frac, default=None,
-                   help="default: the acceptance cutoff of criteria.SIZES")
+    for name, cmd, summary in (
+        ("fo", cmd_fo, "Fukaya product associativity for a slope quadruple"),
+        ("mirror", cmd_mirror, "triangle products vs theta multiplication"),
+    ):
+        s = sub.add_parser(name, help=summary)
+        s.add_argument("--slopes", type=rational_list, required=True)
+        s.add_argument("--shifts", type=rational_list, default=None)
+        s.add_argument("--cutoff", type=rational, default=None,
+                       help="default: the acceptance cutoff of criteria.SIZES")
+        s.set_defaults(run=lambda a, cmd=cmd: cmd(a.slopes, a.shifts, a.cutoff))
 
     s = sub.add_parser("legendre", help="discrete Legendre duality checks on a JSON grid")
     s.add_argument("file")
     s.add_argument("--tol", type=float, default=1e-6)
+    s.set_defaults(run=lambda a: cmd_legendre(a.file, a.tol))
 
     s = sub.add_parser("suite", help="consolidated acceptance matrix")
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -403,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the sizes of criteria.SIZES to run at")
     s.add_argument("--cases", action="store_true",
                    help="print each module's cases and figures to stderr")
+    s.set_defaults(run=lambda a: cmd_suite(a.seed, a.modules, a.scale, a.cases))
 
     return p
 
@@ -411,32 +373,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.command == "check-ainfty":
-            report = cmd_check_ainfty(args.file, args.max_arity)
-        elif args.command == "transfer":
-            report = cmd_transfer(args.file, args.max_arity)
-        elif args.command == "morse":
-            report = cmd_morse(args.sub, args.file, args.weighted, args.cutoff)
-        elif args.command == "fo":
-            shifts = args.shifts or [Fraction(0)] * len(args.slopes)
-            report = cmd_fo(args.slopes, shifts, args.cutoff)
-        elif args.command == "mirror":
-            shifts = args.shifts or [Fraction(0)] * len(args.slopes)
-            report = cmd_mirror(args.slopes, shifts, args.cutoff)
-        elif args.command == "legendre":
-            report = cmd_legendre(args.file, args.tol)
-        elif args.command == "suite":
-            report = cmd_suite(args.seed, args.modules, args.scale, args.cases)
-        else:  # pragma: no cover
-            raise SystemExit(2)
+        report = args.run(args)
     except _INPUT_ERRORS as e:
-        report = RunReport(
-            args.command, "", "ERROR", {"error": f"{type(e).__name__}: {e}"}, 0.0
-        )
-    report.timing = time.perf_counter() - start
+        report = RunReport(args.command, "", "ERROR", {"error": f"{type(e).__name__}: {e}"})
     out = report.to_json()
     sys.stdout.write(out)
-    print(f"{report.status} in {report.timing:.2f}s", file=sys.stderr)
+    print(f"{report.status} in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     if args.json_out:
         with open(args.json_out, "w") as f:
             f.write(out)

@@ -257,13 +257,10 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
         raise ValueError("dimension mismatch")
     if e1.is_unit or e2.is_unit:
         other, unit_first = (e2, True) if e1.is_unit else (e1, False)
-        basis = theta_basis(other, cutoff)
         zero = (0,) * other.n
-        coeffs = []
-        for j in basis.indices:
-            key = (zero, j, j) if unit_first else (j, zero, j)
-            coeffs.append((key, NovikovElem.one(cutoff)))
-        return ThetaProductTable(cutoff, tuple(coeffs))
+        indices = [zero] if other.is_unit else coset_representatives(other.lagrangian.slope)
+        keys = [(zero, j, j) if unit_first else (j, zero, j) for j in indices]
+        return ThetaProductTable(cutoff, tuple((k, NovikovElem.one(cutoff)) for k in keys))
 
     e3 = e1.tensor(e2)
     gamma = e3.lagrangian.slope

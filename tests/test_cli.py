@@ -1,6 +1,7 @@
 """End-to-end command-line runs: statuses, exit codes, and deterministic
 JSON reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -35,34 +36,33 @@ def ainfty_file(tmp_path):
     return str(path)
 
 
-def test_check_ainfty_pass_and_corrupted_fail(capsys, tmp_path, ainfty_file):
-    code, rep = run(capsys, "check-ainfty", ainfty_file, "--max-arity", "3")
-    assert code == 0 and rep["status"] == "PASS"
-    assert all(d["zero"] for d in rep["payload"]["defects"])
-
+@pytest.fixture()
+def corrupted_file(tmp_path, ainfty_file):
     obj = json.loads(open(ainfty_file).read())
     obj["ops"][0]["entries"][0][2] = {"q": [2, 1]}  # break associativity
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    code, rep = run(capsys, "check-ainfty", str(bad), "--max-arity", "3")
-    assert code == 1 and rep["status"] == "FAIL"
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
-def test_transfer_command(capsys, tmp_path):
+def retraction():
     import random
 
     from torusmirror.randomgen import random_dg_algebra, retraction_onto_cohomology
 
     rng = random.Random(4)
-    r = retraction_onto_cohomology(random_dg_algebra(rng), rng)
+    return retraction_onto_cohomology(random_dg_algebra(rng), rng)
+
+
+@pytest.fixture()
+def retraction_file(tmp_path):
     path = tmp_path / "retraction.json"
-    path.write_text(json.dumps(r.to_obj()))
-    code, rep = run(capsys, "transfer", str(path), "--max-arity", "3")
-    assert code == 0 and rep["status"] == "PASS"
-    assert rep["payload"]["sub_dimension"] == len(r.sub_basis)
+    path.write_text(json.dumps(retraction().to_obj()))
+    return str(path)
 
 
-def test_morse_commands(capsys, tmp_path):
+@pytest.fixture()
+def trig_file(tmp_path):
     path = tmp_path / "trig.json"
     path.write_text(
         json.dumps(
@@ -73,15 +73,50 @@ def test_morse_commands(capsys, tmp_path):
             }
         )
     )
-    code, rep = run(capsys, "morse", "crit", str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def grid_file(tmp_path):
+    h = Fraction(1, 32)
+    xs = [Fraction(-1) + k * h for k in range(65)]
+    obj = {
+        "box": [[-1, 1]],
+        "h": [1, 32],
+        "values": [float(x) * float(x) / 2 for x in xs],
+        "dual_box": [[[-1, 2], [1, 2]]],
+        "dual_h": [1, 32],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_check_ainfty_pass_and_corrupted_fail(capsys, ainfty_file, corrupted_file):
+    code, rep = run(capsys, "check-ainfty", ainfty_file, "--max-arity", "3")
+    assert code == 0 and rep["status"] == "PASS"
+    assert all(d["zero"] for d in rep["payload"]["defects"])
+
+    code, rep = run(capsys, "check-ainfty", corrupted_file, "--max-arity", "3")
+    assert code == 1 and rep["status"] == "FAIL"
+
+
+def test_transfer_command(capsys, retraction_file):
+    code, rep = run(capsys, "transfer", retraction_file, "--max-arity", "3")
+    assert code == 0 and rep["status"] == "PASS"
+    assert rep["payload"]["sub_dimension"] == len(retraction().sub_basis)
+
+
+def test_morse_commands(capsys, trig_file):
+    code, rep = run(capsys, "morse", "crit", trig_file)
     assert code == 0
     assert [p["index"] for p in rep["payload"]["points"]] == [1, 0, 1, 0]
 
-    code, rep = run(capsys, "morse", "diff", str(path))
+    code, rep = run(capsys, "morse", "diff", trig_file)
     assert code == 0
     assert rep["payload"]["cohomology_ranks"] == [1, 1]
 
-    code, rep = run(capsys, "morse", "m2", str(path), "--weighted", "--cutoff", "3")
+    code, rep = run(capsys, "morse", "m2", trig_file, "--weighted", "--cutoff", "3")
     assert code == 0
     assert rep["payload"]["weighted"]
     assert rep["payload"]["entries"]
@@ -125,19 +160,8 @@ def test_cli_import_loads_neither_numpy_nor_sympy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_legendre_command(capsys, tmp_path):
-    h = Fraction(1, 32)
-    xs = [Fraction(-1) + k * h for k in range(65)]
-    obj = {
-        "box": [[-1, 1]],
-        "h": [1, 32],
-        "values": [float(x) * float(x) / 2 for x in xs],
-        "dual_box": [[[-1, 2], [1, 2]]],
-        "dual_h": [1, 32],
-    }
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(obj))
-    code, rep = run(capsys, "legendre", str(path), "--tol", "1e-6")
+def test_legendre_command(capsys, grid_file):
+    code, rep = run(capsys, "legendre", grid_file, "--tol", "1e-6")
     assert code == 0 and rep["status"] == "PASS"
     assert rep["payload"]["involution_error"] <= 1e-6
 
@@ -273,20 +297,23 @@ def test_mirror_zero_denominator_is_a_usage_error(capsys):
     for argv in (["--slopes", "0,1/0,2"], ["--slopes", "0,1,2", "--shifts", "0,1/0,0"]):
         code, err = usage_error(capsys, "mirror", *argv)
         assert code == 2 and "invalid" in err
+        assert "rational" in err and "_frac" not in err
 
 
 def test_fo_zero_denominator_cutoff_is_a_usage_error(capsys):
     code, err = usage_error(capsys, "fo", "--slopes", "0,1,2,3", "--cutoff", "1/0")
     assert code == 2 and "argument --cutoff" in err
+    assert "rational" in err and "_frac" not in err
 
 
 def test_morse_zero_denominator_reports_error(capsys, tmp_path):
+    """A bad --cutoff is a usage error, as in fo and mirror; a zero
+    denominator in the JSON input is an ERROR report."""
     path = tmp_path / "trig.json"
     path.write_text(json.dumps({"f0": {"cos": {"2": 1}}, "f1": {},
                                 "f2": {"cos": {"1": [1, 2]}, "sin": {"1": [1, 3]}}}))
-    code, rep = run(capsys, "morse", "m2", str(path), "--weighted", "--cutoff", "1/0")
-    assert code == 1 and rep["status"] == "ERROR"
-    assert "zero denominator" in rep["payload"]["error"]
+    code, err = usage_error(capsys, "morse", "m2", str(path), "--weighted", "--cutoff", "1/0")
+    assert code == 2 and "argument --cutoff: invalid rational value" in err
     path.write_text(json.dumps({"f0": {"cos": {"1": "1/0"}}}))
     code, rep = run(capsys, "morse", "crit", str(path))
     assert code == 1 and rep["status"] == "ERROR"
@@ -311,3 +338,50 @@ def test_readme_command_lines_parse(tmp_path):
         # file arguments point into the fixture directory
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in line.split()[1:]]
         build_parser().parse_args(argv)  # exits on a usage error
+
+
+# (argv, with fixture names standing for their paths; exit code; sha256 of stdout)
+PINNED = [
+    (["check-ainfty", "ainfty_file", "--max-arity", "3"], 0,
+     "f8211ab6a01f7f1b9d4187491f16322e0ec4c00845519d605b8793d3111d6d6c"),
+    (["check-ainfty", "corrupted_file", "--max-arity", "3"], 1,
+     "959145e58c6631b8910292006aeb7aa45b978fd2ed6fa7e6a5e131499c25f113"),
+    (["transfer", "retraction_file", "--max-arity", "3"], 0,
+     "53121cf50038237d35491df3c5fafdcbd52b06cc10eb646bd87d9958ab42a09b"),
+    (["morse", "crit", "trig_file"], 0,
+     "d9a52fc1c3d4c9990948431f76fd266284b2e6d3a29dc94dd305da264b0d45a6"),
+    (["morse", "diff", "trig_file"], 0,
+     "ccdebcf1d76bb6d6db08fde5de2bfeac1c587c5b481685b822e5d665c43b124e"),
+    (["morse", "m2", "trig_file", "--weighted"], 0,
+     "19a0d1d16e5435526c6a964de555c8cde41085b24cfcb5c7fb1491513fb25b0a"),
+    (["morse", "m2", "trig_file", "--weighted", "--cutoff", "3"], 0,
+     "3491791151bcab1ad55295f37e14af48c24b9fd93bec662a143f0726d193938a"),
+    (["fo", "--slopes", "0,1,3,4", "--shifts", "0,1/2,0,0", "--cutoff", "12"], 0,
+     "722ba5a73c559b5d1ec20b86e724a223147eadd1952b2d460f5b83123f7d73ab"),
+    (["fo", "--slopes", "0,1,2", "--cutoff", "8"], 1,
+     "ad61db2dd9eafcb99cff8c4325c9fa6eec2ef46694bb004da0f75f2116b59ff6"),
+    (["fo", "--slopes", "0,1,2,3", "--shifts", "0,1"], 1,
+     "6bffbfd8a8c960d8463a4abd45e2f0f4e990436f7585a5b19d4d406dfeaa099e"),
+    (["mirror", "--slopes", "0,1,3"], 0,
+     "e060fe20c0d65481de4cdb4b32019324e2e91e93c6ed4546ad4dd1d53a28475f"),
+    (["mirror", "--slopes", "0,2,1"], 1,
+     "97d6f44bf363d1f9d73a46dbd5ff34e61a21c07cc41feafad961a8550cd27191"),
+    (["mirror", "--slopes", "0,1,2", "--shifts", "0"], 1,
+     "0c20f8e95c7521e9882f3178b6a59a52bc1815b340d182273d14287482773f26"),
+    (["legendre", "grid_file"], 0,
+     "c7124ae25e90cc0ecbda871cababa8a05d655781cab0e05ce8d6bca6ae9bb2ff"),
+    (["suite", "--modules", "novikov,trees", "--seed", "11"], 0,
+     "7c6107303983fb8c0583039c4cfb5572f72c4fb293aff1fd6410a22ca6e2bc64"),
+]
+
+
+def test_every_subcommand_report_is_pinned(capsys, ainfty_file, corrupted_file,
+                                           retraction_file, trig_file, grid_file):
+    """Each subcommand's stdout and exit code on the fixtures above, PASS,
+    FAIL and ERROR alike, byte for byte."""
+    files = {"ainfty_file": ainfty_file, "corrupted_file": corrupted_file,
+             "retraction_file": retraction_file, "trig_file": trig_file, "grid_file": grid_file}
+    for argv, code, digest in PINNED:
+        got = main([files.get(a, a) for a in argv])
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
