@@ -174,8 +174,9 @@ def _slope_report(command: str, count: int, slopes: List[Fraction],
                   check) -> RunReport:
     """The report of `fo` or `mirror`: the shifts default to zeros and the
     cutoff to the acceptance cutoff of criteria.SIZES; a slope count other
-    than `count` is an ERROR, and otherwise check(slopes, shifts, cutoff)
-    gives the status and the payload."""
+    than `count`, or a shift count other than the slope count, is an ERROR,
+    and otherwise check(slopes, shifts, cutoff) gives the status and the
+    payload."""
     from .criteria import SIZES
 
     shifts = shifts or [Fraction(0)] * len(slopes)
@@ -187,6 +188,9 @@ def _slope_report(command: str, count: int, slopes: List[Fraction],
     }
     if len(slopes) != count:
         return _report(command, inputs, "ERROR", {"error": f"need {count} slopes"})
+    if len(shifts) != count:
+        return _report(command, inputs, "ERROR",
+                       {"error": f"{count} slopes but {len(shifts)} shifts"})
     return _report(command, inputs, *check(slopes, shifts, cutoff))
 
 

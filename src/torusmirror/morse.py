@@ -9,7 +9,9 @@ algebraic numbers: sympy's ``Poly.intervals`` isolates them in rational
 intervals, exact integer bisection refines those, and every sign or
 ordering decision is certified by exact interval refinement.  Gcds,
 square-free parts and the real-root test behind the Morse check run on
-integer coefficient lists.
+integer coefficient lists.  A critical point's enclosure in y is computed
+from its t-enclosure when first read, and a triple's transversality is
+certified once per triple.
 
 Orientation and sign conventions (validated by d^2 = 0 and the arity-3
 structure relation, then frozen):
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,9 +40,10 @@ from .intervals import eval_poly
 from .lattice import rank
 from .novikov import NovikovElem
 
-# interval-width targets: positions are isolated below 2**-41, certified
-# values (weights, rescaling exponents) are rounded to the 2**-42 dyadic grid
-_POSITION_EPS = Fraction(1, 2**41)
+# interval-width targets: positions are refined to 2**-44 in t at isolation,
+# certified values (weights, rescaling exponents) are rounded to the 2**-42
+# dyadic grid
+_POSITION_EPS = Fraction(1, 2**44)
 _VALUE_EPS = Fraction(1, 2**44)
 _VALUE_GRID = 2**42
 
@@ -165,7 +168,8 @@ class TrigPolynomial:
     sin_coeffs: Tuple[Tuple[int, Fraction], ...]  # (k, b_k), k >= 1
 
     def __post_init__(self):
-        """Sum repeated harmonics, drop zeros, sort by harmonic."""
+        """Sum repeated harmonics, drop zeros, sort by harmonic; hash once,
+        since every cache lookup would otherwise hash the Fractions again."""
         for attr, name, low in (("cos_coeffs", "cosine", 0), ("sin_coeffs", "sine", 1)):
             merged = {}
             for k, c in getattr(self, attr):
@@ -175,6 +179,10 @@ class TrigPolynomial:
                 if c:
                     merged[k] = merged.get(k, Fraction(0)) + c
             object.__setattr__(self, attr, tuple(sorted((k, c) for k, c in merged.items() if c)))
+        object.__setattr__(self, "_hash", hash((self.cos_coeffs, self.sin_coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_dicts(cos_c: Dict[int, Fraction], sin_c: Dict[int, Fraction]) -> "TrigPolynomial":
@@ -424,8 +432,15 @@ class CriticalPoint:
     label: int  # position in cyclic order
     index: int  # Morse index: 0 minimum, 1 maximum
     point: CirclePoint
-    y_interval: Tuple[Fraction, Fraction]  # certified, width < 2**-40
+    # the enclosure of t = tan(pi y) at isolation, width <= 2**-44; later
+    # queries refine `point` in place, so y_interval reads this snapshot
+    t_interval: Tuple[Fraction, Fraction]
     second_sign: int  # sign of f'' at the point
+
+    @cached_property
+    def y_interval(self) -> Tuple[Fraction, Fraction]:
+        """Certified enclosure of y, width < 2**-40."""
+        return _y_interval(self.point.at_half, *self.t_interval)
 
 
 @dataclass
@@ -449,18 +464,18 @@ class NonMorseError(ValueError):
     pass
 
 
-def _y_interval(p: CirclePoint) -> Tuple[Fraction, Fraction]:
-    """Certified rational interval for y in [0,1), width < 2**-40, via atan."""
-    if p.at_half:
+def _y_interval(at_half: bool, t_lo: Fraction, t_hi: Fraction) -> Tuple[Fraction, Fraction]:
+    """Certified rational interval for y in [0,1), width < 2**-40, via atan
+    of a t-enclosure of width <= 2**-44."""
+    if at_half:
         return (Fraction(1, 2), Fraction(1, 2))
     import mpmath
 
-    p.refine(Fraction(1, 2**44))
     # atan is monotone and well conditioned; 120-bit evaluation at both
     # rational endpoints is accurate to far better than the 2**-60 pad.
     with mpmath.workprec(120):
         vals = []
-        for bound in (p.lo, p.hi):
+        for bound in (t_lo, t_hi):
             x = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
             y = mpmath.atan(x) / mpmath.pi
             vals.append(Fraction(mpmath.nstr(y, 30, strip_zeros=False)))
@@ -508,11 +523,12 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
     # cyclic order on [0,1): t >= 0 ascending, then y = 1/2, then t < 0
     # ascending (isolating intervals are disjoint); labels are positions
     pts.sort(key=lambda q: (q[1].sector(), q[1].lo))
-    crit = [
-        CriticalPoint(label=i, index=0 if s2 > 0 else 1, point=cp,
-                      y_interval=_y_interval(cp), second_sign=s2)
-        for i, (s2, cp) in enumerate(pts)
-    ]
+    crit = []
+    for i, (s2, cp) in enumerate(pts):
+        # every later enclosure starts from this refinement
+        cp.refine(_POSITION_EPS)
+        crit.append(CriticalPoint(label=i, index=0 if s2 > 0 else 1, point=cp,
+                                  t_interval=(cp.lo, cp.hi), second_sign=s2))
     if any(c.index == crit[i - 1].index for i, c in enumerate(crit)):
         raise NonMorseError("critical points do not alternate min/max")
     return CriticalSet(f, tuple(crit))
@@ -534,18 +550,30 @@ def _flow_target(crit: CriticalSet, p: CirclePoint, direction: int) -> CriticalP
     return crit.points[(below if direction > 0 else below - 1) % len(crit.points)]
 
 
-def _transversal_differences(f0: TrigPolynomial, f1: TrigPolynomial, f2: TrigPolynomial):
-    """The differences (f0-f1, f1-f2, f0-f2) and their critical sets.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _certified_differences(f0: TrigPolynomial, f1: TrigPolynomial,
+                           f2: TrigPolynomial) -> Tuple[TrigPolynomial, ...]:
+    """The differences (f0-f1, f1-f2, f0-f2), certified once per triple.
 
     Raises ValueError (NonMorseError among them) unless each difference is
-    Morse and no two of them share a critical point."""
+    Morse and no two of them share a critical point; an exception is not
+    cached, so a refused triple is refused on every call."""
     gs = (f0 - f1, f1 - f2, f0 - f2)
-    crits = tuple(critical_points(g) for g in gs)
+    for g in gs:
+        critical_points(g)
     for da, db in combinations([_dtheta_cached(g) for g in gs], 2):
         common = _gcd(_primitive(da.numerator_coeffs()), _primitive(db.numerator_coeffs()))
         if _has_real_root(common) or (da.at_half() == 0 and db.at_half() == 0):
             raise ValueError("transversality failure: shared critical point")
-    return gs, crits
+    return gs
+
+
+def _transversal_differences(f0: TrigPolynomial, f1: TrigPolynomial, f2: TrigPolynomial):
+    """The certified differences and their critical sets.  The critical sets
+    are looked up on every call, in the same order, so which cached point
+    carries which refinement does not depend on the triple cache."""
+    gs = _certified_differences(f0, f1, f2)
+    return gs, tuple(critical_points(g) for g in gs)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +666,7 @@ def m2(
     (or with the output minimum when all indices are 0), so the counts
     reduce to certified arc queries.  Unweighted entries are exact
     integers; weighted entries are Novikov monomials q^w with w the total
-    variation of the tree, certified to the 2**-41 dyadic grid.
+    variation of the tree, certified to the 2**-42 dyadic grid.
     """
     if cutoff is not None:
         cutoff = Fraction(cutoff)

@@ -261,10 +261,12 @@ def test_missing_file_reports_error(capsys):
 
 
 def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
-    code, rep = run(capsys, "fo", "--slopes", "0,1,2,3", "--shifts", "0,1")
-    assert code == 1 and rep["status"] == "ERROR"
-    code, rep = run(capsys, "mirror", "--slopes", "0,1,2", "--shifts", "0")
-    assert code == 1 and rep["status"] == "ERROR"
+    # a shift count other than the slope count is one ERROR, with the inputs
+    for argv, error in ((["fo", "--slopes", "0,1,2,3", "--shifts", "0,1"], "4 slopes but 2 shifts"),
+                        (["mirror", "--slopes", "0,1,2", "--shifts", "0"], "3 slopes but 1 shifts")):
+        code, rep = run(capsys, *argv)
+        assert (code, rep["status"], rep["payload"]) == (1, "ERROR", {"error": error})
+        assert rep["inputs_digest"]
 
     obj = json.loads(open(ainfty_file).read())
     bad = tmp_path / "bad.json"
@@ -361,7 +363,7 @@ PINNED = [
     (["fo", "--slopes", "0,1,2", "--cutoff", "8"], 1,
      "ad61db2dd9eafcb99cff8c4325c9fa6eec2ef46694bb004da0f75f2116b59ff6"),
     (["fo", "--slopes", "0,1,2,3", "--shifts", "0,1"], 1,
-     "6bffbfd8a8c960d8463a4abd45e2f0f4e990436f7585a5b19d4d406dfeaa099e"),
+     "263c7c1663371fc6531e146cdf7a3323090236ec126f823abf90972e71e4bc27"),
     (["mirror", "--slopes", "0,1,3"], 0,
      "e060fe20c0d65481de4cdb4b32019324e2e91e93c6ed4546ad4dd1d53a28475f"),
     (["mirror", "--slopes", "0,2,1"], 1,

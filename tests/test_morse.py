@@ -50,6 +50,16 @@ def seeded_triples(seed, count):
     return out
 
 
+def morse_caches():
+    """Every lru_cache of the morse module, by name."""
+    return {name: v for name, v in vars(morse).items() if hasattr(v, "cache_info")}
+
+
+def clear_morse_caches():
+    for cache in morse_caches().values():
+        cache.cache_clear()
+
+
 # -- critical points and the differential -------------------------------------
 
 
@@ -110,9 +120,11 @@ def test_m2_refuses_shared_critical_points():
     f0 = trig(cos={1: 1})
     f1 = TrigPolynomial.zero()
     f2 = trig(cos={1: -1})  # f1 - f2 = cos = f0 - f1: same critical set
-    assert not transversal_triple(f0, f1, f2)
-    with pytest.raises(ValueError):
-        m2(f0, f1, f2)
+    for _ in range(2):  # a refusal is not cached as a certificate
+        assert not transversal_triple(f0, f1, f2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="shared critical point"):
+            m2(f0, f1, f2)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -161,6 +173,48 @@ def test_basis_rescale_requires_matching_object_count():
     op = m2(f0, f1, f2, weighted=True)
     with pytest.raises(ValueError):
         basis_rescale(op, [f0, f1])
+
+
+def test_equal_trig_polynomials_hash_equal():
+    f = TrigPolynomial(((1, 1), (2, Fraction(1, 3)), (1, 1)), ((2, 0), (1, Fraction(-1, 2))))
+    g = trig(cos={2: Fraction(1, 3), 1: 2}, sin={1: Fraction(-1, 2)})
+    assert f == g and hash(f) == hash(g)
+    assert hash(f - g) == hash(TrigPolynomial.zero())
+
+
+def test_y_interval_reads_the_enclosure_taken_at_isolation(monkeypatch):
+    f0, f1, f2 = seeded_triples(13, 1)[0]
+    gs = (f0 - f1, f1 - f2, f0 - f2)
+
+    def isolated():
+        clear_morse_caches()
+        return [p for g in gs for p in critical_points(g).points]
+
+    early = [p.y_interval for p in isolated()]
+    calls = []
+    y_interval = morse._y_interval
+    monkeypatch.setattr(morse, "_y_interval", lambda *args: calls.append(args) or y_interval(*args))
+    points = isolated()
+    assert calls == []  # isolation computes no enclosure in y
+    widths = [p.point.width for p in points]
+    basis_rescale(m2(f0, f1, f2, weighted=True), [f0, f1, f2])
+    # the weights refine the shared points past their isolation width
+    assert any(p.point.width < w for p, w in zip(points, widths))
+    assert [p.y_interval for p in points] == early
+    assert len(calls) == len(points)
+
+
+def test_products_after_the_transversality_test_match_a_cold_start():
+    certified = morse._certified_differences
+    for f0, f1, f2 in seeded_triples(17, 3):
+        clear_morse_caches()
+        assert transversal_triple(f0, f1, f2)
+        warm = [m2(f0, f1, f2), m2(f0, f1, f2, weighted=True)]
+        # the test and both products share one certificate
+        assert (certified.cache_info().misses, certified.cache_info().hits) == (1, 2)
+        clear_morse_caches()
+        cold = [m2(f0, f1, f2), m2(f0, f1, f2, weighted=True)]
+        assert [op.entries for op in warm] == [op.entries for op in cold]
 
 
 def morse_digest(triples):
@@ -430,11 +484,12 @@ def test_common_factor_without_real_root_is_morse():
 
 
 def test_caches_are_bounded():
+    assert set(morse_caches()) == {"critical_points", "_numerator_coeffs_cached",
+                                   "_dtheta_cached", "_certified_differences"}
+    for cache in morse_caches().values():
+        assert cache.cache_info().maxsize == morse._CACHE_SIZE
     caches = (critical_points, morse._numerator_coeffs_cached, morse._dtheta_cached)
-    for cache in caches:
-        assert cache.cache_info().maxsize is not None
-    n = max(cache.cache_info().maxsize for cache in caches) + 10
-    for i in range(n):
+    for i in range(morse._CACHE_SIZE + 10):
         critical_points(trig(cos={1: i + 1}, sin={2: Fraction(1, 7)}))
     for cache in caches:
         info = cache.cache_info()
