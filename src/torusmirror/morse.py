@@ -5,9 +5,11 @@ product m2, unweighted (integer counts) or weighted by Novikov elements.
 All computations are exact.  A trigonometric polynomial is transported to
 a rational polynomial through the half-angle substitution t = tan(pi*y)
 (the point y = 1/2 is handled separately), so critical points are real
-algebraic numbers: sympy's ``Poly.intervals`` isolates them in rational
-intervals, exact integer bisection refines those, and every sign or
-ordering decision is certified by exact interval refinement.  Gcds,
+algebraic numbers: an integer Vincent-Akritas-Strzebonski continued-fraction
+isolator (the algorithm of sympy's ``Poly.intervals``, with the same
+intervals; sympy itself is used only by the tests) isolates them in
+rational intervals, exact integer bisection refines those, and every sign
+or ordering decision is certified by exact interval refinement.  Gcds,
 square-free parts and the real-root test behind the Morse check run on
 integer coefficient lists.  A critical point's enclosure in y is computed
 from its t-enclosure when first read, and a triple's transversality is
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ainfty import GradedBasis, MultilinearOp
@@ -120,10 +122,6 @@ def _sqf_part(a: Tuple[int, ...]) -> Tuple[int, ...]:
     return _quotient(a, _gcd(a, _derivative(a)))
 
 
-def _monic(a: Sequence[int]) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(c, a[0]) for c in a)
-
-
 def _has_real_root(a: Tuple[int, ...]) -> bool:
     """Whether a has a real root: the Sturm sequence a, a', -rem, ... counts
     distinct real roots as its sign changes at -inf minus those at +inf."""
@@ -153,6 +151,168 @@ def _sign_at(a: Sequence[int], num: int, den: int) -> int:
         acc = acc * num + c * power
         power *= den
     return (acc > 0) - (acc < 0)
+
+
+# ---------------------------------------------------------------------------
+# real root isolation: Vincent-Akritas-Strzebonski continued fractions
+# ---------------------------------------------------------------------------
+#
+# Akritas-Strzebonski, Nonlinear Analysis: Modelling and Control 10(4), 2005,
+# with the LMQ bound of Akritas-Strzebonski-Vigklas (ibid. 13(3), 2008), in the
+# exact form of sympy 1.14's dup_isolate_real_roots (fast=False): the same
+# stack order, shifts and bounds, so the same isolating intervals.  Lists are
+# descending integer coefficients, and every polynomial met has f(0) != 0
+# (the input is square-free, and a root found at 0 is divided out at once);
+# a Moebius transform (a, b, c, d) is x -> (a x + b) / (c x + d), and maps
+# (0, inf) onto the interval between b/d and a/c, with d >= 1.  The test for
+# an exact root right after a shift by the lower bound is kept as sympy has
+# it, although the LMQ bound lies below every root and the tests never reach
+# it; the test after the shift by 1 finds rational roots.
+
+
+def _shift(f: Sequence[int], s: int) -> List[int]:
+    """Taylor shift f(x + s)."""
+    f = list(f)
+    for i in range(len(f) - 1, 0, -1):
+        for j in range(i):
+            f[j + 1] += s * f[j]
+    return f
+
+
+def _reverse_shift(f: Sequence[int]) -> List[int]:
+    """(x + 1)^n f(1 / (x + 1)), divided by x when it vanishes at 0."""
+    g = _shift(f[::-1], 1)
+    return g if g[-1] else g[:-1]
+
+
+def _variations(f: Sequence[int]) -> int:
+    """Sign changes of the coefficient sequence, zeros skipped."""
+    k, prev = 0, 0
+    for c in f:
+        if c * prev < 0:
+            k += 1
+        if c:
+            prev = c
+    return k
+
+
+def _lower_bound(f: Sequence[int]) -> int:
+    """Integer part of the LMQ lower bound on the positive roots of f: the
+    LMQ upper bound 2^(e+1) on the roots of the reversed f, inverted.
+    The logarithms are int(math.log(|c|, 2)), as in sympy, not bit lengths:
+    near a power of two the float rounds up (2^53 - 1 gives 53), and the
+    bound picks the shifts and so the endpoints."""
+    g = [-c for c in f] if f[-1] < 0 else f
+    logs = [int(log(abs(c), 2)) if c else 0 for c in g]
+    used, exps = [1] * len(g), []
+    for i, c in enumerate(g):
+        if c < 0:
+            cands = [((used[j] + logs[i] - logs[j]) // (j - i), j)
+                     for j in range(i + 1, len(g)) if g[j] > 0]
+            if cands:
+                q, j = min(cands)
+                used[j] += 1
+                exps.append(q)
+    if not exps or max(exps) >= 0:
+        return 0
+    return 2 ** -(max(exps) + 1)
+
+
+def _refine_step(f: List[int], m: Tuple[int, int, int, int]):
+    """One continued-fraction step towards the single positive root of f."""
+    a, b, c, d = m
+    s = _lower_bound(f)
+    if s >= 1:
+        f = _shift(f, s)
+        b, d = s * a + b, s * c + d
+        if not f[-1]:
+            return f, (b, b, d, d)
+    left = _shift(f, 1)
+    if not left[-1]:
+        return left, (a + b, a + b, c + d, c + d)
+    if _variations(left) == 1:
+        return left, (a, a + b, c, c + d)
+    return _reverse_shift(f), (b, a + b, d, c + d)
+
+
+def _one_root(f: List[int], m: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+    """Refine a transform holding exactly one root until its interval is
+    bounded (c != 0)."""
+    while not m[2]:
+        f, m = _refine_step(f, m)
+    return m
+
+
+def _positive_roots(f: List[int]) -> List[Tuple[int, int, int, int]]:
+    """Transforms whose intervals isolate the positive roots of a
+    square-free f with f(0) != 0."""
+    k = _variations(f)
+    if k <= 1:
+        return [_one_root(f, (1, 0, 0, 1))] if k else []
+    roots, stack = [], [(1, 0, 0, 1, f, k)]
+    while stack:
+        a, b, c, d, f, k = stack.pop()
+        s = _lower_bound(f)
+        if s >= 1:
+            f = _shift(f, s)
+            b, d = s * a + b, s * c + d
+            if not f[-1]:
+                roots.append((b, b, d, d))
+                f = f[:-1]
+            k = _variations(f)
+            if k == 0:
+                continue
+            if k == 1:
+                roots.append(_one_root(f, (a, b, c, d)))
+                continue
+        # left child x -> x + 1, right child x -> 1 / (x + 1)
+        f1, r = _shift(f, 1), 0
+        m1, m2 = (a, a + b, c, c + d), (b, a + b, d, c + d)
+        if not f1[-1]:
+            roots.append((a + b, a + b, c + d, c + d))
+            f1, r = f1[:-1], 1
+        k1 = _variations(f1)
+        k2 = k - k1 - r
+        f2 = None
+        if k2 > 1:
+            f2 = _reverse_shift(f)
+            k2 = _variations(f2)
+        if k1 < k2:
+            f1, f2, k1, k2, m1, m2 = f2, f1, k2, k1, m2, m1
+        for fi, ki, mi in ((f1, k1, m1), (f2, k2, m2)):
+            if not ki:
+                break
+            if fi is None:
+                fi = _reverse_shift(f)
+            if ki == 1:
+                roots.append(_one_root(fi, mi))
+            else:
+                stack.append(mi + (fi, ki))
+    return roots
+
+
+def _interval(m: Tuple[int, int, int, int], sign: int) -> Tuple[Fraction, Fraction]:
+    """The interval of a transform, mirrored through 0 when sign is -1."""
+    a, b, c, d = m
+    return tuple(sorted((Fraction(sign * a, c), Fraction(sign * b, d))))
+
+
+def _isolate(sqf: Tuple[int, ...]) -> List[Tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals (lo, hi) of the real roots of a nonzero
+    square-free integer polynomial: open intervals, or (r, r) for a rational
+    root r met on the way.  The intervals are those sympy's Poly.intervals()
+    returns for the same polynomial."""
+    f, found = list(sqf), []
+    if not f[-1]:
+        f.pop()
+        found.append((Fraction(0), Fraction(0)))
+    if len(f) > 1:
+        for m in _positive_roots(f):
+            found.append(_interval(m, 1))
+        mirror = [-c if (len(f) - 1 - i) % 2 else c for i, c in enumerate(f)]
+        for m in _positive_roots(mirror):
+            found.append(_interval(m, -1))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +665,13 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
     if g1.at_half() == 0 and g2.at_half() == 0:
         raise NonMorseError("double critical point at y = 1/2: non-Morse input")
 
-    import sympy  # imported here: the rest of the package runs without it
-
     sqf = _sqf_part(p)
-    # isolating intervals feed y_interval and the weights, so sympy isolates
-    # exactly the polynomial its own sqf_part returns: monic over QQ
-    isolating = sympy.Poly.from_list(_monic(sqf), sympy.Symbol("t"), domain=sympy.QQ).intervals()
+    # isolating intervals feed y_interval and the weights, and every later
+    # refinement starts from them: the continued-fraction isolator above
+    # gives sympy's Poly.intervals() intervals byte for byte
     pts: List[Tuple[int, CirclePoint]] = []
-    for (lo, hi), _mult in isolating:
-        cp = CirclePoint(sqf, Fraction(lo.p, lo.q), Fraction(hi.p, hi.q))
+    for lo, hi in _isolate(sqf):
+        cp = CirclePoint(sqf, lo, hi)
         s2 = _certified_sign(g2, cp)
         pts.append((s2, cp))
     if g1.at_half() == 0:

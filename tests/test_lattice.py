@@ -326,3 +326,30 @@ def test_exact_layers_import_without_sympy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_morse_runs_with_sympy_blocked():
+    # sympy is a test-only reference: with its import blocked, isolation,
+    # weighted products and the suite's morse module still run, and neither
+    # sympy nor mpmath (needed only by y_interval) gets loaded
+    src = str(Path(torusmirror.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from fractions import Fraction as F\n"
+            "from torusmirror import cli, morse\n"
+            "f0 = morse.TrigPolynomial.from_dicts({1: F(1), 2: F(-1, 3)}, {1: F(2, 5)})\n"
+            "f1 = morse.TrigPolynomial.from_dicts({2: F(1, 2)}, {1: F(-1), 2: F(1, 4)})\n"
+            "f2 = morse.TrigPolynomial.from_dicts({1: F(-2, 3)}, {2: F(3, 2)})\n"
+            "points = len(morse.critical_points(f0 - f1).points)\n"
+            "entries = len(morse.m2(f0, f1, f2, weighted=True).entries)\n"
+            "status = cli.main(['suite', '--modules', 'morse'])\n"
+            "loaded = [m for m, v in sys.modules.items()\n"
+            "          if v is not None and m.split('.')[0] in ('sympy', 'mpmath')]\n"
+            "print()\n"
+            "print(points, entries > 0, status, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "4 True 0 []"

@@ -293,6 +293,10 @@ def qq_poly(coeffs):
     return sympy.Poly.from_list([sympy.Rational(c) for c in coeffs], _t, domain="QQ")
 
 
+def monic(coeffs):
+    return tuple(Fraction(c, coeffs[0]) for c in coeffs)
+
+
 def fractions_of(poly):
     return tuple(Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs())
 
@@ -312,10 +316,69 @@ def test_gcd_and_square_free_part_match_sympy():
         pf, pg = qq_poly(f.numerator_coeffs()), qq_poly(g.numerator_coeffs())
         for a, b in ((pf, pg), (pf * shared, pg * shared), (pf * double, pg * shared * double)):
             got = morse._gcd(morse._primitive(fractions_of(a)), morse._primitive(fractions_of(b)))
-            assert morse._monic(got) == fractions_of(a.gcd(b))
+            assert monic(got) == fractions_of(a.gcd(b))
         for a in (pf, pf * double, pf * shared * double * pg):
             got = morse._sqf_part(morse._primitive(fractions_of(a)))
-            assert morse._monic(got) == fractions_of(a.sqf_part())
+            assert monic(got) == fractions_of(a.sqf_part())
+
+
+def sympy_intervals(sqf):
+    """The isolating intervals sympy's VAS isolator gives the monic sqf."""
+    return [(Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
+            for (lo, hi), _ in qq_poly(monic(sqf)).intervals()]
+
+
+def integer_poly(roots, *factors):
+    """Primitive square-free integer polynomial with the given rational
+    roots times the given integer factors."""
+    poly = qq_poly((1,))
+    for r in roots:
+        poly *= qq_poly((r.denominator, -r.numerator))
+    for f in factors:
+        poly *= qq_poly(f)
+    return morse._sqf_part(morse._primitive(fractions_of(poly)))
+
+
+def test_isolator_matches_sympy_intervals():
+    rng = random.Random(2024)
+    polys = []
+    # derivative numerators of trig polynomials with top harmonic 1..4
+    while len(polys) < 2000:
+        k_max = rng.randint(1, 4)
+        f = TrigPolynomial.from_dicts(
+            {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(k_max + 1)},
+            {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(1, k_max + 1)})
+        p = morse._primitive(f.dtheta().numerator_coeffs())
+        if len(p) > 1:
+            polys.append(morse._sqf_part(p))
+    for _ in range(300):
+        # small rational roots, which the continued fraction meets as Moebius
+        # endpoints; every other one with a root at 0 and a factor t^2 + c
+        roots = {Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 5))}
+        polys.append(integer_poly(roots, (1, 0, rng.randint(1, 9))))
+        polys.append(integer_poly(roots | {Fraction(0)}))
+        # negative roots only: rational, and -b/2 +- sqrt(b^2/4 - c)
+        negative = {-abs(r) for r in roots if r}
+        b = rng.randint(3, 12)
+        polys.append(integer_poly(negative, (1, b, rng.randint(1, b * b // 4))))
+    for _ in range(100):
+        # the right child (x + 1)^3 f(1 / (x + 1)) is y^3 - a y^2 + b y - c
+        # with c at or just below 2^53 or 2^60, where int(log(c, 2)) rounds up
+        # past the floor, so the LMQ shift and the endpoints follow the float
+        e = rng.choice((53, 60))
+        c = 2**e + rng.choice((-5, -2, -1, -1, 0, 1))
+        a, b = (rng.randint(1, 2**rng.randint(1, e)) for _ in "ab")
+        child = qq_poly((1, -a, b, -c)).shift(-1)
+        polys.append(morse._sqf_part(morse._primitive(fractions_of(child)[::-1])))
+    exact = mirrored = at_zero = 0
+    for sqf in polys:
+        got = morse._isolate(sqf)
+        assert got == sympy_intervals(sqf), sqf
+        exact += sum(1 for lo, hi in got if lo == hi != 0)
+        mirrored += bool(got) and all(lo < 0 and hi <= 0 for lo, hi in got)
+        at_zero += (Fraction(0), Fraction(0)) in got
+    assert exact > 200 and mirrored > 200 and at_zero > 300
 
 
 @dataclass(frozen=True)
@@ -376,13 +439,13 @@ def test_refine_matches_rational_bisection_on_sympy_intervals():
         p = qq_poly(f.dtheta().numerator_coeffs())
         for poly in (p, p * half):
             sqf = morse._sqf_part(morse._primitive(fractions_of(poly)))
-            monic = morse._monic(sqf)
-            for (lo, hi), _ in qq_poly(monic).intervals():
+            monic_sqf = monic(sqf)
+            for (lo, hi), _ in qq_poly(monic_sqf).intervals():
                 lo, hi = Fraction(str(lo)), Fraction(str(hi))
                 for eps in (Fraction(1, 2**10), Fraction(1, 2**50)):
                     cp = CirclePoint(sqf, lo, hi)
                     cp.refine(eps)
-                    assert (cp.lo, cp.hi) == reference_refine(monic, lo, hi, eps)
+                    assert (cp.lo, cp.hi) == reference_refine(monic_sqf, lo, hi, eps)
                     assert cp.width == cp.hi - cp.lo <= eps
                     seen += 1
     assert seen > 200
