@@ -8,12 +8,15 @@ normal form; and one integer kernel that enumerates the lattice points
 where a positive-definite rational quadratic stays below a bound, each with
 its value as an integer numerator over one denominator.  RREF, HNF and
 inertia are canonical, so no result depends on the elimination order.
+det, inverse, inertia, HNF and coset representatives are memoized by value,
+since checks keep meeting the same few small slope matrices; rank and
+nullspace, which other layers call on one-off matrices, are not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import ceil, floor, isqrt, lcm
 from numbers import Rational
 from typing import Iterator, Optional, Sequence, Tuple
@@ -69,6 +72,19 @@ def is_symmetric(a: Mat) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
 
 
+def _by_value(f):
+    """f memoized (256 entries) on its matrix argument frozen to a tuple of tuples, so
+    a list input shares the entry of its tuple twin.  f must return an immutable
+    value; an exception is not cached but raised again on every call."""
+    memo = lru_cache(maxsize=256)(f)
+
+    @wraps(f)
+    def frozen(a):
+        return memo(tuple(map(tuple, a)))
+    frozen.cache_info, frozen.cache_clear = memo.cache_info, memo.cache_clear
+    return frozen
+
+
 def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[list, list, Fraction]:
     """Reduced row echelon form of a rational matrix by Fraction Gauss-Jordan.
 
@@ -102,10 +118,12 @@ def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[list, list, Fraction]:
     return m, pivots, det
 
 
+@_by_value
 def mat_det(a: Mat) -> Fraction:
     return _gauss_jordan(a)[2]
 
 
+@_by_value
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
     reduced, _pivots, det = _gauss_jordan(
@@ -143,6 +161,7 @@ def quad_form(a: Mat, x: Vec) -> Fraction:
     return dot(x, mat_vec(a, x))
 
 
+@_by_value
 def inertia(a: Mat) -> Tuple[int, int, int]:
     """(negative, zero, positive) eigenvalue counts of a symmetric rational matrix.
 
@@ -181,6 +200,7 @@ def is_positive_definite(a: Mat) -> bool:
     return neg == 0 and zero == 0
 
 
+@_by_value
 def hnf(a: Mat) -> Tuple[Tuple[int, ...], ...]:
     """Column-style Hermite normal form of a nonsingular integer matrix.
 
@@ -220,14 +240,15 @@ def coset_reduce(h: Tuple[Tuple[int, ...], ...], x: Sequence[int]) -> Tuple[int,
     return tuple(y)
 
 
-def coset_representatives(a: Mat) -> list:
+@_by_value
+def coset_representatives(a: Mat) -> Tuple[Tuple[int, ...], ...]:
     """Canonical representatives of Z^n modulo the column lattice of integer a."""
     h = hnf(a)
     n = len(h)
     reps = [()]
     for i in range(n - 1, -1, -1):
         reps = [(r,) + tail for tail in reps for r in range(h[i][i])]
-    return [coset_reduce(h, x) for x in sorted(reps)]
+    return tuple(coset_reduce(h, x) for x in sorted(reps))
 
 
 @lru_cache(maxsize=256)

@@ -13,8 +13,12 @@ product, and the basis rescaling relating the two sides is the identity.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import ceil, lcm
 from typing import Dict, List, Optional, Tuple
 
@@ -181,13 +185,14 @@ def _grid(e: LineBundleObj) -> int:
 
 
 def _sections(e: LineBundleObj, cutoff: Fraction, den: int) -> list:
-    """Theta sections of e below the cutoff, as (j, [(m, den w(m))]); _grid(e) divides den."""
+    """Theta sections of e below the cutoff, as (j, [(m, den w(m))]) by increasing weight
+    (ties in the kernel's order); _grid(e) divides den."""
     a = e.lagrangian.slope
     ainv = mat_inv(a)
     out = []
     for j in coset_representatives(a):
         d, points = _coset_points(a, ainv, e.lagrangian.shift, j, cutoff)
-        out.append((j, [(m, w * (den // d)) for m, w in points]))
+        out.append((j, sorted(((m, w * (den // d)) for m, w in points), key=lambda p: p[1])))
     return out
 
 
@@ -238,13 +243,16 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
 
     Every theta term is a monomial q^w z^m, so sections are read as (m, L w)
     pairs, with L w the kernel's integer numerator put over one denominator L
-    for all weights; a product of two sections is a table {s: {L q-exponent:
-    count}}, the solve and the consistency check run on these integers, and
+    for all weights.  Each m is packed into one int, so that z^m1 z^m2 is one
+    integer sum, and a product of two sections is a count of packed (s, L
+    q-exponent) keys, summed by C-level calls over the terms of the second
+    section; the solve and the consistency check run on these integers, and
     each final coefficient becomes a NovikovElem straight from its integer
     row over L.  Sections are expanded to internal = cutoff + max w* + 1,
     where w* is the least weight of a target section, taken at z^s*; the
     coefficient of a target section is the product row at s* divided by q^w*.
-    Every product row is then checked against its solved coefficient below
+    Every z^s that some pair of terms reaches, also one whose pairs all weigh
+    internal or more, is then checked against its solved coefficient below
     min(internal, cutoff + w(s)).  The target weight w(s) = (1/2)(s - c)^T
     Gamma^{-1} (s - c) is computed afresh, in integers from Gamma^{-1} and the
     shift c over their common denominators, and never read from the kernel;
@@ -275,39 +283,61 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     den = lcm(_grid(e1), _grid(e2), _grid(e3), *(w.denominator for _s, w in minima.values()))
     sections1, sections2 = _sections(e1, internal, den), _sections(e2, internal, den)
     top, low = ceil(internal * den), ceil(cutoff * den)  # a product term is kept iff L w < top
-    stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
+    # m packs to k(m) = sum m_i B^(n-1-i), with B > 4 max|m_i| and every |s*_i| <= half:
+    # k(m1) + k(m2) = k(m1 + m2), the digits of a sum or an s* decode, and int order is
+    # lexicographic order; a kept product term packs with its weight as K = k top + L w
+    # (0 <= L w < top), so K order is (s, weight) order
+    half = max(chain((2 * abs(x) for _j, t in sections1 + sections2 for m, _w in t for x in m),
+                     (abs(x) for s, _w in minima.values() for x in s)))
+    B = 2 * half + 1
+
+    def pack(m) -> int:
+        return reduce(lambda k, x: k * B + x, m, 0)
+
+    def unpack(k: int) -> Tuple[int, ...]:
+        s = []
+        for _ in range(e3.n):
+            k, d = divmod(k + half, B)
+            s.append(d - half)
+        return tuple(reversed(s))
+
+    packed1 = [(j1, [(pack(m), w) for m, w in t]) for j1, t in sections1]
+    packed2 = [(j2, [pack(m) for m, _w in t], [w for _m, w in t], [pack(m) * top + w for m, w in t])
+               for j2, t in sections2]
+    stars = {j3: (pack(s), int(w * den)) for j3, (s, w) in minima.items()}
     wnum, wden = _weight_numerator(ginv, c3)
-    target = {}  # s -> (coset of s, L w(s))
+    target = {}  # k(s) -> (coset of s, L w(s))
     coeffs = []
-    for j1, sec1 in sections1:
-        for j2, sec2 in sections2:
-            prod: Dict[Tuple[int, ...], Dict[int, int]] = {}
-            for m1, w1 in sec1:
-                for m2, w2 in sec2:
-                    row = prod.setdefault(tuple(x + y for x, y in zip(m1, m2)), {})
-                    w = w1 + w2
-                    if w < top:
-                        row[w] = row.get(w, 0) + 1
+    for j1, t1 in packed1:
+        for j2, k2s, w2s, K2s in packed2:
+            reached, counts = set(), Counter()
+            for k1, w1 in t1:
+                reached.update(map(k1.__add__, k2s))
+                counts.update(map((k1 * top + w1).__add__, K2s[:bisect_left(w2s, top - w1)]))
+            items = sorted(counts.items())
+            keys = [K for K, _c in items]
+
+            def row(lo: int, hi: int) -> list:
+                return items[bisect_left(keys, lo):bisect_left(keys, hi)]
             # Weights are >= 0, so every dropped term has weight >= internal
             # and a product row is complete below internal.  Divided by q^w*
             # it is complete below internal - w* > cutoff, so every solved
             # coefficient is stored with exactly the requested cutoff.
-            solved = {}
-            for j3, (s_star, w_star) in stars.items():
-                solved[j3] = {l - w_star: c for l, c in prod.get(s_star, {}).items()}
-            for s in sorted(prod):
-                if s not in target:
+            solved = {j3: {K - k * top - w_star: c for K, c in row(k * top, (k + 1) * top)}
+                      for j3, (k, w_star) in stars.items()}
+            for k in sorted(reached):
+                if k not in target:
+                    s = unpack(k)
                     wl, r = divmod(wnum(s) * den, wden)
                     if r:
                         raise RuntimeError(f"target weight {Fraction(wnum(s), wden)} is off the grid Z/{den}")
-                    target[s] = (coset_reduce(gamma_h, s), wl)
-                j3, wl = target[s]
-                common = min(top, low + wl)
-                have = {l: c for l, c in prod[s].items() if l < common}
-                want = {l + wl: c for l, c in solved[j3].items() if l + wl < common}
-                if have != want:
+                    target[k] = (coset_reduce(gamma_h, s), wl)
+                j3, wl = target[k]
+                common, base = min(top, low + wl), k * top
+                want = [(base + l + wl, c) for l, c in solved[j3].items() if l + wl < common]
+                if row(base, base + common) != want:
                     raise ThetaSolveError(
-                        f"inconsistent theta solve at z^{s} for pair ({j1}, {j2})",
+                        f"inconsistent theta solve at z^{unpack(k)} for pair ({j1}, {j2})",
                         cutoff + Fraction(wl, den) + 1,
                     )
             for j3 in target_cosets:

@@ -183,6 +183,40 @@ def test_coset_representatives_are_canonical_and_complete():
             assert coset_reduce(h, shifted) == r
 
 
+# -- memoization by value ---------------------------------------------------------
+
+MEMOIZED = (mat_det, mat_inv, inertia, hnf, coset_representatives)
+
+
+def test_memoized_kernels_share_one_entry_for_list_and_tuple_inputs():
+    for rows in ([[2, 1], [1, 3]], [[3, 1, 0], [1, 2, 1], [0, 1, 4]]):
+        for f in MEMOIZED:
+            assert f.cache_info().maxsize == 256
+            f.cache_clear()
+            results = [f(rows), f(tuple(map(tuple, rows))), f(mat(rows))]
+            assert results[0] == results[1] == results[2], f.__name__
+            assert f.cache_info().hits == 2 and f.cache_info().currsize == 1
+
+
+def test_a_cached_result_cannot_be_changed_by_a_caller():
+    rows = [[2, 1], [1, 3]]
+    reps = coset_representatives(rows)
+    with pytest.raises(TypeError):
+        reps[0] = (9, 9)  # the cached value is a tuple, so no caller can change it
+    assert coset_representatives(rows) == reps == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+    for f in MEMOIZED:
+        hash(f(rows))  # hashable all the way down: no list a caller could mutate
+
+
+def test_a_singular_matrix_raises_on_every_call():
+    for f in (mat_inv, hnf, coset_representatives):
+        f.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="singular"):
+                f([[1, 2], [2, 4]])
+        assert f.cache_info().currsize == 0
+
+
 # -- enumeration below a bound -----------------------------------------------------
 
 

@@ -2,13 +2,15 @@
 theta multiplication, and the exact comparison oracle."""
 
 import itertools
+import json
 from fractions import Fraction
+from math import ceil, lcm
 
 import pytest
 
 from torusmirror import cli, mirror
 from torusmirror.fukaya_oh import AffineLagrangian
-from torusmirror.lattice import mat_inv, quad_form, vec, vec_sub
+from torusmirror.lattice import coset_representatives, hnf, mat_inv, quad_form, vec, vec_sub
 from torusmirror.mirror import (
     LaurentSeriesNd,
     LineBundleObj,
@@ -108,9 +110,139 @@ def test_theta_products_of_slope_one_are_jacobi_theta_constants():
     }
 
 
+def reference_theta_multiply(e1, e2, cutoff, rows=None):
+    """theta_multiply's product, solve and check as a loop over term pairs into
+    dicts {s: {L w: count}}, the model its packed-int convolution must match
+    byte for byte; rows, if given, receives each pair's product table.  It reads
+    the same private helpers through the module, so a monkeypatch reaches both."""
+    cutoff = Fraction(cutoff)
+    e3 = e1.tensor(e2)
+    gamma = e3.lagrangian.slope
+    ginv = mat_inv(gamma)
+    c3 = e3.lagrangian.shift
+    gamma_h = hnf(gamma)
+    target_cosets = coset_representatives(gamma)
+    minima = {j3: mirror._coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
+    internal = cutoff + max(w for _s, w in minima.values()) + 1
+    den = lcm(mirror._grid(e1), mirror._grid(e2), mirror._grid(e3),
+              *(w.denominator for _s, w in minima.values()))
+    sections1, sections2 = mirror._sections(e1, internal, den), mirror._sections(e2, internal, den)
+    top, low = ceil(internal * den), ceil(cutoff * den)
+    stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
+    wnum, wden = mirror._weight_numerator(ginv, c3)
+    target = {}
+    coeffs = []
+    for j1, sec1 in sections1:
+        for j2, sec2 in sections2:
+            prod = {}
+            for m1, w1 in sec1:
+                for m2, w2 in sec2:
+                    row = prod.setdefault(tuple(x + y for x, y in zip(m1, m2)), {})
+                    w = w1 + w2
+                    if w < top:
+                        row[w] = row.get(w, 0) + 1
+            if rows is not None:
+                rows.append(prod)
+            solved = {}
+            for j3, (s_star, w_star) in stars.items():
+                solved[j3] = {l - w_star: c for l, c in prod.get(s_star, {}).items()}
+            for s in sorted(prod):
+                if s not in target:
+                    wl, r = divmod(wnum(s) * den, wden)
+                    if r:
+                        raise RuntimeError(f"target weight {Fraction(wnum(s), wden)} is off the grid Z/{den}")
+                    target[s] = (mirror.coset_reduce(gamma_h, s), wl)
+                j3, wl = target[s]
+                common = min(top, low + wl)
+                have = {l: c for l, c in prod[s].items() if l < common}
+                want = {l + wl: c for l, c in solved[j3].items() if l + wl < common}
+                if have != want:
+                    raise ThetaSolveError(
+                        f"inconsistent theta solve at z^{s} for pair ({j1}, {j2})",
+                        cutoff + Fraction(wl, den) + 1,
+                    )
+            for j3 in target_cosets:
+                coeffs.append(((j1, j2, j3), NovikovElem._over(solved[j3], den, cutoff)))
+    return mirror.ThetaProductTable(cutoff, tuple(coeffs))
+
+
+def table_bytes(table):
+    return json.dumps([[list(map(list, key)), c.to_obj()] for key, c in table.coefficients])
+
+
+def bundle(slope, shift):
+    return LineBundleObj(AffineLagrangian(slope, shift))
+
+
+SHIFT_PAIRS_1D = [
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(-1, 3)),
+    (Fraction(-5, 4), Fraction(2, 5)),
+    (Fraction(13, 7), Fraction(-9, 2)),
+    (Fraction(-3, 5), Fraction(-16, 7)),
+]
+CUTOFFS = (Fraction(1, 3), Fraction(7, 2), Fraction(25))
+I2, I3 = ((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+PAIRS_ND = [
+    (I2, ((2, 1), (1, 1)), (Fraction(1, 2), Fraction(-4, 3)), (Fraction(-2, 5), Fraction(3, 7))),
+    (I2, ((3, 1), (1, 2)), (Fraction(0), Fraction(5, 4)), (Fraction(-9, 7), Fraction(1, 3))),
+    (I3, tuple(tuple(2 * x for x in row) for row in I3),
+     (Fraction(1, 2), Fraction(0), Fraction(-4, 3)), (Fraction(1, 5), Fraction(-1, 4), Fraction(0))),
+]
+
+
+def theta_cases():
+    for (a1, a2), (b1, b2), cut in itertools.product(
+            itertools.product(range(1, 6), repeat=2), SHIFT_PAIRS_1D, CUTOFFS):
+        yield bundle(((a1,),), (b1,)), bundle(((a2,),), (b2,)), cut
+    for a1, a2, b1, b2 in PAIRS_ND:
+        for cut in CUTOFFS if len(a1) < 3 else CUTOFFS[:2]:  # 3D at cutoff 25 takes seconds
+            yield bundle(a1, b1), bundle(a2, b2), cut
+
+
+def test_packed_theta_product_matches_the_dict_loop():
+    """Every table of the packed convolution equals the dict-of-dicts loop's, in
+    value and in serialized bytes, on 1D slopes 1-5 x 1-5 with shifts over
+    denominators 2 to 7 (negative ones and |b| > 1 among them), and on 2D and
+    3D pairs, at cutoffs 1/3, 7/2 and 25."""
+    for e1, e2, cut in theta_cases():
+        new, ref = theta_multiply(e1, e2, cut), reference_theta_multiply(e1, e2, cut)
+        assert new.coefficients == ref.coefficients, (e1, e2, cut)
+        assert table_bytes(new) == table_bytes(ref), (e1, e2, cut)
+
+
+FAR = Fraction(-37) + Fraction(2, 5)
+
+
+@pytest.mark.parametrize("e1, e2, cut", [
+    (bundle(((2,),), (FAR,)), bundle(((3,),), (FAR + Fraction(1, 4),)), Fraction(7, 2)),
+    (bundle(I3, (FAR, Fraction(3), Fraction(1, 2))),
+     bundle(tuple(tuple(2 * x for x in row) for row in I3), (FAR, Fraction(-1, 3), Fraction(0))),
+     Fraction(1, 3)),
+])
+def test_every_reached_exponent_is_checked(monkeypatch, e1, e2, cut):
+    """The consistency check reads w(s) and the coset of every z^s that some
+    term pair reaches, also when all of that s's pairs weigh at least the
+    expansion bound; with a shift of -37 + 2/5 the exponents are negative and
+    the extreme sums sit at the packing radix's digit bound."""
+    seen = []
+    real = mirror.coset_reduce
+    monkeypatch.setattr(mirror, "coset_reduce", lambda h, s: seen.append(s) or real(h, s))
+    new = theta_multiply(e1, e2, cut)
+    packed, rows = set(seen), []
+    seen.clear()
+    ref = reference_theta_multiply(e1, e2, cut, rows)
+    reached = set().union(*rows)
+    assert packed == reached == set(seen)
+    assert any(all(not row.get(s) for row in rows) for s in reached)  # pairs all dropped
+    assert min(x for s in reached for x in s) < -72
+    assert table_bytes(new) == table_bytes(ref)
+
+
 def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
     """Negative control: with every w* raised by 1/2 the solved coefficients
-    no longer reproduce the product, and the solve reports a larger cutoff."""
+    no longer reproduce the product, and the solve reports a larger cutoff,
+    at the same z^s and pair and with the same text as the reference loop."""
     minimum = mirror._coset_minimum
 
     def raised(*args):
@@ -122,6 +254,15 @@ def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
     with pytest.raises(ThetaSolveError) as err:
         theta_multiply(LineBundleObj(line(1)), LineBundleObj(line(2)), cut)
     assert err.value.required_cutoff > cut
+    for e1, e2, c in [(LineBundleObj(line(1)), LineBundleObj(line(2)), cut),
+                      *((bundle(a1, b1), bundle(a2, b2), Fraction(7, 2))
+                        for a1, a2, b1, b2 in PAIRS_ND)]:
+        with pytest.raises(ThetaSolveError) as new:
+            theta_multiply(e1, e2, c)
+        with pytest.raises(ThetaSolveError) as ref:
+            reference_theta_multiply(e1, e2, c)
+        assert str(new.value) == str(ref.value)
+        assert new.value.required_cutoff == ref.value.required_cutoff
     rep = cli.cmd_mirror([Fraction(0), Fraction(1), Fraction(3)], [Fraction(0)] * 3, cut)
     assert rep.status == "ERROR"
     assert "retry with cutoff >=" in rep.payload["error"]
