@@ -1,35 +1,35 @@
 """Discrete Legendre duality for convex potentials on rational grids.
 
-A convex potential K is sampled on a uniform rational grid over a box; the
-Legendre transform is computed by exact maximization over grid nodes plus a
-local refinement of a degree-4 interpolant around each argmax, giving
-O(h^2) accuracy.  The refinement and the dual Hessian read-off run over all
-nodes at once, on stacked stencil interpolants evaluated by one batched
-contraction with per-axis power tables; each Newton iteration's step
-halvings take two such contractions.  A grid function keeps each transform
-it has been given, so the involution and Hessian checks on one grid share
-one forward transform.  The module also checks the two
-desk-scale duality identities: the Monge-Ampere residual (constancy of
-det Hess K) and the Hessian duality
-det Hess K(x) * det Hess Khat(grad K(x)) = 1 together with the metric
-agreement Hess K(x) = (Hess Khat(y))^{-1} at gradient-matched points.
+A convex potential K is sampled on a uniform rational grid over a box.  Its
+Legendre transform maximizes exactly over grid nodes, then refines a degree-4
+interpolant around each argmax for O(h^2) accuracy.  The refinement and the
+dual Hessian read-off run over all nodes at once: one batched contraction of
+the stencil interpolants with per-axis power tables, each one broadcast of
+read-only falling-factorial and exponent rows cached per stencil size.  A grid
+function keeps its transforms, so the involution and Hessian checks on one
+grid share one forward transform.  Also checked: the Monge-Ampere residual
+(constancy of det Hess K), and det Hess K(x) * det Hess Khat(grad K(x)) = 1
+with Hess K(x) = (Hess Khat(y))^{-1} at gradient-matched points.
 
-Unlike the rest of the package this module is numerical: node coordinates
-are rational (their floats are correctly rounded), values are floats, and
-every check carries an explicit tolerance.  Centered second differences
-define the discrete Hessian; the boundary ring is excluded from all norms.
+This module alone is numerical: node coordinates are rational (their floats
+are correctly rounded), values are floats, and every check carries an explicit
+tolerance.  Centered differences of shifted interior slices of the values
+define the discrete gradient and Hessian; the boundary ring is excluded from
+all norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 Box = Tuple[Tuple[Fraction, Fraction], ...]
+_TAUS = (np.ones(1), np.array([0.5**k for k in range(1, 30)]))  # line-search steps 2^-k
 
 
 class GradientRangeError(ValueError):
@@ -48,9 +48,9 @@ def _axis_nodes(lo: Fraction, hi: Fraction, h: Fraction) -> np.ndarray:
     """Nodes lo + k h, k = 0, ..., (hi - lo) / h, as float(lo + k h): over a
     common denominator D node k is (a + k b) / D, and Python's int division
     rounds that quotient correctly."""
-    n = (hi - lo) / h
+    n = (hi - lo) / h if h > 0 else Fraction(0)  # h <= 0 fails here, with no division
     if n.denominator != 1 or n <= 0:
-        raise ValueError("box side must be a positive integer multiple of h")
+        raise ValueError("box side must be a positive integer multiple of a positive h")
     steps = n.numerator
     den = lcm(lo.denominator, h.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -87,7 +87,7 @@ class ConvexGridFunction:
             raise ValueError(f"values shape {vals.shape} != grid shape {shape}")
         if any(s < 3 for s in shape):
             raise ValueError("need at least 3 nodes per axis for interior checks")
-        margin = float(np.min(_hessian_eigs(vals, float(self.h))))
+        margin = float(np.min(np.linalg.eigvalsh(_hessian_field(vals, float(self.h)))))
         object.__setattr__(self, "convexity_margin", margin)
         if margin < -self.tol:
             raise ValueError(f"not convex: discrete Hessian margin {margin}")
@@ -120,52 +120,41 @@ class ConvexGridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _interior(shape: Tuple[int, ...]):
-    return tuple(slice(1, s - 1) for s in shape)
+def _shift(v: np.ndarray, step: dict) -> np.ndarray:
+    """View of v's interior nodes moved by step[d] nodes along each axis d in step."""
+    return v[tuple(slice(1 + step.get(d, 0), s - 1 + step.get(d, 0)) for d, s in enumerate(v.shape))]
 
 
 def _second_diff(v: np.ndarray, d: int, h: float) -> np.ndarray:
-    """Centered second difference along axis d, on interior of that axis."""
-    up = np.roll(v, -1, axis=d)
-    dn = np.roll(v, 1, axis=d)
-    return (up - 2 * v + dn) / h**2
+    """Centered second difference along axis d, on the interior nodes."""
+    return (_shift(v, {d: 1}) - 2 * _shift(v, {}) + _shift(v, {d: -1})) / h**2
 
 
 def _mixed_diff(v: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
-    pp = np.roll(np.roll(v, -1, axis=a), -1, axis=b)
-    pm = np.roll(np.roll(v, -1, axis=a), 1, axis=b)
-    mp = np.roll(np.roll(v, 1, axis=a), -1, axis=b)
-    mm = np.roll(np.roll(v, 1, axis=a), 1, axis=b)
+    pp, pm = _shift(v, {a: 1, b: 1}), _shift(v, {a: 1, b: -1})
+    mp, mm = _shift(v, {a: -1, b: 1}), _shift(v, {a: -1, b: -1})
     return (pp - pm - mp + mm) / (4 * h**2)
 
 
 def _first_diff(v: np.ndarray, d: int, h: float) -> np.ndarray:
-    return (np.roll(v, -1, axis=d) - np.roll(v, 1, axis=d)) / (2 * h)
+    return (_shift(v, {d: 1}) - _shift(v, {d: -1})) / (2 * h)
 
 
 def _hessian_field(v: np.ndarray, h: float) -> np.ndarray:
     """Array of shape interior_shape + (n, n) of centered-difference Hessians."""
     n = v.ndim
-    inner = _interior(v.shape)
     hess = np.empty(tuple(s - 2 for s in v.shape) + (n, n))
     for a in range(n):
-        hess[..., a, a] = _second_diff(v, a, h)[inner]
+        hess[..., a, a] = _second_diff(v, a, h)
         for b in range(a + 1, n):
-            m = _mixed_diff(v, a, b, h)[inner]
-            hess[..., a, b] = m
-            hess[..., b, a] = m
+            hess[..., a, b] = hess[..., b, a] = _mixed_diff(v, a, b, h)
     return hess
-
-def _hessian_eigs(v: np.ndarray, h: float) -> np.ndarray:
-    return np.linalg.eigvalsh(_hessian_field(v, h))
 
 
 def gradient_field(K: ConvexGridFunction) -> np.ndarray:
     """Centered gradients at interior nodes, shape interior_shape + (n,)."""
-    v = K.values
     hf = float(K.h)
-    inner = _interior(v.shape)
-    return np.stack([_first_diff(v, d, hf)[inner] for d in range(K.n)], axis=-1)
+    return np.stack([_first_diff(K.values, d, hf) for d in range(K.n)], axis=-1)
 
 
 def hessian_determinants(K: ConvexGridFunction) -> np.ndarray:
@@ -182,10 +171,8 @@ def _check_dual_box(K: ConvexGridFunction, dual_box: Box) -> None:
     for d, (lo, hi) in enumerate(dual_box):
         gmin, gmax = float(np.min(grads[..., d])), float(np.max(grads[..., d]))
         if float(lo) < gmin - 1e-12 or float(hi) > gmax + 1e-12:
-            raise GradientRangeError(
-                f"dual box axis {d} [{float(lo)}, {float(hi)}] not inside "
-                f"discrete gradient range [{gmin}, {gmax}]"
-            )
+            raise GradientRangeError(f"dual box axis {d} [{float(lo)}, {float(hi)}] not inside "
+                                     f"discrete gradient range [{gmin}, {gmax}]")
 
 
 def _local_interpolants(v: np.ndarray, centers: np.ndarray):
@@ -217,6 +204,16 @@ def _local_interpolants(v: np.ndarray, centers: np.ndarray):
     return starts, coeffs
 
 
+@lru_cache(maxsize=32)
+def _power_rows(m: int, top: int):
+    """Read-only rows r <= top of k (k-1) ... (k-r+1) and of max(k - r, 0), k < m."""
+    k, r = np.arange(m), np.arange(top + 1)[:, None]
+    rows = np.cumprod(np.vstack([np.ones(m), k - r[:-1]]), axis=0), np.maximum(k - r, 0)
+    for a in rows:
+        a.setflags(write=False)
+    return rows
+
+
 def _derivative_table(coeffs: np.ndarray, t: np.ndarray, top: int) -> np.ndarray:
     """Partial derivatives up to order `top` per axis of the tensor-product
     polynomials coeffs (J, m_1, ..., m_n), each at its own point t (J, n).
@@ -227,21 +224,26 @@ def _derivative_table(coeffs: np.ndarray, t: np.ndarray, top: int) -> np.ndarray
     n = t.shape[1]
     operands = [coeffs, list(range(n + 1))]
     for d in range(n):
-        k = np.arange(coeffs.shape[d + 1])
-        falling, table = np.ones(len(k)), []
-        for r in range(top + 1):
-            table.append(falling * t[:, d, None] ** np.maximum(k - r, 0))
-            falling = falling * (k - r)
-        operands += [np.stack(table, axis=1), [0, n + 1 + d, d + 1]]
+        falling, powers = _power_rows(coeffs.shape[d + 1], top)
+        operands += [falling * t[:, d, None, None] ** powers, [0, n + 1 + d, d + 1]]
     return np.einsum(*operands, [0, *range(n + 1, 2 * n + 1)])
+
+
+@lru_cache(maxsize=8)
+def _order_index(n: int):
+    """Read-only index tuples of orders e_a and e_a + e_b in a table of order 2."""
+    unit = np.eye(n, dtype=int)
+    pair = np.moveaxis(unit[:, None] + unit, -1, 0)
+    for a in (unit, pair):
+        a.setflags(write=False)
+    return (slice(None), *unit.T), (slice(None), *pair)
 
 
 def _grad_hess(coeffs: np.ndarray, t: np.ndarray):
     """Gradients (J, n) and Hessians (J, n, n) of the polynomials at t."""
     table = _derivative_table(coeffs, t, 2)
-    unit = np.eye(t.shape[1], dtype=int)
-    pick = lambda orders: table[(slice(None), *np.moveaxis(orders, -1, 0))]
-    return pick(unit), pick(unit[:, None] + unit)
+    grad, hess = _order_index(t.shape[1])
+    return table[grad], table[hess]
 
 
 def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -267,15 +269,15 @@ def _line_search(gain, t, best, rows, step, hi_t) -> np.ndarray:
     and the other 29 halvings in one more.  Returns the positions in rows
     that no trial improved."""
     pending = np.arange(len(rows))
-    for taus in (np.ones(1), 0.5 ** np.arange(1, 30)):
-        trial = np.repeat(pending, len(taus))
-        t_new = np.clip(t[rows[trial]] + np.tile(taus, len(pending))[:, None] * step[trial],
-                        0.0, hi_t)
-        v_new = gain(rows[trial], t_new)
-        better = (v_new > best[rows[trial]] + 1e-18).reshape(len(pending), len(taus))
+    for taus in _TAUS:
+        r = rows[pending]
+        t_new = np.clip(t[r][:, None] + taus[:, None] * step[pending][:, None], 0.0, hi_t)
+        t_new = t_new.reshape(-1, t.shape[1])
+        v_new = gain(np.repeat(r, len(taus)), t_new)
+        better = v_new.reshape(len(r), len(taus)) > best[r][:, None] + 1e-18
         found = better.any(axis=1)
         first = np.flatnonzero(found) * len(taus) + np.argmax(better[found], axis=1)
-        t[rows[pending[found]]], best[rows[pending[found]]] = t_new[first], v_new[first]
+        t[r[found]], best[r[found]] = t_new[first], v_new[first]
         pending = pending[~found]
         if not len(pending):
             break
@@ -310,8 +312,7 @@ def _transform(K: ConvexGridFunction, dual_box: Box, dual_h: Fraction) -> Convex
         raise DomainMismatchError("dual box dimension mismatch")
     _check_dual_box(K, dual_box)
 
-    v = K.values
-    hf = float(K.h)
+    v, hf = K.values, float(K.h)
     mesh = np.meshgrid(*K.node_array(), indexing="ij")
     flat_x = np.stack([m.ravel() for m in mesh], axis=-1)  # (#nodes, n)
 
@@ -344,7 +345,9 @@ def _transform(K: ConvexGridFunction, dual_box: Box, dual_h: Fraction) -> Convex
             break
         step = _newton_steps(hess_p[moving], grad[moving])
         # no gain after 30 halvings: done
-        active = np.delete(active, _line_search(gain, t, best, active, step, hi_t))
+        keep = np.ones(len(active), dtype=bool)
+        keep[_line_search(gain, t, best, active, step, hi_t)] = False
+        active = active[keep]
     origin = np.array([float(lo) for lo, _ in K.box])
     x_pt = origin + starts * hf + t * hf
     refined = np.sum(ys * x_pt, axis=1) - _derivative_table(coeffs, t, 0).reshape(len(ys))
@@ -358,8 +361,7 @@ def involution_error(K: ConvexGridFunction, dual_box, dual_h) -> float:
     transform recover K)."""
     Khat = legendre(K, dual_box, dual_h)
     grads = gradient_field(Khat)
-    back_box = []
-    offsets = []
+    back_box, offsets = [], []
     for d, ((lo, _), xs) in enumerate(zip(K.box, K.node_array())):
         gmin, gmax = float(np.min(grads[..., d])), float(np.max(grads[..., d]))
         ks = np.flatnonzero((gmin - 1e-12 <= xs) & (xs <= gmax + 1e-12))
@@ -368,11 +370,8 @@ def involution_error(K: ConvexGridFunction, dual_box, dual_h) -> float:
         back_box.append((lo + int(ks[0]) * K.h, lo + int(ks[-1]) * K.h))
         offsets.append(int(ks[0]))
     back = legendre(Khat, back_box, K.h)
-    sub = K.values[tuple(
-        slice(o, o + s) for o, s in zip(offsets, back.values.shape)
-    )]
-    diff = back.values - sub
-    return float(np.max(np.abs(diff[_interior(diff.shape)])))
+    sub = K.values[tuple(slice(o, o + s) for o, s in zip(offsets, back.values.shape))]
+    return float(np.max(np.abs(_shift(back.values - sub, {}))))
 
 
 def ma_residual(K: ConvexGridFunction) -> float:

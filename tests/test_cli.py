@@ -331,6 +331,16 @@ def test_legendre_zero_denominator_reports_error(capsys, tmp_path):
     assert "zero denominator" in rep["payload"]["error"]
 
 
+@pytest.mark.parametrize("key", ["h", "dual_h"])
+def test_legendre_zero_grid_step_reports_error(capsys, grid_file, key):
+    obj = json.loads(Path(grid_file).read_text())
+    obj[key] = "0"
+    Path(grid_file).write_text(json.dumps(obj))
+    code, rep = run(capsys, "legendre", grid_file)
+    assert code == 1 and rep["status"] == "ERROR"
+    assert "positive h" in rep["payload"]["error"]
+
+
 def test_readme_command_lines_parse(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line")[1].split("```")[1]

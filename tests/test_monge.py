@@ -3,6 +3,7 @@ quartic conjugate, involution and Hessian-duality errors, the batched line
 search against one halving at a time, the per-grid transform cache, and
 input validation."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -162,6 +163,19 @@ def test_singular_hessian_row_takes_the_gradient_step():
         assert np.array_equal(step[j], np.linalg.solve(hess[j], grad[j]))
 
 
+def test_cached_tables_are_read_only():
+    """Every call shares the cached power rows and index tuples, so none
+    may write to them."""
+    assert monge._power_rows(5, 2) is monge._power_rows(5, 2)
+    arrays = [*monge._power_rows(5, 2), *monge._power_rows(3, 0)]
+    for n in (1, 2):
+        grad, hess = monge._order_index(n)
+        arrays += [*grad[1:], *hess[1:]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def _sequential_line_search(gain, t, best, rows, step, hi_t, halvings):
     """Reference model of `monge._line_search`: every pending row tries
     tau = 1, 1/2, ..., 2^-29 one halving at a time and stops at its first
@@ -182,6 +196,15 @@ def _sequential_line_search(gain, t, best, rows, step, hi_t, halvings):
     return pending
 
 
+def convex_2d(t0, t1):
+    """The legendre benchmark's 2D potential with tilt (t0, t1) on [-1, 1]^2,
+    and its dual box."""
+    f = lambda x, y: (0.5 * x * x + x**4 / 12 + 0.1 * x * y + 0.5 * y * y + y**4 / 12
+                      + float(t0) * x + float(t1) * y)
+    return f, [(-1, 1)] * 2, [(Fraction(-1, 2) + t0, Fraction(1, 2) + t0),
+                              (Fraction(-1, 2) + t1, Fraction(1, 2) + t1)]
+
+
 _FLAT = Fraction(1, 2**40)  # within the 1e-12 slack below the gradient range
 
 LINE_SEARCH_CASES = [
@@ -191,10 +214,7 @@ LINE_SEARCH_CASES = [
      [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 32)),
     (lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)],
      [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 64)),
-    # the benchmark's convex_2d with tilt (1/4, -1/8)
-    (lambda x, y: 0.5 * x * x + x**4 / 12 + 0.1 * x * y + 0.5 * y * y + y**4 / 12
-     + 0.25 * x - 0.125 * y, [(-1, 1)] * 2,
-     [(Fraction(-1, 4), Fraction(3, 4)), (Fraction(-5, 8), Fraction(3, 8))], Fraction(1, 12)),
+    (*convex_2d(Fraction(1, 4), Fraction(-1, 8)), Fraction(1, 12)),
     # singular Hessians: dual nodes -2^-40 maximize over the flat quadrant,
     # whose stencils hold only zeros, so their rows take the gradient step
     (lambda x, y: max(0.0, x) ** 2 + max(0.0, y) ** 2, [(-1, 1)] * 2,
@@ -215,6 +235,32 @@ def test_batched_line_search_matches_sequential_halving(monkeypatch):
             sequential = monge._transform(K, monge._as_box(dual_box), h).values
         assert batched.tobytes() == sequential.tobytes()
     assert max(halvings) >= 20
+
+
+def test_benchmark_grids_are_pinned_bit_for_bit():
+    """Forward and back transforms, involution errors and Hessian-duality
+    reports on legendre-benchmark grids (quartic ladders with tilts, and the
+    2D potential), byte for byte: a speed-up must not move one float bit."""
+    F = Fraction
+    grids = []
+    for k in (-64, -37, -16, 0, 11, 29, 50, 64):
+        tilt = F(k, 64)
+        f = lambda x, t=float(tilt), c=(k % 16) / 8: 0.25 * x**4 + t * x + c
+        dual_box = [(F(1, 4) + tilt, F(3, 4) + tilt)]
+        grids += [(f, [(F(1, 2), 1)], dual_box, h) for h in (F(1, 16), F(1, 32), F(1, 64))]
+    for tilt in ((F(1, 4), F(-1, 8)), (F(-7, 32), F(3, 32)), (F(0), F(1, 4))):
+        grids += [(*convex_2d(*tilt), h) for h in (F(1, 12), F(1, 16))]
+    digest = hashlib.sha256()
+    for f, box, dual_box, h in grids:
+        K = ConvexGridFunction.sample(f, box, h)
+        inv = involution_error(K, dual_box, h)
+        rep = hessian_duality_check(K, dual_box, h, margin=0.1)
+        dual = legendre(K, dual_box, h)
+        (back,) = dual._duals.values()
+        for arr in (dual.values, back.values, np.float64(inv)):
+            digest.update(arr.tobytes())
+        digest.update(repr(rep).encode())
+    assert digest.hexdigest() == "6afc0c0279d1413a2e4d9c9cffe55faf7f9acf4f4498f68d5ef535bb7e620a4a"
 
 
 def test_transform_is_cached_per_dual_grid(monkeypatch, tmp_path):
