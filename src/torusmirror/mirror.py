@@ -129,10 +129,6 @@ class LineBundleObj:
         return LineBundleObj(AffineLagrangian(a, b, hol))
 
 
-def unit_bundle(n: int) -> LineBundleObj:
-    return LineBundleObj(AffineLagrangian([[0] * n for _ in range(n)], [0] * n))
-
-
 def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
     d = vec_sub(m, center)
     return Fraction(1, 2) * quad_form(ainv, d)

@@ -4,18 +4,18 @@ A convex potential K is sampled on a uniform rational grid over a box.  Its
 Legendre transform maximizes exactly over grid nodes, then refines a degree-4
 interpolant around each argmax for O(h^2) accuracy.  The refinement and the
 dual Hessian read-off run over all nodes at once: one batched contraction of
-the stencil interpolants with per-axis power tables, each one broadcast of
-read-only falling-factorial and exponent rows cached per stencil size.  A grid
-function keeps its transforms, so the involution and Hessian checks on one
-grid share one forward transform.  Also checked: the Monge-Ampere residual
-(constancy of det Hess K), and det Hess K(x) * det Hess Khat(grad K(x)) = 1
-with Hess K(x) = (Hess Khat(y))^{-1} at gradient-matched points.
+the stencil interpolants with per-axis power tables.  The inverse Vandermonde
+matrix and the falling-factorial and exponent rows are read-only and cached
+per stencil size.  A grid function keeps its transforms, so the involution and
+Hessian checks on one grid share one forward transform.  Also checked: the
+Monge-Ampere residual (constancy of det Hess K), and at y = grad K(x) both
+det Hess K(x) * det Hess Khat(y) = 1 and Hess K(x) = (Hess Khat(y))^{-1}.
 
-This module alone is numerical: node coordinates are rational (their floats
-are correctly rounded), values are floats, and every check carries an explicit
-tolerance.  Centered differences of shifted interior slices of the values
-define the discrete gradient and Hessian; the boundary ring is excluded from
-all norms.
+This module alone is numerical.  It imports numpy when the first grid function
+is built, not at import.  Node coordinates are rational (their floats are
+correctly rounded), values are floats, and every check carries an explicit
+tolerance.  Centered differences of shifted interior slices define the
+discrete gradient and Hessian, and every norm skips the boundary ring.
 """
 
 from __future__ import annotations
@@ -26,10 +26,19 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 Box = Tuple[Tuple[Fraction, Fraction], ...]
-_TAUS = (np.ones(1), np.array([0.5**k for k in range(1, 30)]))  # line-search steps 2^-k
+
+
+class _LazyNumpy:
+    """numpy's stand-in: the first attribute read imports numpy and rebinds np."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _LazyNumpy()
 
 
 class GradientRangeError(ValueError):
@@ -95,11 +104,6 @@ class ConvexGridFunction:
     @property
     def n(self) -> int:
         return len(self.box)
-
-    def axis_nodes(self, d: int) -> List[Fraction]:
-        lo, hi = self.box[d]
-        steps = int((hi - lo) / self.h)
-        return [lo + k * self.h for k in range(steps + 1)]
 
     def node_array(self) -> List[np.ndarray]:
         """Float coordinate arrays, one per axis."""
@@ -191,27 +195,38 @@ def _local_interpolants(v: np.ndarray, centers: np.ndarray):
             (-1,) + (1,) * d + (m,) + (1,) * (n - 1 - d))
         for d, m in enumerate(sizes)
     )]
-    inv_vander = {
-        m: np.linalg.inv(np.vander(np.arange(m, dtype=float), m, increasing=True))
-        for m in set(sizes.tolist())
-    }
     # one (m, m) @ (m, rest) product per block, the shape of solving one
     # block alone, so each block's coefficients round as they would alone
-    for d, m in enumerate(sizes):
+    for d, m in enumerate(sizes.tolist()):
         moved = np.moveaxis(coeffs, d + 1, 1)
-        solved = inv_vander[m] @ moved.reshape(len(starts), m, -1)
+        solved = _inv_vander(m) @ moved.reshape(len(starts), m, -1)
         coeffs = np.moveaxis(solved.reshape(moved.shape), 1, d + 1)
     return starts, coeffs
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # the cached tables below are shared by every call
+    return a
+
+
+@lru_cache(maxsize=8)
+def _inv_vander(m: int) -> np.ndarray:
+    """Read-only inverse of the Vandermonde matrix of the nodes 0, ..., m - 1."""
+    return _frozen(np.linalg.inv(np.vander(np.arange(m, dtype=float), m, increasing=True)))
+
+
+@lru_cache(maxsize=1)
+def _taus():
+    """Read-only line-search steps 2^-k: k = 0 alone, then k = 1, ..., 29."""
+    return _frozen(np.ones(1)), _frozen(np.array([0.5**k for k in range(1, 30)]))
 
 
 @lru_cache(maxsize=32)
 def _power_rows(m: int, top: int):
     """Read-only rows r <= top of k (k-1) ... (k-r+1) and of max(k - r, 0), k < m."""
     k, r = np.arange(m), np.arange(top + 1)[:, None]
-    rows = np.cumprod(np.vstack([np.ones(m), k - r[:-1]]), axis=0), np.maximum(k - r, 0)
-    for a in rows:
-        a.setflags(write=False)
-    return rows
+    return (_frozen(np.cumprod(np.vstack([np.ones(m), k - r[:-1]]), axis=0)),
+            _frozen(np.maximum(k - r, 0)))
 
 
 def _derivative_table(coeffs: np.ndarray, t: np.ndarray, top: int) -> np.ndarray:
@@ -232,10 +247,8 @@ def _derivative_table(coeffs: np.ndarray, t: np.ndarray, top: int) -> np.ndarray
 @lru_cache(maxsize=8)
 def _order_index(n: int):
     """Read-only index tuples of orders e_a and e_a + e_b in a table of order 2."""
-    unit = np.eye(n, dtype=int)
-    pair = np.moveaxis(unit[:, None] + unit, -1, 0)
-    for a in (unit, pair):
-        a.setflags(write=False)
+    unit = _frozen(np.eye(n, dtype=int))
+    pair = _frozen(np.moveaxis(unit[:, None] + unit, -1, 0))
     return (slice(None), *unit.T), (slice(None), *pair)
 
 
@@ -269,7 +282,7 @@ def _line_search(gain, t, best, rows, step, hi_t) -> np.ndarray:
     and the other 29 halvings in one more.  Returns the positions in rows
     that no trial improved."""
     pending = np.arange(len(rows))
-    for taus in _TAUS:
+    for taus in _taus():
         r = rows[pending]
         t_new = np.clip(t[r][:, None] + taus[:, None] * step[pending][:, None], 0.0, hi_t)
         t_new = t_new.reshape(-1, t.shape[1])

@@ -255,10 +255,6 @@ class NovikovElem:
             None if cut is None else Fraction(cut[0], cut[1]),
         )
 
-    @staticmethod
-    def from_json(s: str) -> "NovikovElem":
-        return NovikovElem.from_obj(json.loads(s))
-
     def __repr__(self):
         body = " + ".join(f"{c}*q^{l}" for l, c in self.terms) or "0"
         if self.cutoff is not None:

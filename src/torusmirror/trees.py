@@ -47,9 +47,6 @@ class PlanarTree:
         for c in self.children:
             yield from c.internal_vertices()
 
-    def is_binary(self) -> bool:
-        return all(len(v.children) == 2 for v in self.internal_vertices())
-
     # -- text form ------------------------------------------------------
 
     def to_text(self) -> str:

@@ -20,7 +20,6 @@ from torusmirror.mirror import (
     theta_basis,
     theta_multiply,
     triangle_product_table,
-    unit_bundle,
 )
 from torusmirror.novikov import NovikovElem
 
@@ -69,8 +68,8 @@ def test_bundle_requires_positive_definite_slope():
         LineBundleObj(line(-1))
     with pytest.raises(ValueError):
         LineBundleObj(line(0, shift=Fraction(1, 2)))
-    assert unit_bundle(1).is_unit
-    assert unit_bundle(1).rank_of_sections == 1
+    assert LineBundleObj(line(0)).is_unit
+    assert LineBundleObj(line(0)).rank_of_sections == 1
 
 
 def test_tensor_adds_slopes_and_shifts():
@@ -81,7 +80,7 @@ def test_tensor_adds_slopes_and_shifts():
 
 def test_unit_multiplication_is_identity():
     e = LineBundleObj(line(2))
-    table = theta_multiply(unit_bundle(1), e, Fraction(4))
+    table = theta_multiply(LineBundleObj(line(0)), e, Fraction(4))
     for (j1, j2, j3), c in table.coefficients:
         want = NovikovElem.one(Fraction(4)) if j2 == j3 else NovikovElem.zero(Fraction(4))
         assert c == want

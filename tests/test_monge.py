@@ -1,11 +1,15 @@
 """Discrete Legendre duality: exactness on quadratics, the closed-form
 quartic conjugate, involution and Hessian-duality errors, the batched line
-search against one halving at a time, the per-grid transform cache, and
-input validation."""
+search against one halving at a time, the per-grid transform cache, numpy
+loading only with the first grid function, and input validation."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +54,7 @@ def test_grid_shape_and_convexity_are_validated():
 
 
 def test_values_are_a_read_only_copy():
-    raw = np.array([float(x) ** 2 for x in quadratic(1).axis_nodes(0)])
+    raw = quadratic(1).node_array()[0] ** 2
     K = ConvexGridFunction([(-1, 1)], H, raw)
     with pytest.raises(ValueError, match="read-only"):
         K.values[0] = 0.0
@@ -77,7 +81,7 @@ def test_quadratic_conjugate_is_quadratic(a):
     K = quadratic(a)
     dual_box = [(-a / 2, a / 2)]
     dual = legendre(K, dual_box, H)
-    ys = np.array([float(y) for y in dual.axis_nodes(0)])
+    ys = dual.node_array()[0]
     assert np.max(np.abs(dual.values - ys * ys / (2 * float(a)))) < 1e-12
     assert involution_error(K, dual_box, H) < 1e-12
     assert ma_residual(K) < 1e-12
@@ -104,7 +108,7 @@ def test_quartic_conjugate_matches_closed_form():
         lambda x: 0.25 * x**4, [(Fraction(1, 2), 1)], Fraction(1, 64)
     )
     dual = legendre(K, [(Fraction(1, 4), Fraction(3, 4))], Fraction(1, 64))
-    ys = np.array([float(y) for y in dual.axis_nodes(0)])
+    ys = dual.node_array()[0]
     assert np.max(np.abs(dual.values - 0.75 * ys ** (4.0 / 3.0))) < 1e-10
 
 
@@ -164,16 +168,50 @@ def test_singular_hessian_row_takes_the_gradient_step():
 
 
 def test_cached_tables_are_read_only():
-    """Every call shares the cached power rows and index tuples, so none
-    may write to them."""
+    """Every call shares the cached power rows, inverse Vandermonde matrices,
+    line-search steps and index tuples, so none may write to them."""
     assert monge._power_rows(5, 2) is monge._power_rows(5, 2)
-    arrays = [*monge._power_rows(5, 2), *monge._power_rows(3, 0)]
+    arrays = [*monge._power_rows(5, 2), *monge._power_rows(3, 0), *monge._taus()]
+    arrays += [monge._inv_vander(m) for m in range(2, 6)]
     for n in (1, 2):
         grad, hess = monge._order_index(n)
         arrays += [*grad[1:], *hess[1:]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_inverse_vandermonde_is_a_fresh_inverse_bit_for_bit():
+    for m in range(2, 6):
+        fresh = np.linalg.inv(np.vander(np.arange(m, dtype=float), m, increasing=True))
+        cached = monge._inv_vander(m)
+        assert cached is monge._inv_vander(m)
+        assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
+
+
+def test_exact_layers_run_without_numpy():
+    # numpy loads with the first grid function: importing every layer the
+    # benchmark worker imports, plus criteria and cli, and running suite's
+    # exact modules leave it out of sys.modules
+    src = str(Path(monge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys\n"
+            "from fractions import Fraction as F\n"
+            "from torusmirror import (ainfty, cli, criteria, fukaya_oh, intervals, lattice,\n"
+            "                         mirror, monge, morse, novikov, randomgen, transfer, trees)\n"
+            "status = cli.main(['suite', '--modules',\n"
+            "                   'fo,mirror,morse,novikov,signs,transfer,trees'])\n"
+            "before = 'numpy' in sys.modules\n"
+            "K = monge.ConvexGridFunction.sample(lambda x: 0.25 * x**4, [(F(1, 2), 1)], F(1, 16))\n"
+            "dual = monge.legendre(K, [(F(1, 4), F(3, 4))], F(1, 16))\n"
+            "np = sys.modules.get('numpy')\n"
+            "print()\n"
+            "print(status, before, monge.np is np, type(dual.values) is np.ndarray)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True True"
 
 
 def _sequential_line_search(gain, t, best, rows, step, hi_t, halvings):
@@ -283,7 +321,7 @@ def test_transform_is_cached_per_dual_grid(monkeypatch, tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({
         "box": [[-1, 1]], "h": [1, 32],
-        "values": [float(x) ** 2 / 2 for x in K.axis_nodes(0)],
+        "values": (K.node_array()[0] ** 2 / 2).tolist(),
         "dual_box": [[[-1, 2], [1, 2]]], "dual_h": [1, 32],
     }))
     del calls[:]
@@ -308,7 +346,7 @@ def test_node_coordinates_are_correctly_rounded():
     boxes.append(((F(1, 3**40), 1 + F(1, 3**40)), F(1, 8)))
     for (lo, hi), h in boxes:
         K = ConvexGridFunction.sample(lambda x: x * x, [(lo, hi)], h)
-        want = np.array([float(x) for x in K.axis_nodes(0)])
+        want = np.array([float(lo + k * h) for k in range(int((hi - lo) / h) + 1)])
         assert K.node_array()[0].tobytes() == want.tobytes()
 
 
@@ -345,9 +383,7 @@ def test_conjugation_reverses_pointwise_order(a, bump):
     """K <= L implies Khat >= Lhat."""
     K = quadratic(a)
     L = ConvexGridFunction(
-        K.box, K.h, K.values + bump + 0.1 * np.array(
-            [float(x) ** 2 for x in K.axis_nodes(0)]
-        )
+        K.box, K.h, K.values + bump + 0.1 * K.node_array()[0] ** 2
     )
     dual_box = [(Fraction(-1, 4), Fraction(1, 4))]
     Kd = legendre(K, dual_box, H)
@@ -361,5 +397,5 @@ def test_conjugation_reverses_pointwise_order(a, bump):
 def test_hessian_determinants_shape():
     K = quadratic(1)
     dets = hessian_determinants(K)
-    assert dets.shape == (len(K.axis_nodes(0)) - 2,)
+    assert dets.shape == (len(K.node_array()[0]) - 2,)
     assert np.allclose(dets, 1.0)

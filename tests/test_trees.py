@@ -46,7 +46,7 @@ def test_enumeration_is_duplicate_free_with_correct_leaf_counts(n):
     assert len({t.to_text() for t in trees}) == len(trees)
     assert all(t.leaf_count() == n for t in trees)
     binaries = enumerate_binary(n)
-    assert all(t.is_binary() for t in binaries)
+    assert all(len(v.children) == 2 for t in binaries for v in t.internal_vertices())
     assert set(map(PlanarTree.to_text, binaries)) <= set(map(PlanarTree.to_text, trees))
 
 
