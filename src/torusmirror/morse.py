@@ -9,11 +9,11 @@ algebraic numbers: an integer Vincent-Akritas-Strzebonski continued-fraction
 isolator (the algorithm of sympy's ``Poly.intervals``, with the same
 intervals; sympy itself is used only by the tests) isolates them in
 rational intervals, exact integer bisection refines those, and every sign
-or ordering decision is certified by exact interval refinement.  Gcds,
-square-free parts and the real-root test behind the Morse check run on
-integer coefficient lists.  A critical point's enclosure in y is computed
-from its t-enclosure when first read, and a triple's transversality is
-certified once per triple.
+or ordering decision is certified by exact interval refinement.  Gcds and
+square-free parts run on integer coefficient lists; the isolator also decides
+the real-root test behind the Morse check.  A critical point's enclosure in
+y, from exact integer bounds on atan(t)/pi, is computed when first read, and
+a triple's transversality is certified once per triple.
 
 Orientation and sign conventions (validated by d^2 = 0 and the arity-3
 structure relation, then frozen):
@@ -72,32 +72,20 @@ def _primitive(coeffs: Sequence) -> Tuple[int, ...]:
     return tuple(c // g for c in nums)
 
 
-def _derivative(a: Sequence[int]) -> Tuple[int, ...]:
-    n = len(a) - 1
-    return tuple((n - i) * c for i, c in enumerate(a[:-1]))
-
-
-def _reduce(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """A positive multiple of the remainder of a by b, with content removed."""
-    r = list(a)
-    lb, sb = abs(b[0]), 1 if b[0] > 0 else -1
-    while len(r) >= len(b):
-        c = sb * r[0]
-        r = [lb * x - c * y for x, y in zip(r, b)] + [lb * x for x in r[len(b):]]
-        r.pop(0)
-        while r and r[0] == 0:
-            r.pop(0)
-    if not r:
-        return ()
-    g = gcd(*r)
-    return tuple(x // g for x in r)
-
-
 def _gcd(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Primitive gcd with positive leading coefficient (primitive
-    pseudo-remainder sequence); () only when both inputs are zero."""
+    pseudo-remainder sequence: each remainder is a positive multiple of the
+    remainder of a by b, content removed); () only when both inputs are zero."""
     while b:
-        a, b = b, _reduce(a, b)
+        r, lb, sb = list(a), abs(b[0]), 1 if b[0] > 0 else -1
+        while len(r) >= len(b):
+            c = sb * r[0]
+            r = [lb * x - c * y for x, y in zip(r, b)] + [lb * x for x in r[len(b):]]
+            r.pop(0)
+            while r and r[0] == 0:
+                r.pop(0)
+        g = gcd(*r) if r else 1
+        a, b = b, tuple(x // g for x in r)
     return _primitive(a)
 
 
@@ -119,29 +107,8 @@ def _quotient(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
 def _sqf_part(a: Tuple[int, ...]) -> Tuple[int, ...]:
     """Square-free part a / gcd(a, a') of a primitive a with positive
     leading coefficient; the quotient is again of that kind."""
-    return _quotient(a, _gcd(a, _derivative(a)))
-
-
-def _has_real_root(a: Tuple[int, ...]) -> bool:
-    """Whether a has a real root: the Sturm sequence a, a', -rem, ... counts
-    distinct real roots as its sign changes at -inf minus those at +inf."""
-    if len(a) < 2:
-        return False
-    if len(a) % 2 == 0:  # odd degree
-        return True
-    seq = [a, _derivative(a)]
-    while len(seq[-1]) > 1:
-        r = _reduce(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(tuple(-x for x in r))
-
-    def changes(signs: List[int]) -> int:
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    at_plus = [1 if p[0] > 0 else -1 for p in seq]
-    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, seq)]
-    return changes(at_minus) > changes(at_plus)
+    derivative = tuple((len(a) - 1 - i) * c for i, c in enumerate(a[:-1]))
+    return _quotient(a, _gcd(a, derivative))
 
 
 def _sign_at(a: Sequence[int], num: int, den: int) -> int:
@@ -313,6 +280,11 @@ def _isolate(sqf: Tuple[int, ...]) -> List[Tuple[Fraction, Fraction]]:
         for m in _positive_roots(mirror):
             found.append(_interval(m, -1))
     return sorted(found)
+
+
+def _has_real_root(a: Tuple[int, ...]) -> bool:
+    """Whether a primitive a with a[0] > 0 has a real root; constants skip the isolator."""
+    return len(a) > 1 and bool(_isolate(_sqf_part(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +596,49 @@ class NonMorseError(ValueError):
     pass
 
 
+def _atan_bounds(n: int, d: int, p: int) -> Tuple[int, int]:
+    """(lo, hi) around 2**p atan(n/d), 0 <= n/d <= 1/2, by the alternating series in
+    fixed point: a floored power 2**p (n/d)**(2k+1) is short by < 4/3 (the shortfall
+    shrinks by (n/d)**2 <= 1/4 a step), a term by < 7/3, the tail after power 0 by < 4/3."""
+    power, s, k = (n << p) // d, 0, 0
+    while power:
+        s += (-1) ** k * (power // (2 * k + 1))
+        power = power * n * n // (d * d)
+        k += 1
+    err = 3 * k + 2 if n else 0
+    return s - err, s + err
+
+
 def _y_interval(at_half: bool, t_lo: Fraction, t_hi: Fraction) -> Tuple[Fraction, Fraction]:
     """Certified rational interval for y in [0,1), width < 2**-40, via atan
     of a t-enclosure of width <= 2**-44."""
     if at_half:
         return (Fraction(1, 2), Fraction(1, 2))
-    import mpmath
+    from decimal import ROUND_HALF_UP, Context, Decimal
 
-    # atan is monotone and well conditioned; 120-bit evaluation at both
-    # rational endpoints is accurate to far better than the 2**-60 pad.
-    with mpmath.workprec(120):
-        vals = []
-        for bound in (t_lo, t_hi):
-            x = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
-            y = mpmath.atan(x) / mpmath.pi
-            vals.append(Fraction(mpmath.nstr(y, 30, strip_zeros=False)))
+    # each end is atan(t)/pi rounded half up to 30 significant digits, from
+    # atan|t| = k pi/4 + sign atan(u), 0 <= u <= 1/2 (Brent, JACM 1976), and
+    # Machin's pi = 16 atan(1/5) - 4 atan(1/239); the precision doubles until both
+    # bounds round alike, as atan(t)/pi is irrational unless t is 0 or +-1 (u = 0)
+    ctx = Context(prec=30, rounding=ROUND_HALF_UP)
+    vals = []
+    for t in (t_lo, t_hi):
+        n, d = abs(t.numerator), t.denominator
+        if 2 * n <= d:
+            k, sign, u = 0, 1, (n, d)
+        elif n <= 2 * d:  # atan((|t| - 1) / (|t| + 1))
+            k, sign, u = 1, 1 if n >= d else -1, (abs(n - d), n + d)
+        else:  # pi/2 - atan(1 / |t|)
+            k, sign, u = 2, -1, (d, n)
+        p, digits = 128, set()
+        while len(digits) != 1:
+            (a_lo, a_hi), (f_lo, f_hi), (g_lo, g_hi) = (
+                _atan_bounds(*u, p), _atan_bounds(1, 5, p), _atan_bounds(1, 239, p))
+            pi_lo, pi_hi = 16 * f_lo - 4 * g_hi, 16 * f_hi - 4 * g_lo
+            digits = {ctx.divide(Decimal(k * pi + 4 * sign * a), Decimal(4 * pi))
+                      for a, pi in ((a_lo, pi_hi), (a_hi, pi_lo))}  # k/4 + sign a/pi
+            p *= 2
+        vals.append(Fraction(digits.pop()) * (1 if t >= 0 else -1))
     pad = Fraction(1, 2**60)
     lo, hi = min(vals) - pad, max(vals) + pad
     if lo < 0 and hi < 0:

@@ -362,15 +362,17 @@ def test_exact_layers_import_without_sympy():
     assert proc.stdout.strip() == "False"
 
 
-def test_morse_runs_with_sympy_blocked():
-    # sympy is a test-only reference: with its import blocked, isolation,
-    # weighted products and the suite's morse module still run, and neither
-    # sympy nor mpmath (needed only by y_interval) gets loaded
+def test_morse_runs_with_sympy_blocked(tmp_path):
+    # sympy and mpmath are test-only references: with their imports blocked,
+    # isolation, every y enclosure, weighted products, `morse crit` and the
+    # suite's morse module still run, and neither package gets loaded
     src = str(Path(torusmirror.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    trig_file = tmp_path / "trig.json"
+    trig_file.write_text('{"f0": {"cos": {"1": [1, 1], "2": [-1, 3]}, "sin": {"1": [2, 5]}}}')
     code = ("import sys\n"
-            "sys.modules['sympy'] = None\n"
+            "sys.modules['sympy'] = sys.modules['mpmath'] = None\n"
             "from fractions import Fraction as F\n"
             "from torusmirror import cli, morse\n"
             "f0 = morse.TrigPolynomial.from_dicts({1: F(1), 2: F(-1, 3)}, {1: F(2, 5)})\n"
@@ -378,12 +380,15 @@ def test_morse_runs_with_sympy_blocked():
             "f2 = morse.TrigPolynomial.from_dicts({1: F(-2, 3)}, {2: F(3, 2)})\n"
             "points = len(morse.critical_points(f0 - f1).points)\n"
             "entries = len(morse.m2(f0, f1, f2, weighted=True).entries)\n"
+            "for g in (f0 - f1, f1 - f2, f0 - f2):\n"
+            "    [p.y_interval for p in morse.critical_points(g).points]\n"
+            f"crit = cli.main(['morse', 'crit', {str(trig_file)!r}])\n"
             "status = cli.main(['suite', '--modules', 'morse'])\n"
             "loaded = [m for m, v in sys.modules.items()\n"
             "          if v is not None and m.split('.')[0] in ('sympy', 'mpmath')]\n"
             "print()\n"
-            "print(points, entries > 0, status, loaded)\n")
+            "print(points, entries > 0, crit, status, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "4 True 0 []"
+    assert proc.stdout.splitlines()[-1] == "4 True 0 0 []"

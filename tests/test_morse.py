@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -531,6 +532,78 @@ def test_real_root_test_covers_both_branches():
     assert morse._has_real_root((1, 0, -2))  # t^2 - 2
     assert morse._has_real_root((1, -3, 1, -3))  # (t^2 + 1)(t - 3)
     assert morse._has_real_root((1, 0, -4, 0, 4))  # (t^2 - 2)^2
+
+
+def test_real_root_test_matches_sympy_root_count():
+    rng = random.Random(31)
+    polys = [(1,), (7,)]
+    while len(polys) < 600:
+        # linear and root-free quadratic factors, some of them squared or cubed
+        poly = qq_poly((rng.randint(1, 5),))
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                f = qq_poly((rng.randint(1, 4), rng.randint(-9, 9)))
+            else:
+                b = rng.randint(-6, 6)
+                f = qq_poly((1, b, b * b // 4 + rng.randint(1, 9)))
+            poly *= f ** rng.choice((1, 1, 2, 3))
+        polys.append(morse._primitive(fractions_of(poly)))
+    with_roots = 0
+    for a in polys:
+        count = int(qq_poly(a).count_roots())  # distinct real roots
+        assert morse._has_real_root(a) == (count > 0), a
+        if len(a) > 1:
+            assert len(morse._isolate(morse._sqf_part(a))) == count, a
+        with_roots += count > 0
+    assert 100 < with_roots < len(polys) - 100
+
+
+# The enclosure in y that mpmath gave before the exact arctangent bounds
+# replaced it: the reference that _y_interval must match byte for byte.
+def mpmath_y_interval(at_half, t_lo, t_hi):
+    if at_half:
+        return (Fraction(1, 2), Fraction(1, 2))
+    with mpmath.workprec(120):
+        vals = []
+        for bound in (t_lo, t_hi):
+            x = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
+            y = mpmath.atan(x) / mpmath.pi
+            vals.append(Fraction(mpmath.nstr(y, 30, strip_zeros=False)))
+    pad = Fraction(1, 2**60)
+    lo, hi = min(vals) - pad, max(vals) + pad
+    if lo < 0 and hi < 0:
+        lo, hi = lo + 1, hi + 1
+    return (lo, hi)
+
+
+def test_y_interval_matches_mpmath_and_encloses_atan():
+    edges = [Fraction(t) for t in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 10**12,
+                                   -10**12, Fraction(1, 10**15), Fraction(-1, 10**15),
+                                   Fraction(-7, 3))]
+    cases = [(False, a, b) for a in edges for b in edges if a <= b]
+    for f in seeded_trigs(2025, 800):
+        try:
+            points = critical_points(f).points
+        except ValueError:  # constant or non-Morse
+            continue
+        cases += [(p.point.at_half, *p.t_interval) for p in points]
+    assert len(cases) > 2000 + len(edges) ** 2
+    for case in cases:
+        lo, hi = morse._y_interval(*case)
+        assert (lo, hi) == mpmath_y_interval(*case), case
+        if case[0]:
+            continue
+        with mpmath.workprec(300):
+            for t in case[1:]:
+                y = mpmath.atan(mpmath.mpf(t.numerator) / t.denominator) / mpmath.pi
+                man, exp = y.man_exp  # of |y|
+                y = Fraction(int(mpmath.sign(y)) * man) * Fraction(2) ** exp
+                assert lo <= (y + 1 if y < 0 < lo else y) <= hi, case
+    # u = 0 in the argument reduction: the enclosure is exact up to the pad
+    pad = Fraction(1, 2**60)
+    assert morse._y_interval(False, Fraction(0), Fraction(1)) == (-pad, Fraction(1, 4) + pad)
+    assert morse._y_interval(False, Fraction(-1), Fraction(-1)) == (Fraction(3, 4) - pad,
+                                                                    Fraction(3, 4) + pad)
 
 
 def test_common_factor_without_real_root_is_morse():
