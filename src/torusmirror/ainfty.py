@@ -525,47 +525,30 @@ def assemble_sequence(
 
     Labels are (i, j, hom label).  m_n is nonzero only on chained inputs
     (i_0,i_1), (i_1,i_2), ..., and is given by the composition map of the
-    corresponding object subsequence.
+    corresponding object subsequence.  The objects of seq are distinct, and
+    the objects of each composition appear in seq in the same order.
     """
     N = len(seq)
-    elems = []
-    for a in range(N):
-        for b in range(a + 1, N):
-            hom = hom_spaces.get((seq[a], seq[b]))
-            if hom is None:
-                continue
-            for l, d in hom.elements:
-                elems.append(((a, b, l), d))
-    basis = GradedBasis(tuple(elems))
+    position = {x: i for i, x in enumerate(seq)}
+    if len(position) != N:
+        raise ValueError(f"repeated object in sequence {seq}")
+    basis = GradedBasis(tuple(
+        ((a, b, l), d) for a in range(N) for b in range(a + 1, N)
+        if (seq[a], seq[b]) in hom_spaces for l, d in hom_spaces[seq[a], seq[b]].elements))
     tables: Dict[int, Table] = {}
     for objs, comp in compositions.items():
         n = comp.arity
+        chain = tuple(position.get(x, -1) for x in objs)
+        if min(chain) < 0 or any(a >= b for a, b in zip(chain, chain[1:])):
+            raise ValueError(f"composition objects {objs} are not a subsequence of {seq}")
         table = tables.setdefault(n, {})
-        # positions of objs inside seq, as strictly increasing index chains
-        for chain in _index_chains(seq, objs):
-            for ins, out_row in comp.entries.items():
-                key = tuple((chain[t], chain[t + 1], ins[t]) for t in range(n))
-                dst = table.setdefault(key, {})
-                for o, c in out_row.items():
-                    lab = (chain[0], chain[-1], o)
-                    dst[lab] = dst.get(lab, 0) + c
+        for ins, out_row in comp.entries.items():
+            key = tuple((chain[t], chain[t + 1], ins[t]) for t in range(n))
+            dst = table.setdefault(key, {})
+            for o, c in out_row.items():
+                lab = (chain[0], chain[-1], o)
+                dst[lab] = dst.get(lab, 0) + c
     built = {
         n: MultilinearOp(n, basis, basis, 2 - n, tab) for n, tab in tables.items()
     }
     return AInftyStructure(basis, built)
-
-
-def _index_chains(seq, objs):
-    """Strictly increasing index tuples (i_0 < ... < i_n) with seq[i_t] == objs[t]."""
-    n = len(objs)
-
-    def rec(start, t):
-        if t == n:
-            yield ()
-            return
-        for i in range(start, len(seq)):
-            if seq[i] == objs[t]:
-                for rest in rec(i + 1, t + 1):
-                    yield (i,) + rest
-
-    yield from rec(0, 0)

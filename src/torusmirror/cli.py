@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence
 
 DEFAULT_SEED = 20240901
 # exceptions that malformed or unusable input raises; they give an ERROR report
-_INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError)
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, AttributeError, KeyError, IndexError, TypeError,
+                 ValueError)
 
 
 # ---------------------------------------------------------------------------

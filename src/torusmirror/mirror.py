@@ -1,7 +1,7 @@
-"""Non-archimedean mirror side: Laurent series over the Novikov field,
-theta bases of line bundles on the dual torus, their multiplication table,
-and the exact comparison against the lattice-triangle product of affine
-Lagrangians.
+"""Non-archimedean mirror side: Laurent series over the Novikov field, theta
+bases of ample line bundles on the dual torus (positive-definite slopes), their
+multiplication table as a dict keyed by coset triples, and the exact comparison
+against the lattice-triangle product of affine Lagrangians.
 
 Weight normalization (shared with the triangle counts): the theta section
 of the bundle attached to slope A and shift b, in the coset j of Z^n/AZ^n,
@@ -89,26 +89,14 @@ class LaurentSeriesNd:
 
 @dataclass(frozen=True)
 class LineBundleObj:
-    """Mirror line bundle of an affine Lagrangian with positive-definite slope.
-
-    The zero-slope, zero-shift object is admitted as the unit (trivial
-    bundle); every other slope must be positive definite.
-    """
+    """Mirror line bundle of an affine Lagrangian; the slope must be positive
+    definite, so that the bundle is ample and has a theta basis."""
 
     lagrangian: AffineLagrangian
 
     def __post_init__(self):
-        a = self.lagrangian.slope
-        if self.is_unit:
-            return
-        if not is_positive_definite(a):
+        if not is_positive_definite(self.lagrangian.slope):
             raise ValueError("slope must be positive definite (no ample theta model)")
-
-    @property
-    def is_unit(self) -> bool:
-        return all(e == 0 for row in self.lagrangian.slope for e in row) and all(
-            c == 0 for c in self.lagrangian.shift
-        )
 
     @property
     def n(self) -> int:
@@ -116,8 +104,6 @@ class LineBundleObj:
 
     @property
     def rank_of_sections(self) -> int:
-        if self.is_unit:
-            return 1
         return int(abs(mat_det(self.lagrangian.slope)))
 
     def tensor(self, other: "LineBundleObj") -> "LineBundleObj":
@@ -208,9 +194,6 @@ def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    if e.is_unit:
-        one = LaurentSeriesNd(e.n, (((0,) * e.n, NovikovElem.one(cutoff)),))
-        return ThetaBasis(e, cutoff, (((0,) * e.n, one),))
     den = _grid(e)
     sections = [
         (j, LaurentSeriesNd(e.n, tuple((m, NovikovElem.q_power(Fraction(w, den), 1, cutoff))
@@ -220,22 +203,16 @@ def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:
     return ThetaBasis(e, cutoff, tuple(sections))
 
 
-@dataclass(frozen=True)
-class ThetaProductTable:
-    """Structure constants of theta multiplication in the target theta basis."""
-
-    cutoff: Fraction
-    coefficients: Tuple[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], NovikovElem], ...]
-
-
 class ThetaSolveError(ValueError):
     def __init__(self, message: str, required_cutoff: Fraction):
         super().__init__(f"{message}; retry with cutoff >= {required_cutoff}")
         self.required_cutoff = required_cutoff
 
 
-def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProductTable:
-    """Expand products of theta sections in the tensor-bundle theta basis.
+def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, NovikovElem]:
+    """Expand products of theta sections in the tensor-bundle theta basis, as the
+    table {(j1, j2, j3): coefficient} over coset triples, in the format of
+    triangle_product_table.
 
     Every theta term is a monomial q^w z^m, so sections are read as (m, L w)
     pairs, with L w the kernel's integer numerator put over one denominator L
@@ -259,13 +236,6 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
         raise ValueError("cutoff must be positive")
     if e1.n != e2.n:
         raise ValueError("dimension mismatch")
-    if e1.is_unit or e2.is_unit:
-        other, unit_first = (e2, True) if e1.is_unit else (e1, False)
-        zero = (0,) * other.n
-        indices = [zero] if other.is_unit else coset_representatives(other.lagrangian.slope)
-        keys = [(zero, j, j) if unit_first else (j, zero, j) for j in indices]
-        return ThetaProductTable(cutoff, tuple((k, NovikovElem.one(cutoff)) for k in keys))
-
     e3 = e1.tensor(e2)
     gamma = e3.lagrangian.slope
     ginv = mat_inv(gamma)
@@ -303,7 +273,7 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
     stars = {j3: (pack(s), int(w * den)) for j3, (s, w) in minima.items()}
     wnum, wden = _weight_numerator(ginv, c3)
     target = {}  # k(s) -> (coset of s, L w(s))
-    coeffs = []
+    coeffs = {}
     for j1, t1 in packed1:
         for j2, k2s, w2s, K2s in packed2:
             reached, counts = set(), Counter()
@@ -337,8 +307,8 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> ThetaProduct
                         cutoff + Fraction(wl, den) + 1,
                     )
             for j3 in target_cosets:
-                coeffs.append(((j1, j2, j3), NovikovElem._over(solved[j3], den, cutoff)))
-    return ThetaProductTable(cutoff, tuple(coeffs))
+                coeffs[j1, j2, j3] = NovikovElem._over(solved[j3], den, cutoff)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +335,11 @@ def compare_tables(
     """Entrywise comparison of truncated coefficient tables."""
     cutoff = Fraction(cutoff)
     zero = NovikovElem.zero(cutoff)
-    keys = sorted(set(triangle) | set(theta))
-    for key in keys:
-        a = triangle.get(key, zero).truncate(cutoff)
-        b = theta.get(key, zero).truncate(cutoff)
-        if a != b:
-            return MirrorReport(
-                status="DIFFER",
-                cutoff=cutoff,
-                first_discrepancy=(key, a, b),
-                triangle_table=tuple(sorted(triangle.items())),
-                theta_table=tuple(sorted(theta.items())),
-            )
-    return MirrorReport(
-        status="EQUAL",
-        cutoff=cutoff,
-        triangle_table=tuple(sorted(triangle.items())),
-        theta_table=tuple(sorted(theta.items())),
-    )
+    entries = ((key, triangle.get(key, zero).truncate(cutoff), theta.get(key, zero).truncate(cutoff))
+               for key in sorted(set(triangle) | set(theta)))
+    first = next((e for e in entries if e[1] != e[2]), None)
+    return MirrorReport("EQUAL" if first is None else "DIFFER", cutoff, first,
+                        tuple(sorted(triangle.items())), tuple(sorted(theta.items())))
 
 
 def mirror_compare(
@@ -408,6 +365,4 @@ def mirror_compare(
 
     e01 = LineBundleObj(AffineLagrangian(inc01, vec_sub(l1.shift, l0.shift)))
     e12 = LineBundleObj(AffineLagrangian(inc12, vec_sub(l2.shift, l1.shift)))
-    table = theta_multiply(e01, e12, cutoff)
-    theta = dict(table.coefficients)
-    return compare_tables(triangle, theta, cutoff)
+    return compare_tables(triangle, theta_multiply(e01, e12, cutoff), cutoff)

@@ -73,7 +73,7 @@ class ConvexGridFunction:
 
     The convexity certificate is the minimal eigenvalue of the centered
     second-difference Hessian over interior nodes (the margin); construction
-    fails when it is below -tol.  `legendre` keeps each transform of the
+    fails when it is below -1e-9.  `legendre` keeps each transform of the
     grid with it, so the values are a read-only copy that cannot go stale.
     """
 
@@ -81,7 +81,6 @@ class ConvexGridFunction:
     h: Fraction
     values: np.ndarray
     convexity_margin: float = field(init=False)
-    tol: float = 1e-9
     _duals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,7 +97,7 @@ class ConvexGridFunction:
             raise ValueError("need at least 3 nodes per axis for interior checks")
         margin = float(np.min(np.linalg.eigvalsh(_hessian_field(vals, float(self.h)))))
         object.__setattr__(self, "convexity_margin", margin)
-        if margin < -self.tol:
+        if margin < -1e-9:
             raise ValueError(f"not convex: discrete Hessian margin {margin}")
 
     @property

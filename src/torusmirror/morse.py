@@ -519,16 +519,13 @@ def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Tuple[F
     target = p.width
     while True:
         # the interval (1 + t*t)^k on integer endpoints: with t = [a, b] / s,
-        # 1 + t*t = [lo, hi] / s^2
+        # 1 + t*t = [lo, hi] / s^2, and a positive lo makes the power endpointwise
         a, b, s = p.a, p.b, p.d
         sq = (a * a, a * b, b * b)
         lo, hi = s * s + min(sq), s * s + max(sq)
-        d_lo = d_hi = 1
-        for _ in range(k):
-            prods = (d_lo * lo, d_lo * hi, d_hi * lo, d_hi * hi)
-            d_lo, d_hi = min(prods), max(prods)
-        if d_lo <= 0:
+        if k and lo <= 0:
             raise ZeroDivisionError("interval contains zero")
+        d_lo, d_hi = lo**k, hi**k
         # [v_lo, v_hi] / den over [d_lo, d_hi] / s^(2k) with 0 < d_lo <= d_hi:
         # each end of v goes over the end of d that keeps it extreme
         v_lo, v_hi, den = eval_poly(num, a, b, s)
@@ -621,6 +618,7 @@ def _y_interval(at_half: bool, t_lo: Fraction, t_hi: Fraction) -> Tuple[Fraction
     # Machin's pi = 16 atan(1/5) - 4 atan(1/239); the precision doubles until both
     # bounds round alike, as atan(t)/pi is irrational unless t is 0 or +-1 (u = 0)
     ctx = Context(prec=30, rounding=ROUND_HALF_UP)
+    pis = {}  # p -> bounds on 2**p pi, shared by both ends
     vals = []
     for t in (t_lo, t_hi):
         n, d = abs(t.numerator), t.denominator
@@ -632,9 +630,10 @@ def _y_interval(at_half: bool, t_lo: Fraction, t_hi: Fraction) -> Tuple[Fraction
             k, sign, u = 2, -1, (d, n)
         p, digits = 128, set()
         while len(digits) != 1:
-            (a_lo, a_hi), (f_lo, f_hi), (g_lo, g_hi) = (
-                _atan_bounds(*u, p), _atan_bounds(1, 5, p), _atan_bounds(1, 239, p))
-            pi_lo, pi_hi = 16 * f_lo - 4 * g_hi, 16 * f_hi - 4 * g_lo
+            if p not in pis:
+                (f_lo, f_hi), (g_lo, g_hi) = _atan_bounds(1, 5, p), _atan_bounds(1, 239, p)
+                pis[p] = 16 * f_lo - 4 * g_hi, 16 * f_hi - 4 * g_lo
+            (a_lo, a_hi), (pi_lo, pi_hi) = _atan_bounds(*u, p), pis[p]
             digits = {ctx.divide(Decimal(k * pi + 4 * sign * a), Decimal(4 * pi))
                       for a, pi in ((a_lo, pi_hi), (a_hi, pi_lo))}  # k/4 + sign a/pi
             p *= 2

@@ -276,6 +276,6 @@ def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInfty
     st = _SuspendedTransfer(r)
 
     def tree_sum(n: int) -> Table:
-        return _rational(*_sum_pairs([st.tree_pair(t) for t in enumerate_trees(n, 2)]))
+        return _rational(*_sum_pairs([st.tree_pair(t) for t in enumerate_trees(n)]))
 
     return _transferred(r, max_arity, tree_sum)

@@ -1,4 +1,5 @@
-"""Rooted planar trees indexing composition and transfer formulas.
+"""Rooted planar trees, every internal valency >= 2, indexing composition and
+transfer formulas; ``enumerate_binary`` keeps the trees of valency 2 alone.
 
 A tree is represented recursively: a leaf is ``PlanarTree(())`` and an
 internal node holds an ordered tuple of >= 2 children.  Leaves are
@@ -91,15 +92,15 @@ def _parse(s: str) -> Tuple[PlanarTree, str]:
     return PlanarTree(tuple(children)), s[1:]
 
 
-def enumerate_trees(n: int, min_valency: int = 2) -> list:
-    """All planar trees with n leaves and internal valencies >= min_valency.
+def enumerate_trees(n: int) -> list:
+    """All planar trees with n leaves (every internal valency is >= 2).
 
     Canonical order: depth-first lexicographic on child counts (smaller
     arities first, then recursively by child shape).
     """
     if n < 1:
         raise ValueError("need at least one leaf")
-    return list(_gen(n, min_valency, None))
+    return list(_gen(n, None))
 
 
 def enumerate_binary(n: int) -> list:
@@ -107,18 +108,18 @@ def enumerate_binary(n: int) -> list:
     the single leaf counts as the unique tree with one leaf."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    return list(_gen(n, 2, 2))
+    return list(_gen(n, 2))
 
 
 @lru_cache(maxsize=None)
-def _gen(n: int, min_val: int, max_val) -> tuple:
+def _gen(n: int, max_val) -> tuple:
     if n == 1:
         return (LEAF,)
     top = n if max_val is None else min(n, max_val)
     return tuple(
         PlanarTree(combo)
-        for k in range(min_val, top + 1)
+        for k in range(2, top + 1)
         for split in compositions(n, k)
-        for combo in product(*(_gen(m, min_val, max_val) for m in split))
+        for combo in product(*(_gen(m, max_val) for m in split))
     )
 

@@ -305,6 +305,18 @@ def test_assemble_sequence_direct_sum_labels():
     assert A.m(2)(((0, 1, 0), (0, 1, 0))) == {}
 
 
+def test_assemble_sequence_rejects_repeats_and_misordered_compositions():
+    """The objects of a sequence are distinct, and a composition's objects
+    appear in it in the same order; anything else is a ValueError."""
+    hom, d, m2 = _circle_style_fixture()
+    hom_spaces = {(a, b): hom for a in "XYZ" for b in "XYZ" if a < b}
+    with pytest.raises(ValueError, match="repeated object"):
+        assemble_sequence(("X", "Y", "X"), hom_spaces, {("X", "Y"): d})
+    for objs, op in ((("Y", "X"), d), (("X", "Z", "Y"), m2), (("X", "W"), d)):
+        with pytest.raises(ValueError, match="not a subsequence"):
+            assemble_sequence(("X", "Y", "Z"), hom_spaces, {("X", "Y"): d, objs: op})
+
+
 # -- serialization ------------------------------------------------------------
 
 

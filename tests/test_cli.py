@@ -278,6 +278,7 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
         {"nov": {"terms": [[1, 1, 1, 1]], "cutoff": [1, 0]}},  # zero cutoff denominator
         {"nov": {"terms": [[1, 1, 1]], "cutoff": None}},  # 3-element term
         {"nov": {"terms": [[1.5, 2, 1, 1]], "cutoff": None}},  # float numerator
+        {"nov": [1]},  # Novikov scalar that is not an object
     ):
         obj["ops"][0]["entries"][0][2] = scalar
         bad.write_text(json.dumps(obj))
@@ -287,6 +288,15 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
     for argv in (["check-ainfty"], ["transfer"], ["morse", "crit"], ["legendre"]):
         code, rep = run(capsys, *argv, str(bad))
         assert code == 1 and rep["status"] == "ERROR"
+    # a trig polynomial, or its cos or sin part, that is not an object
+    f = {"cos": {"1": 1}}
+    for obj in ({"f0": [1, 2]}, {"f0": "abc"}, {"f0": f, "f1": 5, "f2": f},
+                {"f0": {"cos": [1, 2]}, "f1": f, "f2": f}):
+        bad.write_text(json.dumps(obj))
+        for sub in ("crit", "diff", "m2"):
+            code, rep = run(capsys, "morse", sub, str(bad))
+            assert (code, rep["status"]) == (1, "ERROR"), (obj, sub)
+            assert rep["payload"]["error"].startswith("AttributeError"), (obj, sub)
 
 
 def usage_error(capsys, *argv):

@@ -120,7 +120,7 @@ def test_single_tree_terms_sum_to_ternary_product(corpus, massey):
 
     for r in (corpus[0], massey):
         total = {}
-        for t in enumerate_trees(3, 2):
+        for t in enumerate_trees(3):
             for ins, row in tree_term(r, t).items():
                 dst = total.setdefault(ins, {})
                 for o, c in row.items():

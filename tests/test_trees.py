@@ -50,17 +50,6 @@ def test_enumeration_is_duplicate_free_with_correct_leaf_counts(n):
     assert set(map(PlanarTree.to_text, binaries)) <= set(map(PlanarTree.to_text, trees))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_min_valency_filter(n):
-    wide = enumerate_trees(n, 3)
-    assert all(
-        all(len(v.children) >= 3 for v in t.internal_vertices()) for t in wide
-    )
-    assert set(map(PlanarTree.to_text, wide)) <= set(
-        map(PlanarTree.to_text, enumerate_trees(n))
-    )
-
-
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
         enumerate_binary(0)
