@@ -244,8 +244,6 @@ def cmd_mirror(slopes: List[Fraction], shifts: Optional[List[Fraction]],
 
 
 def cmd_legendre(path: str, tol: float) -> RunReport:
-    import numpy as np
-
     from .monge import (ConvexGridFunction, hessian_duality_check, involution_error, legendre,
                         ma_residual)
 
@@ -255,7 +253,7 @@ def cmd_legendre(path: str, tol: float) -> RunReport:
     dual_box = [(rational(lo), rational(hi)) for lo, hi in obj["dual_box"]]
     dual_h = rational(obj["dual_h"])
     try:
-        K = ConvexGridFunction(tuple(box), h, np.array(obj["values"], dtype=float))
+        K = ConvexGridFunction(tuple(box), h, obj["values"])
         inv = involution_error(K, dual_box, dual_h)
         dual = legendre(K, dual_box, dual_h)
         duality = hessian_duality_check(K, dual_box, dual_h)

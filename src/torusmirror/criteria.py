@@ -29,7 +29,8 @@ from .monge import (
 )
 from .novikov import NovikovElem
 from .randomgen import corrupt_structure, random_dg_algebra, retraction_onto_cohomology
-from .transfer import RetractionData, transfer_morphism, transfer_structure, validate
+from .transfer import (RetractionData, transfer_morphism, transfer_structure,
+                       transfer_structure_by_trees, validate)
 from .trees import enumerate_binary, enumerate_trees
 
 
@@ -141,13 +142,17 @@ def retraction_corpus(seed: int, count: int) -> List[RetractionData]:
 
 def transferred_relations(corpus: Sequence[RetractionData], max_arity: int) -> Outcome:
     """The transferred structure satisfies its relations exactly for
-    n <= max_arity on every retraction, which must be valid."""
+    n <= max_arity on every retraction, which must be valid, and the branch
+    recursion agrees entrywise with the explicit sum over planar trees."""
     out = Outcome()
     for i, r in enumerate(corpus):
         if not out.check(validate(r).ok, f"algebra {i}: invalid retraction"):
             out.cases.append(f"algebra {i:3d}  invalid retraction")
             continue
         B = transfer_structure(r, max_arity=max_arity)
+        T = transfer_structure_by_trees(r, max_arity=max_arity)
+        out.check(all(B.m(k).entries == T.m(k).entries for k in range(1, max_arity + 1)),
+                  f"algebra {i}: recursion != tree sum")
         ok = out.all_zero(relation_defect, B, range(1, max_arity + 1), f"algebra {i}: relation")
         out.cases.append(f"algebra {i:3d}  dim {len(r.ambient.basis)} -> {len(B.basis)}  "
                          f"relations<={max_arity} {_exact(ok)}")

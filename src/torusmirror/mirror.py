@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import ceil, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
 from .lattice import (
@@ -183,10 +183,6 @@ class ThetaBasis:
     bundle: LineBundleObj
     cutoff: Fraction
     sections: Tuple[Tuple[Tuple[int, ...], LaurentSeriesNd], ...]
-
-    @property
-    def indices(self) -> List[Tuple[int, ...]]:
-        return [j for j, _ in self.sections]
 
 
 def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:

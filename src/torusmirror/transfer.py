@@ -2,7 +2,9 @@
 
 Given retraction data (i, p, H) for a structure on A, produce the
 transferred operations on B and the quasi-isomorphism g: B -> A by
-summation over rooted planar trees.
+summation over rooted planar trees.  The branch recursion computes them;
+:func:`transfer_structure_by_trees` sums the trees of :mod:`.trees` one by
+one, as the cross-check that criterion 1 runs.
 
 All intermediate computation happens in the *suspended* normalization
 (degrees shifted down by one), where i, p and the morphism components
@@ -36,7 +38,7 @@ from .ainfty import (
     signed,
     suspended_coefficient,
 )
-from .trees import PlanarTree, enumerate_trees
+from .trees import enumerate_trees
 
 
 @dataclass
@@ -184,14 +186,12 @@ class _SuspendedTransfer:
     def q_pair(self, n: int) -> Pair:
         if n in self.q:
             return self.q[n]
-        for m in range(2, n):
-            self.g_pair(m)  # ensure lower g's exist
         terms = []
         for k in range(2, n + 1):
             bk = self.b.get(k)
             if bk is not None:
                 for parts in compositions(n, k):
-                    terms.append(_compose_pairs(bk, [self.g[m] for m in parts]))
+                    terms.append(_compose_pairs(bk, [self.g_pair(m) for m in parts]))
         self.q[n] = _sum_pairs(terms)
         return self.q[n]
 
@@ -203,19 +203,21 @@ class _SuspendedTransfer:
     def bB_table(self, n: int) -> Table:
         return _rational(*_compose_pairs(self.p, [self.q_pair(n)]))
 
-    def tree_pair(self, t: PlanarTree) -> Pair:
-        """:func:`tree_term` in integer form; the stored -H on each internal
-        edge gives the per-tree sign (-1)^{number of internal edges}."""
+    def tree_pair(self, t: tuple) -> Pair:
+        """One tree's term of the suspended transferred operation: i at the
+        leaves, b_k at internal vertices, H on internal edges, p at the
+        root.  The stored -H on each internal edge gives the per-tree sign
+        (-1)^{number of internal edges}."""
 
-        def eval_node(node: PlanarTree) -> Pair:
-            if node.is_leaf:
+        def eval_node(node: tuple) -> Pair:
+            if not node:
                 return self.i
-            bk = self.b.get(len(node.children))
+            bk = self.b.get(len(node))
             if bk is None:
                 return {}, 1
             return _compose_pairs(bk, [
-                eval_node(c) if c.is_leaf else _compose_pairs(self.H, [eval_node(c)])
-                for c in node.children
+                _compose_pairs(self.H, [eval_node(c)]) if c else self.i
+                for c in node
             ])
 
         return _compose_pairs(self.p, [eval_node(t)])
@@ -258,14 +260,6 @@ def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismDa
         if not op.is_zero():
             comps[n] = op
     return AInftyMorphismData(source=source, target=r.ambient, components=comps)
-
-
-def tree_term(r: RetractionData, t: PlanarTree) -> Table:
-    """The single-tree contribution to the suspended transferred operation:
-    i at the leaves, b_k at internal vertices, H on internal edges, p at
-    the root.  Exposed for the entrywise cross-check against the branch
-    recursion and the direct two-tree expansion of the ternary product."""
-    return _rational(*_SuspendedTransfer(r).tree_pair(t))
 
 
 def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInftyStructure:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusmirror import criteria
 from torusmirror.ainfty import (
     AInftyMorphismData,
     AInftyStructure,
@@ -34,10 +35,8 @@ from torusmirror.transfer import (
     transfer_morphism,
     transfer_structure,
     transfer_structure_by_trees,
-    tree_term,
     validate,
 )
-from torusmirror.trees import enumerate_trees
 
 
 def massey_dga(deg=1, unit=False):
@@ -112,27 +111,19 @@ def test_branch_recursion_matches_tree_sum(corpus, massey):
             assert B1.m(n).entries == B2.m(n).entries
 
 
-def test_single_tree_terms_sum_to_ternary_product(corpus, massey):
-    """The arity-3 product is the signed sum of the three planar trees with
-    three leaves, expanded one tree at a time; on the Massey input that sum
-    is nonzero, so the sign of each tree is seen."""
-    from torusmirror.transfer import _suspension_signed
+def test_criterion_1_reports_a_tree_sum_mismatch(massey, monkeypatch):
+    """Criterion 1 compares the branch recursion with the tree sum entrywise:
+    one perturbed m3 entry on the tree side is reported, and nothing else."""
 
-    for r in (corpus[0], massey):
-        total = {}
-        for t in enumerate_trees(3):
-            for ins, row in tree_term(r, t).items():
-                dst = total.setdefault(ins, {})
-                for o, c in row.items():
-                    dst[o] = dst.get(o, 0) + c
-        expected = _suspension_signed(total, r.sub_basis.degrees)
-        cleaned = {
-            ins: {o: c for o, c in row.items() if c != 0}
-            for ins, row in expected.items()
-        }
-        cleaned = {ins: row for ins, row in cleaned.items() if row}
-        assert cleaned == transfer_structure(r, max_arity=3).m(3).entries
-    assert cleaned  # the Massey tree total
+    def perturbed(r, max_arity):
+        T = transfer_structure_by_trees(r, max_arity)
+        row = next(iter(T.m(3).entries.values()))
+        row[next(iter(row))] += 1
+        return T
+
+    monkeypatch.setattr(criteria, "transfer_structure_by_trees", perturbed)
+    out = transferred_relations([massey], 4)
+    assert out.failures == ["algebra 0: recursion != tree sum"]
 
 
 def test_massey_transfer_is_non_formal_and_exact(massey):

@@ -1,10 +1,18 @@
 """Planar tree enumeration against independent counting oracles."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from torusmirror.trees import LEAF, PlanarTree, enumerate_binary, enumerate_trees
+from torusmirror.trees import enumerate_binary, enumerate_trees
+
+
+def leaf_count(t):
+    """Leaves of a nested-tuple tree: a leaf is (), a vertex its children."""
+    return sum(map(leaf_count, t)) if t else 1
+
+
+def valencies(t):
+    """Child counts of the internal vertices of a nested-tuple tree."""
+    return [len(t), *(v for c in t for v in valencies(c))] if t else []
 
 
 def catalan_oracle(n_max):
@@ -43,35 +51,15 @@ def test_known_prefixes():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_is_duplicate_free_with_correct_leaf_counts(n):
     trees = enumerate_trees(n)
-    assert len({t.to_text() for t in trees}) == len(trees)
-    assert all(t.leaf_count() == n for t in trees)
+    assert len(set(trees)) == len(trees)
+    assert all(leaf_count(t) == n for t in trees)
+    assert all(v >= 2 for t in trees for v in valencies(t))
     binaries = enumerate_binary(n)
-    assert all(len(v.children) == 2 for t in binaries for v in t.internal_vertices())
-    assert set(map(PlanarTree.to_text, binaries)) <= set(map(PlanarTree.to_text, trees))
+    assert all(v == 2 for t in binaries for v in valencies(t))
+    assert set(binaries) <= set(trees)
 
 
 def test_degenerate_inputs():
-    with pytest.raises(ValueError):
-        enumerate_binary(0)
-    with pytest.raises(ValueError):
-        PlanarTree((LEAF,))  # unary vertices are not allowed
-
-
-trees_strategy = st.recursive(
-    st.just(LEAF),
-    lambda kids: st.lists(kids, min_size=2, max_size=4).map(
-        lambda cs: PlanarTree(tuple(cs))
-    ),
-    max_leaves=12,
-)
-
-
-@given(trees_strategy)
-def test_text_roundtrip(t):
-    assert PlanarTree.from_text(t.to_text()) == t
-
-
-def test_parse_rejects_garbage():
-    for bad in ("", "(", "(.", "(..", "(..))", "x"):
+    for enumerate_ in (enumerate_trees, enumerate_binary):
         with pytest.raises(ValueError):
-            PlanarTree.from_text(bad)
+            enumerate_(0)
