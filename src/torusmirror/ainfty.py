@@ -467,20 +467,19 @@ def suspended_coefficient(op_inputs: Tuple[Label, ...], deg) -> int:
 
 
 def _apply_coderivation(
-    A: AInftyStructure, word: Tuple[Label, ...], coeff: Scalar
+    tables: List[Tuple[int, Table]], deg: Dict[Label, int], word: Tuple[Label, ...], coeff: Scalar
 ) -> Dict[Tuple[Label, ...], Scalar]:
     """One application of the coderivation induced by the b_n on a tensor
-    word in the shifted space.  Koszul signs use deg - 1."""
-    deg = A.basis.degrees
+    word in the shifted space; ``tables`` holds the nonempty m_n tables by
+    increasing n.  Koszul signs use deg - 1."""
     out: Dict[Tuple[Label, ...], Scalar] = {}
     w = len(word)
-    for nn in range(1, w + 1):
-        op = A.m(nn)
-        if not op.entries:
-            continue
+    for nn, table in tables:
+        if nn > w:
+            break
         for l in range(0, w - nn + 1):
             block = word[l : l + nn]
-            row = op.entries.get(block)
+            row = table.get(block)
             if not row:
                 continue
             kos = sum(deg[x] - 1 for x in word[:l])
@@ -495,15 +494,16 @@ def _apply_coderivation(
 def bar_check(A: AInftyStructure, max_word: int) -> CheckReport:
     """Verify d^2 = 0 for the induced coderivation on words of length <= max_word."""
     failures = []
-    labels = A.basis.labels
+    labels, deg = A.basis.labels, A.basis.degrees
+    tables = [(n, op.entries) for n, op in sorted(A.ops.items()) if op.entries]
     from itertools import product
 
     for w in range(1, max_word + 1):
         for word in product(labels, repeat=w):
-            once = _apply_coderivation(A, word, 1)
+            once = _apply_coderivation(tables, deg, word, 1)
             twice: Dict[Tuple[Label, ...], Scalar] = {}
             for mid, c in once.items():
-                for fin, c2 in _apply_coderivation(A, mid, c).items():
+                for fin, c2 in _apply_coderivation(tables, deg, mid, c).items():
                     twice[fin] = twice.get(fin, 0) + c2
             for fin, c in twice.items():
                 if not is_zero_scalar(c):

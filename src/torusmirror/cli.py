@@ -111,11 +111,11 @@ def cmd_check_ainfty(path: str, max_arity: Optional[int]) -> RunReport:
 
 def cmd_transfer(path: str, max_arity: int) -> RunReport:
     from .ainfty import relation_defect
-    from .transfer import RetractionData, transfer_structure, validate
+    from .transfer import RetractionData, transfer_structure, validation
 
     obj = _load(path)
     r = RetractionData.from_obj(obj)
-    rep = validate(r)
+    rep = validation(r)
     if not rep.ok:
         return _report("transfer", obj, "ERROR", {"validation": sorted(rep.failures)})
     B = transfer_structure(r, max_arity=max_arity)

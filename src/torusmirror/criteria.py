@@ -30,7 +30,7 @@ from .monge import (
 from .novikov import NovikovElem
 from .randomgen import corrupt_structure, random_dg_algebra, retraction_onto_cohomology
 from .transfer import (RetractionData, transfer_morphism, transfer_structure,
-                       transfer_structure_by_trees, validate)
+                       transfer_structure_by_trees, validation)
 from .trees import enumerate_binary, enumerate_trees
 
 
@@ -146,7 +146,7 @@ def transferred_relations(corpus: Sequence[RetractionData], max_arity: int) -> O
     recursion agrees entrywise with the explicit sum over planar trees."""
     out = Outcome()
     for i, r in enumerate(corpus):
-        if not out.check(validate(r).ok, f"algebra {i}: invalid retraction"):
+        if not out.check(validation(r).ok, f"algebra {i}: invalid retraction"):
             out.cases.append(f"algebra {i:3d}  invalid retraction")
             continue
         B = transfer_structure(r, max_arity=max_arity)
@@ -164,7 +164,7 @@ def transfer_morphism_equations(corpus: Sequence[RetractionData], max_arity: int
     n <= max_arity on every retraction, which must be valid."""
     out = Outcome()
     for i, r in enumerate(corpus):
-        if not out.check(validate(r).ok, f"algebra {i}: invalid retraction"):
+        if not out.check(validation(r).ok, f"algebra {i}: invalid retraction"):
             out.cases.append("invalid retraction")
             continue
         F = transfer_morphism(r, max_arity=max_arity)

@@ -4,7 +4,14 @@ Given retraction data (i, p, H) for a structure on A, produce the
 transferred operations on B and the quasi-isomorphism g: B -> A by
 summation over rooted planar trees.  The branch recursion computes them;
 :func:`transfer_structure_by_trees` sums the trees of :mod:`.trees` one by
-one, as the cross-check that criterion 1 runs.
+one, as the cross-check that criterion 1 runs; it shares subtree edges
+between trees, never the recursion's q_n or g_n.
+
+Validation and the recursion are memoized for the last retraction only,
+keyed by value: both bases' labels and degrees and every entry, with its
+type, of the ambient operations, i, p and H, in insertion order.  So a
+check pair validates and recurses once, and a retraction mutated in place
+misses.  Nothing is stored on :class:`RetractionData`.
 
 All intermediate computation happens in the *suspended* normalization
 (degrees shifted down by one), where i, p and the morphism components
@@ -18,7 +25,7 @@ this sign convention is enforced by the defect tests, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .ainfty import (
     AInftyMorphismData,
@@ -138,10 +145,47 @@ def validate(r: RetractionData) -> CheckReport:
     return CheckReport(ok=not failures, failures=failures)
 
 
-def _require_valid(r: RetractionData) -> None:
-    rep = validate(r)
-    if not rep.ok:
-        raise ValueError("invalid retraction data: " + "; ".join(rep.failures[:3]))
+def _retraction_key(r: RetractionData) -> tuple:
+    """Everything transfer reads from r, in insertion order; a scalar's
+    type is kept, so a Novikov table never meets its rational twin."""
+
+    def table(t: Table) -> tuple:
+        return tuple((ins, tuple((o, type(c), c) for o, c in row.items())) for ins, row in t.items())
+
+    return (
+        r.ambient.basis.elements, r.sub_basis.elements,
+        tuple((n, table(op.entries)) for n, op in r.ambient.ops.items()),
+        table(r.include.entries), table(r.project.entries), table(r.homotopy.entries),
+    )
+
+
+# (key, validation failures, suspended recursion or None) of the last
+# retraction seen; see the module docstring.
+_last: Optional[tuple] = None
+
+
+def _memo(r: RetractionData) -> tuple:
+    global _last
+    key = _retraction_key(r)
+    if _last is None or _last[0] != key:
+        failures = tuple(validate(r).failures)
+        _last = key, failures, None if failures else _SuspendedTransfer(r)
+    return _last
+
+
+def validation(r: RetractionData) -> CheckReport:
+    """:func:`validate` served from the memo of the last retraction; each
+    call returns a fresh report."""
+    failures = _memo(r)[1]
+    return CheckReport(ok=not failures, failures=list(failures))
+
+
+def _suspended(r: RetractionData) -> _SuspendedTransfer:
+    """The memoized suspended recursion of r; ValueError if r is invalid."""
+    _key, failures, st = _memo(r)
+    if failures:
+        raise ValueError("invalid retraction data: " + "; ".join(failures[:3]))
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +247,12 @@ class _SuspendedTransfer:
     def bB_table(self, n: int) -> Table:
         return _rational(*_compose_pairs(self.p, [self.q_pair(n)]))
 
-    def tree_pair(self, t: tuple) -> Pair:
+    def tree_pair(self, t: tuple, edges: Dict[tuple, Pair]) -> Pair:
         """One tree's term of the suspended transferred operation: i at the
         leaves, b_k at internal vertices, H on internal edges, p at the
         root.  The stored -H on each internal edge gives the per-tree sign
-        (-1)^{number of internal edges}."""
+        (-1)^{number of internal edges}.  ``edges`` maps each subtree seen
+        so far to the value on the edge above it, so trees share it."""
 
         def eval_node(node: tuple) -> Pair:
             if not node:
@@ -215,10 +260,12 @@ class _SuspendedTransfer:
             bk = self.b.get(len(node))
             if bk is None:
                 return {}, 1
-            return _compose_pairs(bk, [
-                _compose_pairs(self.H, [eval_node(c)]) if c else self.i
-                for c in node
-            ])
+            return _compose_pairs(bk, [edge(c) if c else self.i for c in node])
+
+        def edge(c: tuple) -> Pair:
+            if c not in edges:
+                edges[c] = _compose_pairs(self.H, [eval_node(c)])
+            return edges[c]
 
         return _compose_pairs(self.p, [eval_node(t)])
 
@@ -242,16 +289,14 @@ def transfer_structure(r: RetractionData, max_arity: int = 4) -> AInftyStructure
     m_1^B = p m_1 i and m_2^B = p m_2 (i x i); higher operations are the
     planar-tree sums, computed through the equivalent branch recursion.
     """
-    _require_valid(r)
-    return _transferred(r, max_arity, _SuspendedTransfer(r).bB_table)
+    return _transferred(r, max_arity, _suspended(r).bB_table)
 
 
 def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismData:
     """The comparison map g: B -> A; g_1 = i, higher components use the
     homotopy at the root.  Returned with the transferred structure as source."""
-    _require_valid(r)
     B = r.sub_basis
-    st = _SuspendedTransfer(r)
+    st = _suspended(r)
     source = _transferred(r, max_arity, st.bB_table)
     comps: Dict[int, MultilinearOp] = {1: MultilinearOp(1, B, r.ambient.basis, 0, dict(r.include.entries))}
     for n in range(2, max_arity + 1):
@@ -264,12 +309,15 @@ def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismDa
 
 def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInftyStructure:
     """Same result as :func:`transfer_structure`, computed as the explicit
-    sum over planar trees; used as a cross-check.  It shares only the
-    converted inputs with the branch recursion, never its q_n or g_n, so
-    the cross-check stays independent."""
+    sum over planar trees; used as a cross-check.  It validates r through
+    the memo but builds its own converted inputs, and never reads the
+    branch recursion's q_n or g_n, so the cross-check stays independent.
+    Subtrees share their internal-edge values; each root term is its own."""
+    _suspended(r)
     st = _SuspendedTransfer(r)
+    edges: Dict[tuple, Pair] = {}
 
     def tree_sum(n: int) -> Table:
-        return _rational(*_sum_pairs([st.tree_pair(t) for t in enumerate_trees(n)]))
+        return _rational(*_sum_pairs([st.tree_pair(t, edges) for t in enumerate_trees(n)]))
 
     return _transferred(r, max_arity, tree_sum)

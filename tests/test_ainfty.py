@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from torusmirror import ainfty
 from torusmirror.ainfty import (
     AInftyMorphismData,
     AInftyStructure,
@@ -235,6 +236,21 @@ def test_corrupted_structure_fails_both_checks_at_the_same_arity():
     assert rel_arity is not None and not bar.ok
     bar_arity = min(int(f.split()[2].rstrip(":")) for f in bar.failures)
     assert rel_arity == bar_arity
+
+
+def test_bar_check_runs_without_compose(monkeypatch):
+    """bar_check shares no code with the composition kernel that
+    relation_defect runs on, so the two stay independent checks."""
+    rng = random.Random(7)
+    A = random_dg_algebra(rng)
+    bad = corrupt_structure(A, rng)
+
+    def refuse(*args):
+        raise RuntimeError("bar_check called compose")
+
+    monkeypatch.setattr(ainfty, "compose", refuse)
+    assert bar_check(A, 3).ok
+    assert not bar_check(bad, 3).ok
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,7 @@
 """Homotopy transfer: retraction validation, transferred structure
 relations, the comparison morphism, and the tree-sum cross-check."""
 
+import copy
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusmirror import criteria
+from torusmirror import criteria, transfer
 from torusmirror.ainfty import (
     AInftyMorphismData,
     AInftyStructure,
@@ -264,8 +265,9 @@ def test_invalid_retraction_is_rejected():
     )
     rep = validate(bad)
     assert not rep.ok  # x is not a cocycle, so 1 - ip != dH + Hd
-    with pytest.raises(ValueError):
-        transfer_structure(bad)
+    for build in (transfer_structure, transfer_morphism, transfer_structure_by_trees):
+        with pytest.raises(ValueError):
+            build(bad)
 
 
 def test_contractible_complex_transfers_to_zero():
@@ -287,3 +289,104 @@ def test_retraction_json_roundtrip(corpus):
     B2 = transfer_structure(r2, max_arity=3)
     for n in range(1, 4):
         assert B1.m(n).entries == B2.m(n).entries
+
+
+# -- the memo of the last retraction ------------------------------------------
+
+
+def entries(*results):
+    """The tables of transferred structures and morphisms, copied."""
+    ops = {}
+    for k, x in enumerate(results):
+        items = x.ops.items() if isinstance(x, AInftyStructure) else x.components.items()
+        ops.update({(k, n): {ins: dict(row) for ins, row in op.entries.items()} for n, op in items})
+    return ops
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Start from an empty memo and count the calls of transfer.validate."""
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return validate(r)
+
+    monkeypatch.setattr(transfer, "_last", None)
+    monkeypatch.setattr(transfer, "validate", counted)
+    return calls
+
+
+def test_memo_sees_in_place_edits_of_the_homotopy(validations):
+    """The key reads H: after a first transfer, an invalid in-place edit of
+    r.homotopy.entries raises, and a valid one gives what a fresh copy of
+    the edited retraction gives, not the stale result."""
+    r = retraction_onto_cohomology(massey_dga(), random.Random(0))
+    before = entries(transfer_structure(r, 4), transfer_morphism(r, 4))
+    row = r.homotopy.entries.setdefault(("w",), {})
+    row["u"] = row.get("u", 0) + 1  # d u = ab, so dH + Hd moves at w
+    with pytest.raises(ValueError):
+        transfer_structure(r, 4)
+    row["u"] -= 1
+    # w -> a vanishes on im d = <ab, bc> and lands in ker d, so it commutes
+    # with d and H + (w -> a) is a homotopy for the same i, p
+    row["a"] = row.get("a", 0) + 1
+    after = entries(transfer_structure(r, 4), transfer_morphism(r, 4))
+    transfer._last = None
+    fresh = copy.deepcopy(r)
+    assert after == entries(transfer_structure(fresh, 4), transfer_morphism(fresh, 4))
+    assert after != before
+    assert len(validations) == 4
+
+
+def test_memo_results_are_not_shared(massey, validations):
+    """Clearing the returned tables in place changes no later result."""
+    B, F = transfer_structure(massey, 4), transfer_morphism(massey, 4)
+    want = entries(B, F)
+    for op in list(B.ops.values()) + list(F.components.values()):
+        for row in op.entries.values():
+            row.clear()
+    assert entries(transfer_structure(massey, 4), transfer_morphism(massey, 4)) == want
+    assert len(validations) == 1
+
+
+def test_memo_holds_one_retraction(corpus, validations):
+    """A structure and morphism pair validates its retraction once; the memo
+    keeps the last retraction only, so going back to one validates again,
+    and a copy whose entries come in another order misses."""
+    r, s = corpus[0], corpus[1]
+    transfer_structure(r, 3)
+    transfer_morphism(r, 3)
+    assert validations == [r]
+    transfer_structure(s, 3)
+    transfer_morphism(r, 3)
+    assert validations == [r, s, r]
+    turned = copy.deepcopy(r)
+    m2 = turned.ambient.ops[2]
+    m2.entries = dict(reversed(m2.entries.items()))
+    assert m2.entries == r.ambient.ops[2].entries and len(m2.entries) > 1
+    transfer_structure(turned, 3)
+    assert validations == [r, s, r, turned]
+
+
+def test_transfer_module_validates_once_per_pass(validations):
+    """suite's transfer module: criteria 1 and 2 each pass over the corpus
+    once, and every check of one retraction in a pass shares one validation."""
+    out = criteria.run_module("transfer", "suite", 20240901)
+    assert out.ok, out.failures
+    assert len(validations) == 2 * criteria.SIZES["suite"]["transfer"]["count"]
+
+
+def test_tree_sum_reads_no_recursion_table(massey, monkeypatch):
+    """The tree sum computes its own terms: with q_n and g_n out of reach it
+    still returns the branch recursion's tables."""
+    B = transfer_structure(massey, 4)
+
+    def refuse(self, n):
+        raise RuntimeError("the tree sum read the branch recursion")
+
+    monkeypatch.setattr(transfer._SuspendedTransfer, "q_pair", refuse)
+    monkeypatch.setattr(transfer._SuspendedTransfer, "g_pair", refuse)
+    T = transfer_structure_by_trees(massey, 4)
+    assert all(B.m(n).entries == T.m(n).entries for n in range(1, 5))
+    assert not T.m(4).is_zero()
