@@ -2,16 +2,22 @@
 
 Given retraction data (i, p, H) for a structure on A, produce the
 transferred operations on B and the quasi-isomorphism g: B -> A by
-summation over rooted planar trees.  The branch recursion computes them;
-:func:`transfer_structure_by_trees` sums the trees of :mod:`.trees` one by
-one, as the cross-check that criterion 1 runs; it shares subtree edges
-between trees, never the recursion's q_n or g_n.
+summation over rooted planar trees (b_k at the vertices, i at the leaves,
+H on the internal edges, p at the root).  The branch recursion computes
+them on the domain of H: each vertex is composed with i and -H once per
+shape, the top vertex with p too, and the recursion fills the remaining
+slots with its own lower terms; g_n is built only when the comparison
+map asks for it.  :func:`transfer_structure_by_trees` sums the trees of
+:mod:`.trees` one by one, as the cross-check that criterion 1 runs; it
+builds its own vertex tables and shares subtree values between trees,
+never the recursion's tables.
 
 Validation and the recursion are memoized for the last retraction only,
 keyed by value: both bases' labels and degrees and every entry, with its
 type, of the ambient operations, i, p and H, in insertion order.  So a
-check pair validates and recurses once, and a retraction mutated in place
-misses.  Nothing is stored on :class:`RetractionData`.
+check pair validates and recurses once, the comparison map reuses the
+transferred tables, and a retraction mutated in place misses.  Nothing is
+stored on :class:`RetractionData`.
 
 All intermediate computation happens in the *suspended* normalization
 (degrees shifted down by one), where i, p and the morphism components
@@ -201,16 +207,27 @@ def _suspension_signed(table: Table, deg) -> Table:
 
 
 class _SuspendedTransfer:
-    """Shared recursion computing q_n, g_n and b_n^B in the bar normalization.
+    """The transferred tables in the bar normalization, computed on the
+    domain of H.  A vertex of arity k whose slots carry (n_1, ..., n_k)
+    leaves has the vertex table
 
-        q_n   = sum_{k>=2} sum_{n_1+...+n_k=n} b_k o (g_{n_1} x ... x g_{n_k})
-        g_1   = i,   g_n = -H o q_n   (n >= 2)
-        b_n^B = p o q_n              (n >= 2),  b_1^B = p o b_1 o i
+        V = b_k o (X_1 x ... x X_k),  X_t = i if n_t = 1, else -H,
+
+    built once per shape (which slots are leaves), and
+
+        q_n   = sum_{k>=2} sum_{n_1+...+n_k=n} V o (q_{n_t} where n_t > 1)
+        b_n^B = sum_{k>=2} sum_{n_1+...+n_k=n} (p o V) o (q_{n_t} where n_t > 1)
+        g_1   = i,   g_n = -H o q_n   (n >= 2),   b_1^B = p o b_1 o i
+
+    with the identity on leaf slots.  So q_n maps B^n to A, each slot
+    table is a q_m, never a g_m, the top arity never builds q_n, and g_n
+    is built only for :func:`transfer_morphism`.
 
     All component maps have suspended degree 0 except H (-1) and b_k (+1),
     so the tensor products above carry no Koszul signs.  b_k, i, p and H
-    are converted to integer form once; q_n and g_n are kept as
-    ``(numerators, D)`` pairs.  ``self.H`` holds -H.
+    are converted to integer form once; q_n and the vertex tables are kept
+    as ``(numerators, D)`` pairs, b_n^B and g_n as the rational tables the
+    memo hands out (every caller copies them).  ``self.H`` holds -H.
     """
 
     def __init__(self, r: RetractionData):
@@ -224,50 +241,71 @@ class _SuspendedTransfer:
         H, D = pairs.pop("H")
         self.H: Pair = signed(H, lambda ins: -1), D
         self.b: Dict[int, Pair] = pairs
-        self.g: Dict[int, Pair] = {1: self.i}
+        self.vertices: Dict[tuple, Pair] = {}
         self.q: Dict[int, Pair] = {}
+        self.bB: Dict[int, Table] = {}
+        self.g: Dict[int, Table] = {}
+
+    def vertex(self, parts: tuple, top: bool) -> Pair:
+        """V for the shape of parts, or p o V when top."""
+        key = top, tuple(n > 1 for n in parts)
+        if key not in self.vertices:
+            if top:
+                V = _compose_pairs(self.p, [self.vertex(parts, False)])
+            else:
+                V = _compose_pairs(self.b[len(parts)], [self.H if n > 1 else self.i for n in parts])
+            self.vertices[key] = V
+        return self.vertices[key]
+
+    def terms(self, n: int, top: bool) -> Pair:
+        """q_n, or b_n^B when top, as the sum over vertices and compositions."""
+        return _sum_pairs([
+            _compose_pairs(self.vertex(parts, top), [self.q_pair(m) if m > 1 else None for m in parts])
+            for k in range(2, n + 1) if k in self.b for parts in compositions(n, k)
+        ])
 
     def q_pair(self, n: int) -> Pair:
-        if n in self.q:
-            return self.q[n]
-        terms = []
-        for k in range(2, n + 1):
-            bk = self.b.get(k)
-            if bk is not None:
-                for parts in compositions(n, k):
-                    terms.append(_compose_pairs(bk, [self.g_pair(m) for m in parts]))
-        self.q[n] = _sum_pairs(terms)
+        if n not in self.q:
+            self.q[n] = self.terms(n, False)
         return self.q[n]
 
+    def bB_table(self, n: int) -> Table:
+        if n not in self.bB:
+            self.bB[n] = _rational(*self.terms(n, True))
+        return self.bB[n]
+
     def g_pair(self, n: int) -> Pair:
+        return _compose_pairs(self.H, [self.q_pair(n)])
+
+    def g_table(self, n: int) -> Table:
         if n not in self.g:
-            self.g[n] = _compose_pairs(self.H, [self.q_pair(n)])
+            self.g[n] = _rational(*self.g_pair(n))
         return self.g[n]
 
-    def bB_table(self, n: int) -> Table:
-        return _rational(*_compose_pairs(self.p, [self.q_pair(n)]))
-
-    def tree_pair(self, t: tuple, edges: Dict[tuple, Pair]) -> Pair:
+    def tree_pair(self, t: tuple, below: Dict[tuple, Pair], vertices: Dict[tuple, Pair]) -> Pair:
         """One tree's term of the suspended transferred operation: i at the
-        leaves, b_k at internal vertices, H on internal edges, p at the
-        root.  The stored -H on each internal edge gives the per-tree sign
-        (-1)^{number of internal edges}.  ``edges`` maps each subtree seen
-        so far to the value on the edge above it, so trees share it."""
+        leaves, b_k at internal vertices, -H on internal edges, p at the
+        root; the stored -H gives the per-tree sign (-1)^{internal edges}.
+        Each vertex is composed with its leaf and edge maps once per shape,
+        kept in ``vertices``, and ``below`` maps each subtree seen so far to
+        its value below its edge, so trees share both."""
 
-        def eval_node(node: tuple) -> Pair:
-            if not node:
-                return self.i
+        def value(node: tuple, top: bool = False) -> Pair:
             bk = self.b.get(len(node))
             if bk is None:
                 return {}, 1
-            return _compose_pairs(bk, [edge(c) if c else self.i for c in node])
+            key = top, tuple(map(bool, node))
+            if key not in vertices:
+                V = _compose_pairs(bk, [self.H if c else self.i for c in node])
+                vertices[key] = _compose_pairs(self.p, [V]) if top else V
+            return _compose_pairs(vertices[key], [subtree(c) if c else None for c in node])
 
-        def edge(c: tuple) -> Pair:
-            if c not in edges:
-                edges[c] = _compose_pairs(self.H, [eval_node(c)])
-            return edges[c]
+        def subtree(c: tuple) -> Pair:
+            if c not in below:
+                below[c] = value(c)
+            return below[c]
 
-        return _compose_pairs(self.p, [eval_node(t)])
+        return value(t, top=True)
 
 
 def _transferred(
@@ -300,7 +338,7 @@ def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismDa
     source = _transferred(r, max_arity, st.bB_table)
     comps: Dict[int, MultilinearOp] = {1: MultilinearOp(1, B, r.ambient.basis, 0, dict(r.include.entries))}
     for n in range(2, max_arity + 1):
-        table = _suspension_signed(_rational(*st.g_pair(n)), B.degrees)
+        table = _suspension_signed(st.g_table(n), B.degrees)
         op = MultilinearOp(n, B, r.ambient.basis, 1 - n, table)
         if not op.is_zero():
             comps[n] = op
@@ -310,14 +348,16 @@ def transfer_morphism(r: RetractionData, max_arity: int = 4) -> AInftyMorphismDa
 def transfer_structure_by_trees(r: RetractionData, max_arity: int = 4) -> AInftyStructure:
     """Same result as :func:`transfer_structure`, computed as the explicit
     sum over planar trees; used as a cross-check.  It validates r through
-    the memo but builds its own converted inputs, and never reads the
-    branch recursion's q_n or g_n, so the cross-check stays independent.
-    Subtrees share their internal-edge values; each root term is its own."""
+    the memo but builds its own converted inputs and vertex tables, and
+    never reads the branch recursion's vertices, q_n, g_n or b_n^B, so the
+    cross-check stays independent.  Subtrees share their values below
+    their edges; each root term is its own."""
     _suspended(r)
     st = _SuspendedTransfer(r)
-    edges: Dict[tuple, Pair] = {}
+    below: Dict[tuple, Pair] = {}
+    vertices: Dict[tuple, Pair] = {}
 
     def tree_sum(n: int) -> Table:
-        return _rational(*_sum_pairs([st.tree_pair(t, edges) for t in enumerate_trees(n)]))
+        return _rational(*_sum_pairs([st.tree_pair(t, below, vertices) for t in enumerate_trees(n)]))
 
     return _transferred(r, max_arity, tree_sum)

@@ -15,7 +15,11 @@ from torusmirror.ainfty import (
     AInftyStructure,
     GradedBasis,
     MultilinearOp,
+    _compose_pairs,
+    _rational,
+    _sum_pairs,
     bar_check,
+    compositions,
     morphism_defect,
     relation_defect,
 )
@@ -291,6 +295,62 @@ def test_retraction_json_roundtrip(corpus):
         assert B1.m(n).entries == B2.m(n).entries
 
 
+# -- the recursion against its reference model --------------------------------
+
+
+def g_recursion(r, max_arity):
+    """Reference model: the branch recursion on g,
+
+        q_n = sum_k sum_{n_1+...+n_k=n} b_k o (g_{n_1} x ... x g_{n_k}),
+        g_1 = i,   g_n = -H o q_n,   b_n^B = p o q_n,
+
+    on the converted inputs of the suspended transfer.  Returns the rational
+    b_n^B for 2 <= n <= max_arity and g_n for 2 <= n < max_arity."""
+    st = transfer._SuspendedTransfer(r)
+    g, bB = {1: st.i}, {}
+    for n in range(2, max_arity + 1):
+        q = _sum_pairs([_compose_pairs(st.b[k], [g[m] for m in parts])
+                        for k in range(2, n + 1) if k in st.b for parts in compositions(n, k)])
+        g[n] = _compose_pairs(st.H, [q])
+        bB[n] = _rational(*_compose_pairs(st.p, [q]))
+    return bB, {n: _rational(*g[n]) for n in range(2, max_arity)}
+
+
+def nonzero(table):
+    """The table without its zero entries and empty rows."""
+    rows = {ins: {o: c for o, c in row.items() if c != 0} for ins, row in table.items()}
+    return {ins: row for ins, row in rows.items() if row}
+
+
+def _reference_inputs(corpus):
+    """The conjugated Massey dga without a unit, the Massey dgas with a unit
+    (a, b, c of degree 1 and 2), the plain and conjugated Koszul dgas, the
+    randomgen corpus, and a Novikov-lifted randomgen retraction."""
+    rng = random.Random(5)
+    dgas = [conjugated(massey_dga(), rng), massey_dga(1, unit=True), massey_dga(2, unit=True)]
+    dgas += [koszul_dga(k) for k in (2, 3)] + [conjugated(koszul_dga(k), rng) for k in (2, 3)]
+    rs = [retraction_onto_cohomology(A, rng) for A in dgas] + list(corpus)
+    rng = random.Random(4)
+    r = retraction_onto_cohomology(random_dg_algebra(rng), rng)
+    return rs + [RetractionData.from_obj(_lift_scalars(r.to_obj()))]
+
+
+def test_recursion_on_the_domain_of_h_matches_the_g_recursion(corpus):
+    """The vertex-table recursion gives the reference model's rational b_n^B
+    (n <= 5) and g_n (n <= 4), on inputs that transfer to nonzero m_3..m_5."""
+    reached = set()
+    for r in _reference_inputs(corpus):
+        bB, g = g_recursion(r, 5)
+        st = transfer._suspended(r)
+        for n in range(2, 6):
+            assert nonzero(st.bB_table(n)) == nonzero(bB[n]), n
+            if nonzero(bB[n]):
+                reached.add(n)
+        for n in range(2, 5):
+            assert nonzero(st.g_table(n)) == nonzero(g[n]), n
+    assert reached == {2, 3, 4, 5}
+
+
 # -- the memo of the last retraction ------------------------------------------
 
 
@@ -377,16 +437,51 @@ def test_transfer_module_validates_once_per_pass(validations):
     assert len(validations) == 2 * criteria.SIZES["suite"]["transfer"]["count"]
 
 
-def test_tree_sum_reads_no_recursion_table(massey, monkeypatch):
-    """The tree sum computes its own terms: with q_n and g_n out of reach it
-    still returns the branch recursion's tables."""
-    B = transfer_structure(massey, 4)
+def test_each_pass_builds_only_its_own_tables(monkeypatch, validations):
+    """transfer_structure(r, 5) builds no g_n and no q_5; transfer_morphism(r, 4)
+    then reuses the kept b_n^B and q_n, composing -H once for each of
+    g_2..g_4; editing a returned component in place changes no later result."""
+    rng = random.Random(3)
+    r = retraction_onto_cohomology(conjugated(massey_dga(), rng), rng)
 
     def refuse(self, n):
+        raise RuntimeError("transfer_structure built a g_n")
+
+    with monkeypatch.context() as m:
+        m.setattr(transfer._SuspendedTransfer, "g_pair", refuse)
+        assert not transfer_structure(r, 5).m(5).is_zero()
+    assert sorted(transfer._suspended(r).q) == [2, 3, 4]
+
+    calls = []
+
+    def counted(outer, slots):
+        calls.append(outer)
+        return _compose_pairs(outer, slots)
+
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_compose_pairs", counted)
+        F = transfer_morphism(r, 4)
+    assert len(calls) == 3
+    want = entries(F)
+    for op in F.components.values():
+        for row in op.entries.values():
+            for o in row:
+                row[o] += 1
+    assert entries(transfer_morphism(r, 4)) == want
+    assert validations == [r]
+
+
+def test_tree_sum_reads_no_recursion_table(massey, monkeypatch):
+    """The tree sum computes its own terms: with the recursion's vertex and
+    term helpers, q_n, g_n and b_n^B out of reach it still returns the
+    branch recursion's tables."""
+    B = transfer_structure(massey, 4)
+
+    def refuse(self, *args):
         raise RuntimeError("the tree sum read the branch recursion")
 
-    monkeypatch.setattr(transfer._SuspendedTransfer, "q_pair", refuse)
-    monkeypatch.setattr(transfer._SuspendedTransfer, "g_pair", refuse)
+    for name in ("vertex", "terms", "q_pair", "g_pair", "g_table", "bB_table"):
+        monkeypatch.setattr(transfer._SuspendedTransfer, name, refuse)
     T = transfer_structure_by_trees(massey, 4)
     assert all(B.m(n).entries == T.m(n).entries for n in range(1, 5))
     assert not T.m(4).is_zero()
