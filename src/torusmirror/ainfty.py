@@ -10,21 +10,32 @@ and the tree formulas of homotopy transfer.  It fills one slot at a time,
 so a Novikov composite may carry a higher, still valid, O(q^c) than the
 sum of its term products.  The kernel has no sign: every Koszul and
 suspension sign reads the inputs of a single table, so it is a +-1 on
-that table's rows (:func:`signed`).  The morphism equations and
-homotopy transfer compose rational tables as integer numerators over one
-denominator per table (:func:`_integral`), and go back to ``Fraction``
-only when an operation is built.
+that table's rows (:func:`signed`).  The structure relations, the
+morphism equations, the retraction identities and homotopy transfer
+compose rational tables as integer numerators over one denominator per
+table (:func:`_integral`; Novikov tables pass with denominator 1), and
+go back to ``Fraction`` only to build an operation or print a value.
 
+One sign convention holds at every arity: the suspension (degrees down
+by one) takes m_n to  b_n(s a_1, ..., s a_n) =
+(-1)^{sum_q (n - q)(deg a_q - 1)} s m_n(a_1, ..., a_n), which is Keller's
+b_n = s m_n (s^-1)^n (HHA 2001, section 3) times eps_n = (-1)^{n(n-1)/2}.
 Two independent implementations of the structure equations are provided:
 
 * :func:`relation_defect` expands the explicit quadratic relations
 
       sum_{j, l} eps(l, j) m_i(a_0, ..., m_j(a_l, ..., a_{l+j-1}), ..., a_{n-1})
 
-  with the sign  eps(l,j) = (-1)^{j * sum_{s<l} deg(a_s) + l(j-1) + j(i-1)}.
+  with the sign
+  eps(l,j) = (-1)^{j * sum_{s<l} deg(a_s) + l(j-1) + j(i-1) + ij}:
+  Keller's relation sum (-1)^{r+st} m_{r+1+t}(1^r x m_s x 1^t) = 0 for
+  the operations eps_n m_n, since eps_i eps_j = eps_n (-1)^{ij + n}.
 
 * :func:`bar_check` squares the induced coderivation on the shifted
-  tensor coalgebra, where all signs are Koszul in deg-1.
+  tensor coalgebra, where all signs are Koszul in deg-1.  It shares no
+  code with the kernel or the integer forms: it scales its tables to
+  integers itself, and applies the (linear) coderivation with coefficient
+  1 once to each word that another word's image reaches.
 
 They must agree; tests enforce it.
 """
@@ -33,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .novikov import NovikovElem
@@ -297,12 +309,18 @@ def _integral(tables: Dict[Hashable, Table]) -> Dict[Hashable, Pair]:
     with D the lcm of its denominators, so :func:`compose` and
     :func:`add_into` run on ints.  If any table holds a NovikovElem, every
     table passes through as ``(table, 1)``: a Novikov entry never carries
-    a denominator, so :func:`_rational` may return it as it is."""
-    if any(isinstance(c, NovikovElem) for t in tables.values() for row in t.values() for c in row.values()):
+    a denominator, so :func:`_rational` may return it as it is.  A table
+    of ``int`` entries alone is its own numerator table, not a copy."""
+    kinds = {type(c) for t in tables.values() for row in t.values() for c in row.values()}
+    if NovikovElem in kinds or kinds <= {int}:
         return {key: (t, 1) for key, t in tables.items()}
     pairs = {}
     for key, t in tables.items():
-        D = lcm(*(c.denominator for row in t.values() for c in row.values()))
+        dens = {c.denominator for row in t.values() for c in row.values()}
+        if dens == {1} and {type(c) for row in t.values() for c in row.values()} <= {int}:
+            pairs[key] = t, 1
+            continue
+        D = lcm(*dens)
         pairs[key] = (
             {ins: {o: c.numerator * (D // c.denominator) for o, c in row.items()} for ins, row in t.items()},
             D,
@@ -319,8 +337,13 @@ def _rational(table: Table, D: int) -> Table:
 
 def _compose_pairs(outer: Pair, slots: Sequence[Optional[Pair]]) -> Pair:
     """:func:`compose` on integer forms; the denominators multiply."""
-    D = outer[1] * prod(s[1] for s in slots if s is not None)
-    return compose(outer[0], [None if s is None else s[0] for s in slots]), D
+    D, tables = outer[1], []
+    for s in slots:
+        if s is not None:
+            D *= s[1]
+            s = s[0]
+        tables.append(s)
+    return compose(outer[0], tables), D
 
 
 def _sum_pairs(terms: Sequence[Pair]) -> Pair:
@@ -360,21 +383,22 @@ def relation_defect(A: AInftyStructure, n: int) -> MultilinearOp:
     slots pass through unchanged, so it sits on the rows of m_i.
     """
     deg = A.basis.degrees
-    acc: Table = {}
+    pairs = _integral({k: A.ops[k].entries for k in range(1, n + 1) if k in A.ops and A.ops[k].entries})
+    terms: List[Pair] = []
     for j in range(1, n + 1):
         i = n - j + 1
-        inner = A.m(j)
-        outer = A.m(i)
-        if not (inner.entries and outer.entries):
+        if not (i in pairs and j in pairs):
             continue
+        rows, D = pairs[i]
         for l in range(0, i):
-            const = l * (j - 1) + j * (i - 1)
-            rows = outer.entries
+            const = l * (j - 1) + j * (i - 1) + i * j
+            outer = rows
             if j % 2 or const % 2:
-                rows = signed(rows, lambda ins: -1 if (j * sum(deg[a] for a in ins[:l]) + const) % 2 else 1)
+                outer = signed(rows, lambda ins: -1 if (j * sum(deg[a] for a in ins[:l]) + const) % 2 else 1)
             slots = [None] * i
-            slots[l] = inner.entries
-            add_into(acc, compose(rows, slots))
+            slots[l] = pairs[j]
+            terms.append(_compose_pairs((outer, D), slots))
+    acc = _rational(*_sum_pairs(terms))
     return MultilinearOp(n, A.basis, A.basis, 3 - n, acc, check_degrees=False)
 
 
@@ -467,11 +491,11 @@ def suspended_coefficient(op_inputs: Tuple[Label, ...], deg) -> int:
 
 
 def _apply_coderivation(
-    tables: List[Tuple[int, Table]], deg: Dict[Label, int], word: Tuple[Label, ...], coeff: Scalar
+    tables: List[Tuple[int, Table]], deg: Dict[Label, int], word: Tuple[Label, ...]
 ) -> Dict[Tuple[Label, ...], Scalar]:
     """One application of the coderivation induced by the b_n on a tensor
-    word in the shifted space; ``tables`` holds the nonempty m_n tables by
-    increasing n.  Koszul signs use deg - 1."""
+    word in the shifted space, with coefficient 1; ``tables`` holds the
+    nonempty m_n tables by increasing n.  Koszul signs use deg - 1."""
     out: Dict[Tuple[Label, ...], Scalar] = {}
     w = len(word)
     for nn, table in tables:
@@ -483,31 +507,43 @@ def _apply_coderivation(
             if not row:
                 continue
             kos = sum(deg[x] - 1 for x in word[:l])
-            susp = suspended_coefficient(block, deg)
-            sgn = -1 if (kos + susp) % 2 else 1
+            odd = (kos + suspended_coefficient(block, deg)) % 2
             for o, c in row.items():
                 new = word[:l] + (o,) + word[l + nn :]
-                out[new] = out.get(new, 0) + sgn * coeff * c
+                out[new] = out.get(new, 0) + (-c if odd else c)
     return out
 
 
 def bar_check(A: AInftyStructure, max_word: int) -> CheckReport:
-    """Verify d^2 = 0 for the induced coderivation on words of length <= max_word."""
+    """Verify d^2 = 0 for the induced coderivation on words of length <=
+    max_word.  Rational tables are scaled by the lcm L of all their
+    denominators, so d^2 is judged on integers and a failing value is
+    printed as numerator / L^2; Novikov tables pass through with L = 1."""
     failures = []
     labels, deg = A.basis.labels, A.basis.degrees
     tables = [(n, op.entries) for n, op in sorted(A.ops.items()) if op.entries]
-    from itertools import product
-
+    entries = [c for _n, t in tables for row in t.values() for c in row.values()]
+    L = 1
+    if not any(isinstance(c, NovikovElem) for c in entries):
+        L = lcm(*{c.denominator for c in entries})
+        tables = [
+            (n, {ins: {o: c.numerator * (L // c.denominator) for o, c in row.items()} for ins, row in t.items()})
+            for n, t in tables
+        ]
+    # d(mid) of each word some d(word) reaches; words reached by no d are
+    # not kept, so the memo stays as sparse as the tables
+    memo: Dict[Tuple[Label, ...], Dict[Tuple[Label, ...], Scalar]] = {}
     for w in range(1, max_word + 1):
         for word in product(labels, repeat=w):
-            once = _apply_coderivation(tables, deg, word, 1)
             twice: Dict[Tuple[Label, ...], Scalar] = {}
-            for mid, c in once.items():
-                for fin, c2 in _apply_coderivation(tables, deg, mid, c).items():
-                    twice[fin] = twice.get(fin, 0) + c2
+            for mid, c in _apply_coderivation(tables, deg, word).items():
+                if mid not in memo:
+                    memo[mid] = _apply_coderivation(tables, deg, mid)
+                for fin, c2 in memo[mid].items():
+                    twice[fin] = twice.get(fin, 0) + c * c2
             for fin, c in twice.items():
                 if not is_zero_scalar(c):
-                    failures.append(f"word length {w}: d^2({word}) has {fin}: {c}")
+                    failures.append(f"word length {w}: d^2({word}) has {fin}: {c if L == 1 else Fraction(c, L * L)}")
     return CheckReport(ok=not failures, failures=failures)
 
 

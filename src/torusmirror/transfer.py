@@ -31,6 +31,7 @@ this sign convention is enforced by the defect tests, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .ainfty import (
@@ -110,43 +111,50 @@ class RetractionData:
 
 
 def validate(r: RetractionData) -> CheckReport:
-    """Exact check of the retraction identities; failures list matrix entries."""
+    """Exact check of the retraction identities; failures list matrix
+    entries.  i, p, H and m_1 are composed as integer forms, and a failing
+    value is printed as the rational (or Novikov) entry it stands for."""
     failures: List[str] = []
     A, B = r.ambient.basis, r.sub_basis
-    i, p, H = r.include.entries, r.project.entries, r.homotopy.entries
-    d = r.ambient.m(1).entries
+    pairs = _integral({"i": r.include.entries, "p": r.project.entries, "H": r.homotopy.entries,
+                       "d": r.ambient.m(1).entries})
+    i, p, H, d = pairs["i"], pairs["p"], pairs["H"], pairs["d"]
+
+    def value(c, D):
+        return c if D == 1 else Fraction(c, D)
 
     # p o i = identity on B
-    pi = compose(p, [i])
+    pi, D = _compose_pairs(p, [i])
     for b in B.labels:
         row = pi.get((b,), {})
         for o in set(row) | {b}:
             want = 1 if o == b else 0
             got = row.get(o, 0)
-            if not is_zero_scalar(got - want):
-                failures.append(f"(p i)[{b} -> {o}] = {got}, expected {want}")
+            if not is_zero_scalar(got - want * D):
+                failures.append(f"(p i)[{b} -> {o}] = {value(got, D)}, expected {want}")
 
     # Pi = i o p commutes with d
-    ip = compose(i, [p])
-    dPi = compose(d, [ip])
-    Pid = compose(ip, [d])
+    ip, Dip = _compose_pairs(i, [p])
+    dPi, D = _compose_pairs(d, [(ip, Dip)])
+    Pid, _D = _compose_pairs((ip, Dip), [d])
     for a in A.labels:
         row_dPi, row_Pid = dPi.get((a,), {}), Pid.get((a,), {})
         for o in set(row_dPi) | set(row_Pid):
             diff = row_dPi.get(o, 0) - row_Pid.get(o, 0)
             if not is_zero_scalar(diff):
-                failures.append(f"[d, i p][{a} -> {o}] = {diff}")
+                failures.append(f"[d, i p][{a} -> {o}] = {value(diff, D)}")
 
-    # 1 - i p = d H + H d
-    dH = compose(d, [H])
-    Hd = compose(H, [d])
+    # 1 - i p = d H + H d, over the denominators Dip and DH of i p and d H
+    dH, DH = _compose_pairs(d, [H])
+    Hd, _D = _compose_pairs(H, [d])
     for a in A.labels:
         row_ip, row_dH, row_Hd = ip.get((a,), {}), dH.get((a,), {}), Hd.get((a,), {})
         for o in set(row_dH) | set(row_Hd) | set(row_ip) | {a}:
-            lhs = (1 if o == a else 0) - row_ip.get(o, 0)
+            lhs = (Dip if o == a else 0) - row_ip.get(o, 0)
             rhs = row_dH.get(o, 0) + row_Hd.get(o, 0)
-            if not is_zero_scalar(lhs - rhs):
-                failures.append(f"(1 - ip - dH - Hd)[{a} -> {o}] = {lhs - rhs}")
+            diff = lhs * DH - rhs * Dip
+            if not is_zero_scalar(diff):
+                failures.append(f"(1 - ip - dH - Hd)[{a} -> {o}] = {value(diff, Dip * DH)}")
 
     return CheckReport(ok=not failures, failures=failures)
 

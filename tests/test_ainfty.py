@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from torusmirror import ainfty
+from torusmirror import ainfty, morse
 from torusmirror.ainfty import (
     AInftyMorphismData,
     AInftyStructure,
@@ -17,6 +17,7 @@ from torusmirror.ainfty import (
     _compose_pairs,
     _integral,
     _rational,
+    _sum_pairs,
     add_into,
     assemble_sequence,
     bar_check,
@@ -27,8 +28,11 @@ from torusmirror.ainfty import (
     suspended_coefficient,
     zero_op,
 )
+from torusmirror.criteria import circle_sections
+from torusmirror.fukaya_oh import fukaya_sequence
 from torusmirror.novikov import NovikovElem
-from torusmirror.randomgen import corrupt_structure, random_dg_algebra
+from torusmirror.randomgen import corrupt_structure, random_dg_algebra, retraction_onto_cohomology
+from torusmirror.transfer import transfer_structure
 
 
 def exterior_algebra():
@@ -126,6 +130,20 @@ def test_compose_kernel():
         assert all(type(c) is Fraction for row in got.values() for c in row.values())
     assert got[("a", "v")] == {"w": q(1, 5)} and got[("b", "z")] == {"w": -q(35, 24), "x": q(-25, 6)}
 
+
+def test_integral_hands_int_tables_through_uncopied():
+    """A table of ints alone is its own numerator table; a table of
+    Fraction(n, 1) entries is converted to ints, so _sum_pairs' gcd never
+    meets a Fraction; one Fraction among ints sets that table's D."""
+    ints = {("a",): {"u": 3, "v": -2}}
+    whole = {("a",): {"u": Fraction(3), "v": Fraction(-2)}}
+    mixed = {("a",): {"u": 3, "v": Fraction(1, 4)}}
+    pairs = _integral({"ints": ints, "whole": whole, "mixed": mixed})
+    assert pairs["ints"][0] is ints and pairs["ints"][1] == 1
+    assert pairs["whole"] == (ints, 1) and pairs["whole"][0] is not whole
+    assert all(type(c) is int for row in pairs["whole"][0].values() for c in row.values())
+    assert pairs["mixed"] == ({("a",): {"u": 12, "v": 1}}, 4)
+    assert _sum_pairs([pairs["whole"], pairs["mixed"]]) == ({("a",): {"u": 24, "v": -7}}, 4)
 
 def _one_pass_compose(outer, slots):
     """Reference model of `compose`: one pass per entry of `outer` over the
@@ -239,18 +257,54 @@ def test_corrupted_structure_fails_both_checks_at_the_same_arity():
 
 
 def test_bar_check_runs_without_compose(monkeypatch):
-    """bar_check shares no code with the composition kernel that
-    relation_defect runs on, so the two stay independent checks."""
+    """bar_check shares no code with the composition kernel or the integer
+    forms that relation_defect runs on, so the two stay independent checks."""
     rng = random.Random(7)
     A = random_dg_algebra(rng)
     bad = corrupt_structure(A, rng)
 
-    def refuse(*args):
-        raise RuntimeError("bar_check called compose")
+    for name in ("compose", "_integral", "_compose_pairs", "_sum_pairs", "_rational"):
+        def refuse(*args, name=name):
+            raise RuntimeError(f"bar_check called {name}")
 
-    monkeypatch.setattr(ainfty, "compose", refuse)
+        monkeypatch.setattr(ainfty, name, refuse)
     assert bar_check(A, 3).ok
     assert not bar_check(bad, 3).ok
+
+
+def test_bar_check_failure_values_are_pinned():
+    """bar_check judges d^2 on tables scaled by the lcm L of their
+    denominators and prints each failing value as numerator / L^2: the
+    failure list of a corrupted dga with fractional coefficients and of a
+    Novikov structure (one m_2 entry of a Fukaya sequence raised by
+    3 q^(1/2)), as the unscaled Fraction arithmetic printed them."""
+    rng = random.Random(59)
+    A = random_dg_algebra(rng)
+    assert any(c.denominator > 1 for row in A.m(2).entries.values() for c in row.values())
+    assert bar_check(corrupt_structure(A, rng), 3).failures == [
+        "word length 3: d^2(((0, 0), (0, 0), (0, 0))) has ((0, 1),): 1",
+        "word length 3: d^2(((0, 1), (0, 0), (1, 0))) has ((1, 0),): -4/3",
+        "word length 3: d^2(((0, 1), (0, 0), (1, 0))) has ((1, 1),): -8/3",
+        "word length 3: d^2(((0, 1), (0, 0), (1, 1))) has ((1, 0),): 2/3",
+        "word length 3: d^2(((0, 1), (0, 0), (1, 1))) has ((1, 1),): 4/3",
+        "word length 3: d^2(((1, 0), (0, 1), (0, 0))) has ((1, 0),): 4/3",
+        "word length 3: d^2(((1, 0), (0, 1), (0, 0))) has ((1, 1),): 8/3",
+        "word length 3: d^2(((1, 1), (0, 1), (0, 0))) has ((1, 0),): -2/3",
+        "word length 3: d^2(((1, 1), (0, 1), (0, 0))) has ((1, 1),): -4/3",
+    ]
+    F = fukaya_sequence(circle_sections((0, 1, 3, 6), (0, Fraction(1, 3), 0, Fraction(1, 2))), 6)
+    m2 = {ins: dict(row) for ins, row in F.m(2).entries.items()}
+    m2[(0, 1, (0,)), (1, 2, (0,))][0, 2, (0,)] += NovikovElem.q_power(Fraction(1, 2), 3, 6)
+    bent = AInftyStructure(F.basis, {2: MultilinearOp(2, F.basis, F.basis, 0, m2, check_degrees=False)})
+    word = "word length 3: d^2(((0, 1, (0,)), (1, 2, (0,)), (2, 3, ({},)))) has ((0, 3, ({},)),): Nov({})"
+    assert bar_check(bent, 3).failures == [
+        word.format(0, 0, "3*q^25/48 + 3*q^145/48 + 3*q^193/48 + O(q^289/48)"),
+        word.format(0, 3, "3*q^49/48 + 3*q^73/48 + O(q^483/80)"),
+        word.format(1, 1, "3*q^25/48 + 3*q^145/48 + 3*q^193/48 + O(q^6)"),
+        word.format(1, 4, "3*q^49/48 + 3*q^73/48 + O(q^6)"),
+        word.format(2, 2, "3*q^11/16 + 3*q^35/16 + 3*q^83/16 + O(q^91/15)"),
+        word.format(2, 5, "3*q^11/16 + 3*q^35/16 + 3*q^83/16 + O(q^1441/240)"),
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -259,6 +313,99 @@ def test_relation_defect_and_bar_check_agree_on_valid_algebras(seed):
     for n in range(1, 4):
         assert relation_defect(A, n).is_zero()
     assert bar_check(A, 3).ok
+
+
+def relation_defect_reference(A, n):
+    """Reference model of `relation_defect`: the Fraction loop it ran on
+    before the integer forms, one compose and add_into per (i, j, l), with
+    the sign constant l(j-1) + j(i-1) + ij."""
+    deg = A.basis.degrees
+    acc = {}
+    for j in range(1, n + 1):
+        i = n - j + 1
+        inner, outer = A.m(j), A.m(i)
+        if not (inner.entries and outer.entries):
+            continue
+        for l in range(0, i):
+            const = l * (j - 1) + j * (i - 1) + i * j
+            rows = outer.entries
+            if j % 2 or const % 2:
+                rows = signed(rows, lambda ins: -1 if (j * sum(deg[a] for a in ins[:l]) + const) % 2 else 1)
+            slots = [None] * i
+            slots[l] = inner.entries
+            add_into(acc, compose(rows, slots))
+    return MultilinearOp(n, A.basis, A.basis, 3 - n, acc, check_degrees=False)
+
+
+def _morse_sequence(seed):
+    """The Morse structure of the first transversal triple of seeded trig
+    polynomials, as criterion 4 builds it; its tables hold ints alone."""
+    rng = random.Random(seed)
+
+    def trig():
+        return morse.TrigPolynomial.from_dicts(
+            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)},
+            {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in (1, 2)})
+
+    f = trig(), trig(), trig()
+    while not morse.transversal_triple(*f):
+        f = trig(), trig(), trig()
+    pairs = ((0, 1), (1, 2), (0, 2))
+    hom = {(i, j): morse.critical_points(f[i] - f[j]).basis() for i, j in pairs}
+    comps = {(i, j): morse.morse_differential(f[i], f[j]) for i, j in pairs}
+    comps[(0, 1, 2)] = morse.m2(*f)
+    return assemble_sequence((0, 1, 2), hom, comps)
+
+
+def _bent(A, n, delta):
+    """A with delta added to the first entry of m_n."""
+    op = A.m(n)
+    table = {ins: dict(row) for ins, row in op.entries.items()}
+    ins = min(table, key=repr)
+    out = min(table[ins], key=repr)
+    table[ins][out] += delta
+    return AInftyStructure(A.basis, {**A.ops, n: MultilinearOp(n, A.basis, A.basis, 2 - n, table)})
+
+
+def test_relation_defect_matches_the_fraction_reference():
+    """The integer-form relation_defect gives the reference model's entries,
+    truncated Novikov zeros and their cutoffs included: randomgen dgas and
+    their corrupted twins, randomgen and conjugated Massey transfers to
+    arity 5, the Koszul dgas, Morse sequences (int tables, each also with
+    an m_2 entry raised by 1) and a 5-object Novikov Fukaya sequence.  The
+    Heisenberg transfer with one m_3 or m_4 entry raised by 1/2 is where
+    m_2 o m_4 and m_3 o m_3 meet nonzero terms."""
+    from test_transfer import conjugated, heisenberg_dga, koszul_dga, massey_dga
+
+    cases = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        A = random_dg_algebra(rng)
+        cases += [(A, 3), (corrupt_structure(A, rng), 3)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        for A in (random_dg_algebra(rng), conjugated(massey_dga(), rng)):
+            cases.append((transfer_structure(retraction_onto_cohomology(A, rng), 5), 5))
+    rng = random.Random(0)
+    B = transfer_structure(retraction_onto_cohomology(conjugated(heisenberg_dga(), rng), rng), 5)
+    cases += [(B, 5), (_bent(B, 3, Fraction(1, 2)), 5), (_bent(B, 4, Fraction(1, 2)), 5)]
+    cases += [(koszul_dga(k), 3) for k in (2, 3)] + [(conjugated(koszul_dga(3), random.Random(3)), 3)]
+    morse_cases = [_morse_sequence(seed) for seed in (1, 2)]
+    assert all(type(c) is int for A in morse_cases for op in A.ops.values()
+               for row in op.entries.values() for c in row.values())
+    cases += [(A, 3) for A in morse_cases] + [(_bent(A, 2, 1), 3) for A in morse_cases]
+    shifts = (0, Fraction(1, 2), Fraction(1, 3), 0, Fraction(2, 5))
+    fukaya = fukaya_sequence(circle_sections((0, 1, 3, 6, 10), shifts), 4)
+    cases.append((fukaya, 3))
+    nonzero = truncated = 0
+    for A, top in cases:
+        for n in range(1, top + 1):
+            got, want = relation_defect(A, n).entries, relation_defect_reference(A, n).entries
+            assert got == want
+            values = [c for row in got.values() for c in row.values()]
+            truncated += sum(isinstance(c, NovikovElem) and c.is_zero() for c in values)
+            nonzero += sum(not isinstance(c, NovikovElem) for c in values)
+    assert nonzero > 0 and truncated > 0
 
 
 def test_suspension_sign_exponent():

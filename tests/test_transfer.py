@@ -3,6 +3,7 @@ relations, the comparison morphism, and the tree-sum cross-check."""
 
 import copy
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -74,6 +75,24 @@ def koszul_dga(k):
            for (e1, j1), _ in elems for (e2, j2), _ in elems if e1 + e2 <= 1 and j1 + j2 < k}
     B = GradedBasis(tuple(elems))
     d = MultilinearOp(1, B, B, 1, {((1, j),): {(0, j + 1): 1} for j in range(k - 1)})
+    return AInftyStructure(B, {1: d, 2: MultilinearOp(2, B, B, 0, mul)})
+
+
+def heisenberg_dga():
+    """The Chevalley-Eilenberg dga of the Heisenberg Lie algebra: the
+    exterior algebra on x, y, z of degree 1 with dz = xy.  Its cohomology
+    has degrees 0, 1, 1, 2, 2, 3, and its transfer has nonzero m_2 ... m_6,
+    so both m_2 o m_4 and m_3 o m_3 enter the arity-5 relation."""
+    elems = [(m, len(m)) for k in range(4) for m in itertools.combinations("xyz", k)]
+    mul = {}
+    for a, _ in elems:
+        for b, _ in elems:
+            if not set(a) & set(b):
+                # the sign of the permutation that sorts a + b
+                inversions = sum(x > y for x in a for y in b)
+                mul[(a, b)] = {tuple(sorted(a + b)): (-1) ** inversions}
+    B = GradedBasis(tuple(elems))
+    d = MultilinearOp(1, B, B, 1, {(("z",),): {("x", "y"): 1}})
     return AInftyStructure(B, {1: d, 2: MultilinearOp(2, B, B, 0, mul)})
 
 
@@ -183,6 +202,31 @@ def test_unital_massey_dga_transfers_exactly(deg):
     assert out.ok, out.failures
 
 
+def test_heisenberg_transfer_agrees_at_every_arity():
+    """The transferred Heisenberg structure satisfies its relations for
+    n <= 6, the bar check on words of length <= 5 and the morphism
+    equations for n <= 5.  Scaling each m_n by eps_n = (-1)^(n(n-1)/2),
+    the other sign convention, must fail the relation at arity 5 and the
+    bar check at word length 5 and nowhere below: m_2 o m_4 and m_3 o m_3
+    are the first pair of terms whose eps_i eps_j differ."""
+    rng = random.Random(0)
+    r = retraction_onto_cohomology(conjugated(heisenberg_dga(), rng), rng)
+    B = transfer_structure(r, 6)
+    assert [len(list(B.m(n).nonzero_entries())) for n in range(2, 7)] == [17, 17, 44, 97, 218]
+    assert all(relation_defect(B, n).is_zero() for n in range(1, 7))
+    assert bar_check(B, 5).ok
+    F = transfer_morphism(r, 5)
+    assert all(morphism_defect(F, n).is_zero() for n in range(1, 6))
+
+    twisted = AInftyStructure(B.basis, {
+        n: MultilinearOp(n, B.basis, B.basis, 2 - n, {
+            ins: {o: c * (-1) ** (n * (n - 1) // 2) for o, c in row.items()} for ins, row in op.entries.items()})
+        for n, op in B.ops.items()})
+    assert [relation_defect(twisted, n).is_zero() for n in range(1, 6)] == [True] * 4 + [False]
+    failures = bar_check(twisted, 5).failures
+    assert failures and {f.split(":")[0] for f in failures} == {"word length 5"}
+
+
 def _sign_fixtures():
     """Seeded dgas whose relations and morphism equations reach every sign
     factor: the randomgen families, and the Koszul and unital Massey dgas,
@@ -272,6 +316,40 @@ def test_invalid_retraction_is_rejected():
     for build in (transfer_structure, transfer_morphism, transfer_structure_by_trees):
         with pytest.raises(ValueError):
             build(bad)
+
+
+def test_validate_failure_values_are_pinned():
+    """validate composes i, p, H and m_1 as integer forms and prints each
+    failing value as the Fraction it stands for: a conjugated Massey
+    retraction with one p entry raised by 1/2 and one H entry by 1/3, whose
+    H already has denominators 18, 9, 6 and 3."""
+    r = retraction_onto_cohomology(conjugated(massey_dga(), random.Random(5)), random.Random(5))
+
+    def bent(op, delta):
+        table = {ins: dict(row) for ins, row in op.entries.items()}
+        ins = min(table, key=repr)
+        table[ins][min(table[ins], key=repr)] += delta
+        return MultilinearOp(1, op.source, op.target, op.shift, table)
+
+    assert r.homotopy.entries[("w",)]["a"] == Fraction(5, 18)
+    bad = RetractionData(r.ambient, r.sub_basis, r.include, bent(r.project, Fraction(1, 2)),
+                         bent(r.homotopy, Fraction(1, 3)))
+    assert sorted(validate(bad).failures) == [
+        "(1 - ip - dH - Hd)[a -> a] = 11/9",
+        "(1 - ip - dH - Hd)[a -> b] = 3/4",
+        "(1 - ip - dH - Hd)[a -> u] = -1/2",
+        "(1 - ip - dH - Hd)[a -> v] = 1/2",
+        "(1 - ip - dH - Hd)[ab -> ab] = 2/9",
+        "(1 - ip - dH - Hd)[ab -> bc] = -4/9",
+        "(1 - ip - dH - Hd)[ab -> w] = 1/3",
+        "(1 - ip - dH - Hd)[b -> a] = -8/9",
+        "(1 - ip - dH - Hd)[c -> a] = 10/9",
+        "(1 - ip - dH - Hd)[u -> a] = 2/9",
+        "(1 - ip - dH - Hd)[v -> a] = 10/9",
+        "(p i)[('h', 1, 0) -> ('h', 1, 0)] = 0, expected 1",
+        "(p i)[('h', 1, 1) -> ('h', 1, 0)] = -3/2, expected 0",
+        "(p i)[('h', 1, 2) -> ('h', 1, 0)] = 1/2, expected 0",
+    ]
 
 
 def test_contractible_complex_transfers_to_zero():
