@@ -14,8 +14,10 @@ Retractions onto cohomology are built by exact linear algebra: per degree,
 split  A^k = B^k (+) im d (+) C^k  with random complements, set H = d^{-1}
 on im d and 0 elsewhere.  These satisfy the usual side conditions
 (H i = 0, p H = 0, H^2 = 0) on top of the required identities.  Vectors are
-tuples of Fractions; kernels, ranks, determinants and inverses come from
-``lattice``, whose results are canonical, so a seed fixes every draw.
+tuples of Fractions; kernels, ranks, determinants, inverses and products
+come from ``lattice``, whose results are canonical, so a seed fixes every
+draw.  Every linear map built here (i, p and H, and the basis change g and
+its inverse) is a matrix, turned into a sparse table by ``_table``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, compose
-from .lattice import Vec, mat_det, mat_inv, mat_vec, nullspace, rank, vec
+from .lattice import Vec, mat_det, mat_inv, mat_mul, mat_vec, nullspace, rank, vec
 from .transfer import RetractionData
 
 Q = Fraction
@@ -132,19 +134,16 @@ def _conjugate(basis_pairs, diff, mul, rng: random.Random) -> AInftyStructure:
     degs = dict(basis_pairs)
 
     # block-diagonal random invertible matrix over Q (per degree), as
-    # tables (a,) -> {b: g[b, a]} of g and its inverse
-    g: Dict = {}
-    ginv: Dict = {}
+    # tables of g and its inverse
+    g, ginv = {}, {}
     for d in sorted(set(degs.values())):
         block = [l for l in labels if degs[l] == d]
         while True:
-            M = [[rng.randint(-2, 2) for _ in block] for _ in block]
+            M = [[Q(rng.randint(-2, 2)) for _ in block] for _ in block]
             if mat_det(M) != 0:
                 break
-        Minv = mat_inv(M)
-        for j, a in enumerate(block):
-            g[(a,)] = {b: Q(M[i][j]) for i, b in enumerate(block) if M[i][j] != 0}
-            ginv[(a,)] = {b: Minv[i][j] for i, b in enumerate(block) if Minv[i][j] != 0}
+        g.update(_table(M, block, block))
+        ginv.update(_table(mat_inv(M), block, block))
 
     B = GradedBasis(tuple(basis_pairs))
     ops = {}
@@ -160,86 +159,64 @@ def _conjugate(basis_pairs, diff, mul, rng: random.Random) -> AInftyStructure:
 # ---------------------------------------------------------------------------
 
 
+def _table(M, ins, outs) -> Dict:
+    """The arity-1 table of the matrix M: column c is the image of ins[c] in
+    the basis outs, listed in the order of outs.  Zero entries and empty
+    rows are dropped."""
+    table: Dict = {}
+    for c, a in enumerate(ins):
+        row = {o: M[r][c] for r, o in enumerate(outs) if M[r][c] != 0}
+        if row:
+            table[(a,)] = row
+    return table
+
+
 def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> RetractionData:
     """Split each degree as  B (+) im d (+) C  with random complements.
 
     i embeds chosen cocycle representatives, p projects along im d (+) C,
-    and H inverts d from im d back to C.  Subspaces are lists of column
-    vectors (tuples of Fractions) in the label basis of their degree.
+    and H inverts d from im d back to C.  Subspaces are lists of vectors
+    (tuples of Fractions) in the label basis of their degree.
     """
     basis = A.basis
-    labels = list(basis.labels)
-    degs = basis.degrees
-    d_op = A.m(1)
+    d = A.m(1).entries
     by_deg: Dict[int, List] = {}
-    for l in labels:
-        by_deg.setdefault(degs[l], []).append(l)
-
-    sub_elems = []  # (label, degree) for B
-    i_table: Dict = {}
-    p_table: Dict = {}
-    h_table: Dict = {}
+    for l, k in basis.elements:
+        by_deg.setdefault(k, []).append(l)
 
     # per degree: ker d, a random complement C^k of it and its image d C^k;
     # every C is drawn before any B, which fixes the rng stream
-    all_degs = sorted(by_deg)
-    ker_vecs: Dict[int, List[Vec]] = {}
-    C_vecs: Dict[int, List[Vec]] = {}
-    dC_vecs: Dict[int, List[Vec]] = {}
-    for k in all_degs:
-        src, tgt = by_deg[k], by_deg.get(k + 1, [])
-        rows = [[Q(0)] * len(src) for _ in tgt]  # d: A^k -> A^{k+1}
-        for c, l in enumerate(src):
-            for o, v in d_op.entries.get((l,), {}).items():
-                rows[tgt.index(o)][c] = v
-        ker = ker_vecs[k] = nullspace(rows, len(src))
-        C_vecs[k] = _random_complement(ker, len(src), len(src) - len(ker), rng)
-        dC_vecs[k] = [mat_vec(rows, c) for c in C_vecs[k]]
+    ker, C, dC = {}, {}, {}  # degree -> list of vectors
+    for k, src in sorted(by_deg.items()):
+        rows = [[d.get((l,), {}).get(o, Q(0)) for l in src] for o in by_deg.get(k + 1, [])]
+        ker[k] = nullspace(rows, len(src))
+        C[k] = _random_complement(ker[k], len(src), len(src) - len(ker[k]), rng)
+        dC[k] = [mat_vec(rows, c) for c in C[k]]
 
-    for k in all_degs:
-        src = by_deg[k]
-        nk = len(src)
-        im_prev = dC_vecs.get(k - 1, [])
+    sub_elems = []
+    i_table, p_table, h_table = {}, {}, {}
+    for k, src in sorted(by_deg.items()):
+        im_prev = dC.get(k - 1, [])
         # B^k: random complement of im d inside ker d
-        Bk = _random_complement_within(ker_vecs[k], im_prev, rng)
-        full = Bk + im_prev + C_vecs[k]
-        if len(full) != nk:
+        Bk = _random_complement_within(ker[k], im_prev, rng)
+        full = Bk + im_prev + C[k]
+        if len(full) != len(src):
             raise RuntimeError("decomposition must be a basis")
-        inv = mat_inv(tuple(zip(*full)))
-        nB, nIm = len(Bk), len(im_prev)
+        inv = mat_inv(tuple(zip(*full)))  # row t: coordinate along full[t]
+        sub = [("h", k, t) for t in range(len(Bk))]
+        sub_elems += [(lab, k) for lab in sub]
+        i_table.update(_table(tuple(zip(*Bk)), sub, src))
+        p_table.update(_table(inv[:len(Bk)], src, sub))
+        if im_prev:  # H sends the im-d coordinates back to C^{k-1}
+            H = mat_mul(tuple(zip(*C[k - 1])), inv[len(Bk):len(Bk) + len(im_prev)])
+            h_table.update(_table(H, src, by_deg[k - 1]))
 
-        for t in range(nB):
-            lab = ("h", k, t)
-            sub_elems.append((lab, k))
-            i_table[(lab,)] = {src[s]: Bk[t][s] for s in range(nk) if Bk[t][s] != 0}
-        # p: coordinates in the B-part
-        for s in range(nk):
-            row = {("h", k, t): inv[t][s] for t in range(nB) if inv[t][s] != 0}
-            if row:
-                p_table[(src[s],)] = row
-        # H on A^k: send the im-d coordinates back to C^{k-1}
-        if nIm:
-            prev_src = by_deg[k - 1]
-            Cprev = C_vecs[k - 1]
-            for s in range(nk):
-                row = {}
-                for t in range(nIm):
-                    c = inv[nB + t][s]
-                    if c == 0:
-                        continue
-                    for u, lab in enumerate(prev_src):
-                        if Cprev[t][u] != 0:
-                            row[lab] = row.get(lab, 0) + c * Cprev[t][u]
-                row = {o: v for o, v in row.items() if v != 0}
-                if row:
-                    h_table[(src[s],)] = row
-
-    sub = GradedBasis(tuple(sub_elems))
+    sub_basis = GradedBasis(tuple(sub_elems))
     return RetractionData(
         ambient=A,
-        sub_basis=sub,
-        include=MultilinearOp(1, sub, basis, 0, i_table),
-        project=MultilinearOp(1, basis, sub, 0, p_table),
+        sub_basis=sub_basis,
+        include=MultilinearOp(1, sub_basis, basis, 0, i_table),
+        project=MultilinearOp(1, basis, sub_basis, 0, p_table),
         homotopy=MultilinearOp(1, basis, basis, -1, h_table),
     )
 

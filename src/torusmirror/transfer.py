@@ -123,11 +123,13 @@ def validate(r: RetractionData) -> CheckReport:
     def value(c, D):
         return c if D == 1 else Fraction(c, D)
 
+    sub_labels, labels = B.labels, A.labels  # basis order: no hash-seed dependence
+
     # p o i = identity on B
     pi, D = _compose_pairs(p, [i])
-    for b in B.labels:
+    for b in sub_labels:
         row = pi.get((b,), {})
-        for o in set(row) | {b}:
+        for o in sub_labels:
             want = 1 if o == b else 0
             got = row.get(o, 0)
             if not is_zero_scalar(got - want * D):
@@ -137,9 +139,9 @@ def validate(r: RetractionData) -> CheckReport:
     ip, Dip = _compose_pairs(i, [p])
     dPi, D = _compose_pairs(d, [(ip, Dip)])
     Pid, _D = _compose_pairs((ip, Dip), [d])
-    for a in A.labels:
+    for a in labels:
         row_dPi, row_Pid = dPi.get((a,), {}), Pid.get((a,), {})
-        for o in set(row_dPi) | set(row_Pid):
+        for o in labels:
             diff = row_dPi.get(o, 0) - row_Pid.get(o, 0)
             if not is_zero_scalar(diff):
                 failures.append(f"[d, i p][{a} -> {o}] = {value(diff, D)}")
@@ -147,9 +149,9 @@ def validate(r: RetractionData) -> CheckReport:
     # 1 - i p = d H + H d, over the denominators Dip and DH of i p and d H
     dH, DH = _compose_pairs(d, [H])
     Hd, _D = _compose_pairs(H, [d])
-    for a in A.labels:
+    for a in labels:
         row_ip, row_dH, row_Hd = ip.get((a,), {}), dH.get((a,), {}), Hd.get((a,), {})
-        for o in set(row_dH) | set(row_Hd) | set(row_ip) | {a}:
+        for o in labels:
             lhs = (Dip if o == a else 0) - row_ip.get(o, 0)
             rhs = row_dH.get(o, 0) + row_Hd.get(o, 0)
             diff = lhs * DH - rhs * Dip

@@ -5,8 +5,12 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -318,11 +322,10 @@ def test_invalid_retraction_is_rejected():
             build(bad)
 
 
-def test_validate_failure_values_are_pinned():
-    """validate composes i, p, H and m_1 as integer forms and prints each
-    failing value as the Fraction it stands for: a conjugated Massey
-    retraction with one p entry raised by 1/2 and one H entry by 1/3, whose
-    H already has denominators 18, 9, 6 and 3."""
+def bent_massey_retraction():
+    """A conjugated Massey retraction (seed 5) with one p entry raised by
+    1/2 and one H entry by 1/3; its H already has denominators 18, 9, 6
+    and 3."""
     r = retraction_onto_cohomology(conjugated(massey_dga(), random.Random(5)), random.Random(5))
 
     def bent(op, delta):
@@ -332,8 +335,14 @@ def test_validate_failure_values_are_pinned():
         return MultilinearOp(1, op.source, op.target, op.shift, table)
 
     assert r.homotopy.entries[("w",)]["a"] == Fraction(5, 18)
-    bad = RetractionData(r.ambient, r.sub_basis, r.include, bent(r.project, Fraction(1, 2)),
-                         bent(r.homotopy, Fraction(1, 3)))
+    return RetractionData(r.ambient, r.sub_basis, r.include, bent(r.project, Fraction(1, 2)),
+                          bent(r.homotopy, Fraction(1, 3)))
+
+
+def test_validate_failure_values_are_pinned():
+    """validate composes i, p, H and m_1 as integer forms and prints each
+    failing value as the Fraction it stands for."""
+    bad = bent_massey_retraction()
     assert sorted(validate(bad).failures) == [
         "(1 - ip - dH - Hd)[a -> a] = 11/9",
         "(1 - ip - dH - Hd)[a -> b] = 3/4",
@@ -350,6 +359,49 @@ def test_validate_failure_values_are_pinned():
         "(p i)[('h', 1, 1) -> ('h', 1, 0)] = -3/2, expected 0",
         "(p i)[('h', 1, 2) -> ('h', 1, 0)] = 1/2, expected 0",
     ]
+
+
+def test_validate_failure_order_is_the_same_under_every_hash_seed():
+    """validate walks target labels in basis order, not in the order of a
+    set of str labels, so its failure list and the first three failures
+    quoted by transfer's ValueError do not depend on PYTHONHASHSEED."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(tests.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+    code = (f"import sys\nsys.path.insert(0, {str(tests)!r})\n"
+            "from test_transfer import bent_massey_retraction\n"
+            "from torusmirror.transfer import transfer_structure, validate\n"
+            "bad = bent_massey_retraction()\n"
+            "print(validate(bad).failures)\n"
+            "try:\n    transfer_structure(bad, 3)\nexcept ValueError as e:\n    print(e)\n")
+    outs = []
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, "PYTHONHASHSEED": seed}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "invalid retraction data: " in proc.stdout
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_retraction_corpus_values_are_pinned():
+    """Every value and the insertion order of i, p and H, over criterion 1's
+    corpus and three conjugated Massey retractions.  Every row lists its
+    outputs in basis order.  The pin is the tables as built before i, p and
+    H became matrices, with the rows put in basis order: that build listed
+    a Massey H row's outputs in the order the terms of its sum first
+    reached them, and everything else as now."""
+    rs = retraction_corpus(20240901, 50) + [
+        retraction_onto_cohomology(conjugated(A, random.Random(seed)), random.Random(seed))
+        for seed, A in enumerate((massey_dga(), massey_dga(deg=2), massey_dga(unit=True)))]
+    h = hashlib.sha256()
+    for r in rs:
+        h.update(json.dumps(r.to_obj(), sort_keys=True).encode())
+        for op in (r.include, r.project, r.homotopy):
+            outs = op.target.labels
+            assert all(list(row) == [o for o in outs if o in row] for row in op.entries.values())
+            h.update(repr(list(op.entries.items())).encode())
+    assert h.hexdigest() == "820c96a4e169ea3dda368590076ad9ef9fe056dd2be08cd3a7c51ab3d19db5d4"
 
 
 def test_contractible_complex_transfers_to_zero():
