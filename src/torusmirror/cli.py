@@ -62,11 +62,14 @@ def _frac_obj(x: Fraction) -> List[int]:
 
 def rational(v) -> Fraction:
     """A rational from JSON or the command line: [numerator, denominator] or
-    anything Fraction reads; a zero denominator is a ValueError."""
+    anything Fraction reads; a zero denominator or an infinite float (JSON
+    reads 1e400 and Infinity as one) is a ValueError."""
     try:
         return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v}") from None
+    except OverflowError:
+        raise ValueError(f"infinite number {v}") from None
 
 
 def rational_list(s: str) -> List[Fraction]:

@@ -2,18 +2,19 @@
 certified critical points, the Morse differential, and the gradient-tree
 product m2, unweighted (integer counts) or weighted by Novikov elements.
 
-All computations are exact.  A trigonometric polynomial is transported to
-a rational polynomial through the half-angle substitution t = tan(pi*y)
-(the point y = 1/2 is handled separately), so critical points are real
-algebraic numbers: an integer Vincent-Akritas-Strzebonski continued-fraction
-isolator (the algorithm of sympy's ``Poly.intervals``, with the same
-intervals; sympy itself is used only by the tests) isolates them in
-rational intervals, exact integer bisection refines those, and every sign
-or ordering decision is certified by exact interval refinement.  Gcds and
-square-free parts run on integer coefficient lists; the isolator also decides
-the real-root test behind the Morse check.  A critical point's enclosure in
-y, from exact integer bounds on atan(t)/pi, is computed when first read, and
-a triple's transversality is certified once per triple.
+All results are exact.  A trigonometric polynomial is transported to a
+rational polynomial through the half-angle substitution t = tan(pi*y) (the
+point y = 1/2 is handled separately), so critical points are real algebraic
+numbers: an integer Vincent-Akritas-Strzebonski continued-fraction isolator
+(the algorithm of sympy's ``Poly.intervals``, with the same intervals; sympy
+itself is used only by the tests) isolates them in rational intervals.  To
+refine one, a float estimate of the root picks the bisection cell, two exact
+signs certify it, and bisection runs when they do not, giving the same
+enclosures; every sign or ordering decision is certified by exact interval
+refinement.  Gcds and square-free parts run on integer coefficient lists; the
+isolator also decides the real-root test behind the Morse check.  A critical
+point's enclosure in y, from exact integer bounds on atan(t)/pi, is computed
+when first read, and a triple's transversality is certified once per triple.
 
 Orientation and sign conventions (validated by d^2 = 0 and the arity-3
 structure relation, then frozen):
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm, log
+from math import comb, floor, gcd, lcm, ldexp, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ainfty import GradedBasis, MultilinearOp
@@ -118,6 +119,27 @@ def _sign_at(a: Sequence[int], num: int, den: int) -> int:
         acc = acc * num + c * power
         power *= den
     return (acc > 0) - (acc < 0)
+
+
+def _guess_cell(coeffs: Sequence[int], a: int, b: int, d: int, m: int) -> Optional[int]:
+    """Index j of the level-m bisection cell of (a/d, b/d] that a float
+    Newton estimate of the one root there, started at the midpoint, falls
+    in; None when floats cannot place it."""
+    try:
+        x0, width, f = a / d, (b - a) / d, [float(c) for c in coeffs]
+        x, tol = x0 + width / 2, ldexp(width, -m - 3)
+        for _ in range(16):
+            v = dv = 0.0
+            for c in f:
+                v, dv = v * x + c, dv * x + v
+            step = v / dv
+            x -= step
+            if abs(step) <= tol:
+                break
+        j = floor(ldexp((x - x0) / width, m))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    return j if 0 <= j < 1 << m else None
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +327,13 @@ class TrigPolynomial:
         for attr, name, low in (("cos_coeffs", "cosine", 0), ("sin_coeffs", "sine", 1)):
             merged = {}
             for k, c in getattr(self, attr):
-                k, c = int(k), Fraction(c)
+                if k != int(k):
+                    raise ValueError(f"{name} harmonic must be an integer")
+                k, c = int(k), c if isinstance(c, Fraction) else Fraction(c)
                 if k < low:
                     raise ValueError(f"{name} harmonic must be >= {low}")
                 if c:
-                    merged[k] = merged.get(k, Fraction(0)) + c
+                    merged[k] = merged[k] + c if k in merged else c
             object.__setattr__(self, attr, tuple(sorted((k, c) for k, c in merged.items() if c)))
         object.__setattr__(self, "_hash", hash((self.cos_coeffs, self.sin_coeffs)))
 
@@ -356,39 +380,38 @@ class TrigPolynomial:
         return val
 
     def numerator_coeffs(self) -> Tuple[Fraction, ...]:
-        return _numerator_coeffs_cached(self)
-
-    def _numerator_coeffs(self) -> Tuple[Fraction, ...]:
         """Coefficients (descending) of N with f = N(t) / (1+t^2)^K, t = tan(pi y)."""
-        k_max = self.max_harmonic
-        # (1 + i t)^(2k) = C_k + i S_k, so cos(k theta) = C_k / (1+t^2)^k and
-        # sin(k theta) = S_k / (1+t^2)^k; ascending integer coefficient lists,
-        # stepped by the factor (1 - t^2) + i 2t
-        n = 2 * k_max + 1
-        c_list, s_list = [[1] + [0] * (n - 1)], [[0] * n]
-        for _ in range(k_max):
-            c, s = [0, 0] + c_list[-1], [0, 0] + s_list[-1]  # c[j + 2] holds t^j
-            c_list.append([c[j + 2] - c[j] - 2 * s[j + 1] for j in range(n)])
-            s_list.append([s[j + 2] - s[j] + 2 * c[j + 1] for j in range(n)])
-        terms = [(a, c_list[k], k) for k, a in self.cos_coeffs]
-        terms += [(b, s_list[k], k) for k, b in self.sin_coeffs]
-        den = lcm(*(a.denominator for a, _, _ in terms))
-        total = [0] * n
-        for a, poly, k in terms:
-            scale = a.numerator * (den // a.denominator)
-            # times (1 + t^2)^(k_max - k), whose t^(2i) coefficient is a binomial
-            for i in range(k_max - k + 1):
-                b = scale * comb(k_max - k, i)
-                for j, x in enumerate(poly[: n - 2 * i]):
-                    total[j + 2 * i] += b * x
-        while len(total) > 1 and total[-1] == 0:
-            total.pop()
-        return tuple(Fraction(x, den) for x in reversed(total))
+        nums, den = _numerator_coeffs_cached(self)
+        return tuple(Fraction(x, den) for x in nums)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _numerator_coeffs_cached(f: TrigPolynomial) -> Tuple[Fraction, ...]:
-    return f._numerator_coeffs()
+def _numerator_coeffs_cached(f: TrigPolynomial) -> Tuple[Tuple[int, ...], int]:
+    """f.numerator_coeffs() as integer numerators over one denominator."""
+    k_max = f.max_harmonic
+    # (1 + i t)^(2k) = C_k + i S_k, so cos(k theta) = C_k / (1+t^2)^k and
+    # sin(k theta) = S_k / (1+t^2)^k; ascending integer coefficient lists,
+    # stepped by the factor (1 - t^2) + i 2t
+    n = 2 * k_max + 1
+    c_list, s_list = [[1] + [0] * (n - 1)], [[0] * n]
+    for _ in range(k_max):
+        c, s = [0, 0] + c_list[-1], [0, 0] + s_list[-1]  # c[j + 2] holds t^j
+        c_list.append([c[j + 2] - c[j] - 2 * s[j + 1] for j in range(n)])
+        s_list.append([s[j + 2] - s[j] + 2 * c[j + 1] for j in range(n)])
+    terms = [(a, c_list[k], k) for k, a in f.cos_coeffs]
+    terms += [(b, s_list[k], k) for k, b in f.sin_coeffs]
+    den = lcm(*(a.denominator for a, _, _ in terms))
+    total = [0] * n
+    for a, poly, k in terms:
+        scale = a.numerator * (den // a.denominator)
+        # times (1 + t^2)^(k_max - k), whose t^(2i) coefficient is a binomial
+        for i in range(k_max - k + 1):
+            b = scale * comb(k_max - k, i)
+            for j, x in enumerate(poly[: n - 2 * i]):
+                total[j + 2 * i] += b * x
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return tuple(reversed(total)), den
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -408,7 +431,8 @@ class CirclePoint:
     The interval is [a/d, b/d] with integers a <= b and d > 0.  Invariant
     for inexact points: the (squarefree, integer) defining polynomial has
     exactly one root in (a/d, b/d], with a fixed nonzero sign s_hi at b/d,
-    so bisection with exact integer arithmetic refines the enclosure.
+    so refine() can narrow it: a float estimate picks the bisection cell,
+    two exact signs certify it, and bisection runs when they do not.
     """
 
     def __init__(self, coeffs: Optional[Tuple[int, ...]], lo: Fraction, hi: Fraction):
@@ -441,8 +465,20 @@ class CirclePoint:
 
     def refine(self, eps: Fraction) -> None:
         """Bisect in place until the width is at most eps; each midpoint
-        doubles d."""
+        doubles d.  Exact signs -s_hi at lo and s_hi at hi put the root strictly
+        inside the level-m cell (lo, hi] guessed in floats, so bisection ends
+        there without meeting the root at a midpoint: the loop starts there."""
         a, b, d = self.a, self.b, self.d
+        w, t = (b - a) * eps.denominator, eps.numerator * d
+        if w > t:
+            m = ((w - 1) // t).bit_length()  # the least m with w <= t 2^m
+            j = _guess_cell(self.coeffs, a, b, d, m)
+            if j is not None:
+                lo, dm = (a << m) + j * (b - a), d << m
+                hi = lo + b - a
+                if ((j == 0 or _sign_at(self.coeffs, lo, dm) == -self.s_hi)
+                        and (j == (1 << m) - 1 or _sign_at(self.coeffs, hi, dm) == self.s_hi)):
+                    a, b, d = lo, hi, dm
         while (b - a) * eps.denominator > eps.numerator * d:
             mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
             s = _sign_at(self.coeffs, mid, d)
@@ -458,15 +494,13 @@ class CirclePoint:
         """0 for t >= 0 (y in [0,1/2)), 1 for y = 1/2, 2 for t < 0 (y in (1/2,1))."""
         if self.at_half:
             return 1
-        eps = Fraction(1, 2**8)
-        while self.a <= 0 <= self.b:
+        for e in range(8, 2001, 8):
+            if self.a > 0 or self.b < 0:
+                return 0 if self.a > 0 else 2
             if self.a == self.b:
                 return 0  # exact root t = 0
-            self.refine(eps)
-            eps /= 2**8
-            if eps < Fraction(1, 2**2000):  # pragma: no cover
-                raise RuntimeError("sector refinement failed")
-        return 0 if self.a > 0 else 2
+            self.refine(Fraction(1, 2**e))
+        raise RuntimeError("sector refinement failed")  # pragma: no cover
 
     def less_than(self, other: "CirclePoint") -> bool:
         """Strict cyclic-coordinate comparison; the points must be distinct."""
@@ -496,7 +530,7 @@ def _certified_sign(h: TrigPolynomial, p: CirclePoint) -> int:
         if v == 0:
             raise ValueError("certified sign of a zero value")
         return 1 if v > 0 else -1
-    num = h.numerator_coeffs()
+    num = _numerator_coeffs_cached(h)[0]
     eps = Fraction(1, 2**8)
     for _ in range(400):
         lo, hi, _den = eval_poly(num, p.a, p.b, p.d)
@@ -514,7 +548,7 @@ def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Tuple[F
     if p.at_half:
         v = h.at_half()
         return v, v
-    num = h.numerator_coeffs()
+    num, num_den = _numerator_coeffs_cached(h)
     k = h.max_harmonic
     target = p.width
     while True:
@@ -529,7 +563,7 @@ def _value_interval(h: TrigPolynomial, p: CirclePoint, eps: Fraction) -> Tuple[F
         # [v_lo, v_hi] / den over [d_lo, d_hi] / s^(2k) with 0 < d_lo <= d_hi:
         # each end of v goes over the end of d that keeps it extreme
         v_lo, v_hi, den = eval_poly(num, a, b, s)
-        scale = s ** (2 * k)
+        scale, den = s ** (2 * k), den * num_den
         lo = Fraction(v_lo * scale, den * (d_hi if v_lo >= 0 else d_lo))
         hi = Fraction(v_hi * scale, den * (d_lo if v_hi >= 0 else d_hi))
         if hi - lo <= eps:
@@ -656,10 +690,10 @@ def critical_points(f: TrigPolynomial) -> CriticalSet:
         raise ValueError("constant function has no Morse critical points")
     g1 = _dtheta_cached(f)
     g2 = _dtheta_cached(g1)
-    p = _primitive(g1.numerator_coeffs())
+    p = _primitive(_numerator_coeffs_cached(g1)[0])
     if not p:
         raise ValueError("derivative vanishes identically")
-    if _has_real_root(_gcd(p, _primitive(g2.numerator_coeffs()))):
+    if _has_real_root(_gcd(p, _primitive(_numerator_coeffs_cached(g2)[0]))):
         raise NonMorseError("f' and f'' share a real root: non-Morse input")
     if g1.at_half() == 0 and g2.at_half() == 0:
         raise NonMorseError("double critical point at y = 1/2: non-Morse input")
@@ -719,7 +753,7 @@ def _certified_differences(f0: TrigPolynomial, f1: TrigPolynomial,
     for g in gs:
         critical_points(g)
     for da, db in combinations([_dtheta_cached(g) for g in gs], 2):
-        common = _gcd(_primitive(da.numerator_coeffs()), _primitive(db.numerator_coeffs()))
+        common = _gcd(*(_primitive(_numerator_coeffs_cached(g)[0]) for g in (da, db)))
         if _has_real_root(common) or (da.at_half() == 0 and db.at_half() == 0):
             raise ValueError("transversality failure: shared critical point")
     return gs

@@ -284,6 +284,13 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
         bad.write_text(json.dumps(obj))
         code, rep = run(capsys, "check-ainfty", str(bad))
         assert code == 1 and rep["status"] == "ERROR"
+    # a grid step of Infinity or -Infinity, which JSON reads as a float
+    grid = '{"box": [[-1, 1]], "h": %s, "values": [0.5, 0.0, 0.5], "dual_box": [[-1, 1]], "dual_h": 1}'
+    for h, error in (("Infinity", "inf"), ("-Infinity", "-inf")):
+        bad.write_text(grid % h)
+        code, rep = run(capsys, "legendre", str(bad))
+        assert (code, rep["status"], rep["payload"]) == (
+            1, "ERROR", {"error": f"ValueError: infinite number {error}"})
     bad.write_text("[1, 2]")  # top-level list
     for argv in (["check-ainfty"], ["transfer"], ["morse", "crit"], ["legendre"]):
         code, rep = run(capsys, *argv, str(bad))
@@ -330,6 +337,11 @@ def test_morse_zero_denominator_reports_error(capsys, tmp_path):
     code, rep = run(capsys, "morse", "crit", str(path))
     assert code == 1 and rep["status"] == "ERROR"
     assert "zero denominator" in rep["payload"]["error"]
+    # JSON reads 1e400 as an infinite float, which no Fraction holds
+    path.write_text('{"f0": {"cos": {"1": 1e400}}}')
+    code, rep = run(capsys, "morse", "crit", str(path))
+    assert (code, rep["status"], rep["payload"]) == (
+        1, "ERROR", {"error": "ValueError: infinite number inf"})
 
 
 def test_legendre_zero_denominator_reports_error(capsys, tmp_path):

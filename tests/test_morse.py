@@ -5,6 +5,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -105,6 +106,12 @@ def test_constant_difference_is_rejected():
         critical_points(TrigPolynomial.zero())
     with pytest.raises(ValueError):
         critical_points(trig(cos={0: 5}))
+    # a harmonic that is not an integer is refused, not truncated
+    for cos in (((1.5, 1),), ((Fraction(5, 2), 1),)):
+        with pytest.raises(ValueError, match="cosine harmonic must be an integer"):
+            TrigPolynomial(cos, ())
+    with pytest.raises(ValueError, match="sine harmonic must be >= 1"):
+        TrigPolynomial((), ((0, 1),))
 
 
 def test_non_morse_input_is_detected():
@@ -305,8 +312,8 @@ def fractions_of(poly):
 def test_numerator_coeffs_match_sympy_construction():
     trigs = seeded_trigs(20240901, 100) + [TrigPolynomial.zero(), trig(cos={0: 3})]
     for f in trigs:
-        assert f._numerator_coeffs() == sympy_numerator(f), f
-    assert TrigPolynomial.zero()._numerator_coeffs() == (0,)
+        assert f.numerator_coeffs() == sympy_numerator(f), f
+    assert TrigPolynomial.zero().numerator_coeffs() == (0,)
 
 
 def test_gcd_and_square_free_part_match_sympy():
@@ -431,25 +438,88 @@ def reference_refine(coeffs, lo, hi, eps):
     return lo, hi
 
 
+def integer_bisection(coeffs, lo, hi, eps):
+    """(a, b, d) after plain bisection of [lo, hi] = [a/d, b/d] on integers:
+    each step doubles a, b and d and moves one end to the old a + b; the
+    signs come from Fraction evaluation."""
+
+    def sign(n, d):
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * Fraction(n, d) + c
+        return (acc > 0) - (acc < 0)
+
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * d), int(hi * d)
+    s_hi = sign(b, d)
+    if s_hi == 0:
+        a = b
+    while Fraction(b - a, d) > eps:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        s = sign(mid, d)
+        if s == 0:
+            a = b = mid
+        elif s == s_hi:
+            b = mid
+        else:
+            a = mid
+    return a, b, d
+
+
 def test_refine_matches_rational_bisection_on_sympy_intervals():
+    def sqf_of(poly):
+        return morse._sqf_part(morse._primitive(fractions_of(poly)))
+
     trigs = [f for f in seeded_trigs(5, 100) if not f.is_constant]
     # an extra root at t = 1/2, which bisection of an integer interval hits exactly
     half = qq_poly((1, Fraction(-1, 2)))
-    seen = 0
+    polys = []
     for f in trigs:
         p = qq_poly(f.dtheta().numerator_coeffs())
-        for poly in (p, p * half):
-            sqf = morse._sqf_part(morse._primitive(fractions_of(poly)))
-            monic_sqf = monic(sqf)
-            for (lo, hi), _ in qq_poly(monic_sqf).intervals():
-                lo, hi = Fraction(str(lo)), Fraction(str(hi))
-                for eps in (Fraction(1, 2**10), Fraction(1, 2**50)):
-                    cp = CirclePoint(sqf, lo, hi)
-                    cp.refine(eps)
-                    assert (cp.lo, cp.hi) == reference_refine(monic_sqf, lo, hi, eps)
-                    assert cp.width == cp.hi - cp.lo <= eps
-                    seen += 1
-    assert seen > 200
+        polys += [sqf_of(p), sqf_of(p * half)]
+    # inputs that defeat the float guess of the bisection cell: coefficients
+    # past float range, roots near +-2^31 (where floats step by 2^-22), and
+    # roots closer than 2^-40 to a neighbour, which an isolating endpoint splits
+    polys += [tuple(c << 1100 for c in sqf) for sqf in polys[:10]]
+    polys += [sqf_of(qq_poly((1, 0, -(2**62 + k)))) for k in (1, 3, 5, 7, 11)]
+    polys += [sqf_of(qq_poly((1, 0, -c)) * qq_poly((2**e, 0, -(c * 2**e + 1))))
+              for c in (2, 3, 5, 7) for e in (40, 42, 44)]
+    cases = [(sqf, lo, hi) for sqf in polys for lo, hi in sympy_intervals(sqf)]
+    # a wide interval with coefficients near the float limit: Horner overflows
+    cases.append((tuple(c << 1000 for c in (1, 0, -(2**20 + 1))), Fraction(1), Fraction(2**20)))
+    for sqf, lo, hi in cases:
+        chained = CirclePoint(sqf, lo, hi)
+        for eps in (Fraction(1, 2**10), Fraction(1, 2**50)):
+            cp = CirclePoint(sqf, lo, hi)
+            cp.refine(eps)
+            chained.refine(eps)  # a refined point refines on as a fresh one
+            assert ((cp.a, cp.b, cp.d) == (chained.a, chained.b, chained.d)
+                    == integer_bisection(sqf, lo, hi, eps))
+            assert (cp.lo, cp.hi) == reference_refine(monic(sqf), lo, hi, eps)
+            assert cp.width == cp.hi - cp.lo <= eps
+    assert len(cases) > 700
+
+
+def test_isolation_refinements_jump_to_the_bisection_cell(monkeypatch):
+    """Two exact signs certify the float guess of the 2^-44 cell for nearly
+    every isolated point; a refinement that bisects instead makes a sign
+    call per level."""
+    calls = []
+    sign_at, refine = morse._sign_at, CirclePoint.refine
+    monkeypatch.setattr(morse, "_sign_at", lambda *args: calls.append(1) or sign_at(*args))
+    jumps = []
+
+    def counted(self, eps):
+        bisects = (self.b - self.a) * eps.denominator > eps.numerator * self.d
+        before = len(calls)
+        refine(self, eps)
+        if bisects and eps == morse._POSITION_EPS:
+            jumps.append(len(calls) - before <= 2)
+
+    monkeypatch.setattr(CirclePoint, "refine", counted)
+    clear_morse_caches()
+    seeded_triples(7, 20)
+    assert (sum(jumps), len(jumps)) == (214, 215)
 
 
 def test_exact_point_compares_with_an_overlapping_interval():
