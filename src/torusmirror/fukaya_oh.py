@@ -20,6 +20,16 @@ Conventions (fixed once, shared with the theta-function side):
     area W = (1/2)(y0^T a y0 + y1^T b y1 - y2^T g y2) where a, b, g are the
     slope increments, y0, y1, y2 the lifted corners (g y2 = a y0 + b y1).
     W >= 0 always, with W = 0 exactly when the three lifts coincide.
+
+m2 runs on one integer form per triple.  Fixing the lift m of x0 and taking
+k0 + beta t for x1, W(t) = Q(m, k0 + beta t) with Q(x, y) = (1/2)(x^T a^{-1} x
++ y^T b^{-1} y - (x+y)^T g^{-1} (x+y)).  With P the common denominator of the
+three inverses (Ai = P a^{-1}, Bi, Gi) and S that of the shifts, M = S m and
+K = S k0 are integer vectors and D W(t), D = 2 P S^2, is the integer quadratic
+M^T Ai M + (K + S beta t)^T Bi (K + S beta t) - (M+K + S beta t)^T Gi (M+K + S beta t):
+its t^T t part is fixed per triple, its linear and constant parts are integer
+dot products per product.  Fractions remain only in the intersection
+positions, the twisted holonomy and the NovikovElem terms.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import ceil, floor, lcm
 from typing import Dict, Sequence, Tuple
 
 from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, assemble_sequence
@@ -36,18 +46,17 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
+    form_points,
     hnf,
     inertia,
     is_positive_definite,
     is_symmetric,
-    lattice_points,
     mat,
     mat_det,
     mat_inv,
     mat_mul,
     mat_sub,
     mat_vec,
-    quad_form,
     vec,
     vec_add,
     vec_sub,
@@ -64,20 +73,21 @@ class AffineLagrangian:
     diagonal tuple (u, ..., u).
     """
 
-    slope: Mat
+    slope: Tuple[Tuple[int, ...], ...]
     shift: Vec
     holonomy: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", mat(self.slope))
+        slope = mat(self.slope)
         object.__setattr__(self, "shift", vec(self.shift))
-        n = len(self.slope)
+        n = len(slope)
         if len(self.shift) != n:
             raise ValueError("shift dimension mismatch")
-        if not is_symmetric(self.slope):
+        if not is_symmetric(slope):
             raise ValueError("slope matrix must be symmetric")
-        if any(e.denominator != 1 for row in self.slope for e in row):
+        if any(e.denominator != 1 for row in slope for e in row):
             raise ValueError("slope matrix must be integral")
+        object.__setattr__(self, "slope", tuple(tuple(int(e) for e in row) for row in slope))
         hol = self.holonomy if self.holonomy else (Fraction(1),) * n
         hol = tuple(Fraction(u) for u in hol)
         if len(hol) != n or any(u == 0 for u in hol):
@@ -99,6 +109,8 @@ class IntersectionPoint:
 
 
 def _increment(li: AffineLagrangian, lj: AffineLagrangian) -> Mat:
+    if li.n != lj.n:
+        raise ValueError("dimension mismatch")
     return mat_sub(lj.slope, li.slope)
 
 
@@ -114,25 +126,28 @@ def transversal(seq: Sequence[AffineLagrangian]) -> bool:
 def intersections(li: AffineLagrangian, lj: AffineLagrangian) -> list:
     """All intersection points of the ordered pair, |det(A_j - A_i)| of them."""
     alpha = _increment(li, lj)
-    det = mat_det(alpha)
+    det = int(mat_det(alpha))
     if det == 0:
         raise ValueError("non-transversal pair")
+    # y = alpha^{-1} (m + delta) = adj (S m + S delta) / q with adj = |det| alpha^{-1}, an
+    # integer matrix, and q = |det| S over the denominator S of delta: y mod 1 is an int mod q
     delta = vec_sub(li.shift, lj.shift)
-    alpha_inv = mat_inv(alpha)
+    S = lcm(*(x.denominator for x in delta))
+    sd, q = [x.numerator * (S // x.denominator) for x in delta], abs(det) * S
+    adj = [[int(x * abs(det)) for x in row] for row in mat_inv(alpha)]
     degree = inertia(alpha)[0]
     points = []
     for m in coset_representatives(alpha):
-        y = mat_vec(alpha_inv, vec_sub(vec(m), vec(-d for d in delta)))
-        y = tuple(c - floor(c) for c in y)
+        v = [S * x + d for x, d in zip(m, sd)]
+        y = tuple(Fraction(sum(a * b for a, b in zip(row, v)) % q, q) for row in adj)
         points.append(IntersectionPoint(coset=m, position=y, degree=degree))
     if len(points) != abs(det):
         raise RuntimeError(f"{len(points)} intersection points, expected |det| = {abs(det)}")
     return points
 
 
-def _holonomy_factor(
-    lagrangians: Sequence[AffineLagrangian], y0: Vec, y1: Vec, y2: Vec
-) -> Fraction:
+def _holonomy_factor(lagrangians: Sequence[AffineLagrangian], y0: Vec, y1: Vec,
+                     y2: Vec) -> Fraction:
     """Local-system contribution of the triangle boundary arcs.
 
     The arc on L_0 runs from the lift y2 to y0, on L_1 from y0 to y1, and on
@@ -161,12 +176,19 @@ def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLag
     ainv, binv, ginv = mat_inv(alpha), mat_inv(beta), mat_inv(gamma)
     c01, c12 = vec_sub(l1.shift, l0.shift), vec_sub(l2.shift, l1.shift)
     gamma_h = hnf(gamma)
-    beta_z = [[int(x) for x in row] for row in beta]
     twisted = any(u != 1 for l in (l0, l1, l2) for u in l.holonomy)
-    # W(t) = Q(m, k0 + beta t) with Q(x, y) = (1/2)(x^T a^{-1} x + y^T b^{-1} y
-    #        - (x+y)^T g^{-1} (x+y)); expand to (1/2) t^T M t + v^T t + c.
-    bg = mat_mul(beta, mat_sub(binv, ginv))
-    mq, bginv = mat_mul(bg, beta), mat_mul(beta, ginv)
+    # D W(t) (module doc) as (1/2) t^T h t + lin . t + const, with lin = lin_km (K, M)
+    P = lcm(*(x.denominator for inv in (ainv, binv, ginv) for row in inv for x in row))
+    S = lcm(*(x.denominator for x in c01 + c12))
+    Ai, Bi, Gi = ([[int(x * P) for x in row] for row in inv] for inv in (ainv, binv, ginv))
+    D, bb = 2 * P * S * S, mat_mul(beta, mat_sub(Bi, Gi))
+    h = tuple(tuple(2 * S * S * x for x in row) for row in mat_mul(bb, beta))
+    lin_km = [[2 * S * x for x in rk] + [-2 * S * x for x in rm]
+              for rk, rm in zip(bb, mat_mul(beta, Gi))]
+    lift01, lift12 = [int(S * x) for x in c01], [int(S * x) for x in c12]
+
+    def form(a, x) -> int:
+        return sum(xi * sum(r * y for r, y in zip(row, x)) for xi, row in zip(x, a))
 
     def product(x0: IntersectionPoint, x1: IntersectionPoint, cutoff):
         cutoff = Fraction(cutoff)
@@ -176,45 +198,35 @@ def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLag
         if not targets:
             return {}
         if not convex:
-            raise ValueError(
-                "m2 enumeration is implemented for convex-ordered triples "
-                "(positive-definite slope increments) only"
-            )
-        m = vec_sub(vec(x0.coset), c01)  # = alpha * y0, fixed lift of x0
-        k0 = vec_sub(vec(x1.coset), c12)  # base lift of x1; translates k0 + beta*t
-        vq = vec_sub(mat_vec(bg, k0), mat_vec(bginv, m))
-        cq = (quad_form(ainv, m) + quad_form(binv, k0) - quad_form(ginv, vec_add(m, k0))) / 2
+            raise ValueError("m2 enumeration is implemented for convex-ordered triples "
+                             "(positive-definite slope increments) only")
+        M = [S * x - y for x, y in zip(x0.coset, lift01)]  # S alpha y0, fixed lift of x0
+        K = [S * x - y for x, y in zip(x1.coset, lift12)]  # base lift of x1, moved by S beta t
+        lin = [sum(a * y for a, y in zip(row, K + M)) for row in lin_km]
         # s + b_2 - b_0 = x0 + x1 + beta t, an integer vector, names the target coset
         base = [a + b for a, b in zip(x0.coset, x1.coset)]
-        acc: Dict[IntersectionPoint, Dict[int, Fraction]] = {p: {} for p in targets.values()}
-        den, points = lattice_points(mq, vq, cq, cutoff)
-        for t, weight in points:
+        acc: Dict[Tuple[int, ...], Dict[int, Fraction]] = {c: {} for c in targets}
+        const = form(Ai, M) + form(Bi, K) - form(Gi, [x + y for x, y in zip(M, K)])
+        for t, weight in form_points(h, lin, const, ceil(D * cutoff) - 1):
             if weight < 0:
-                raise RuntimeError(f"negative triangle weight {Fraction(weight, den)}")
-            bt = [sum(b * x for b, x in zip(row, t)) for row in beta_z]
-            target = targets.get(coset_reduce(gamma_h, [a + b for a, b in zip(base, bt)]))
-            if target is None:
+                raise RuntimeError(f"negative triangle weight {Fraction(weight, D)}")
+            bt = [sum(b * x for b, x in zip(row, t)) for row in beta]
+            row = acc.get(coset_reduce(gamma_h, [a + b for a, b in zip(base, bt)]))
+            if row is None:
                 continue
             hol = 1  # the count stays an int unless some holonomy is nontrivial
             if twisted:
-                k = vec_add(k0, bt)
+                m, k = vec_sub(x0.coset, c01), vec_add(vec_sub(x1.coset, c12), bt)
                 hol = _holonomy_factor((l0, l1, l2), mat_vec(ainv, m), mat_vec(binv, k),
                                        mat_vec(ginv, vec_add(m, k)))
-            row = acc[target]
             row[weight] = row.get(weight, 0) + hol
-        return {p: NovikovElem._over(row, den, cutoff) for p, row in acc.items()}
+        return {p: NovikovElem._over(acc[c], D, cutoff) for c, p in targets.items()}
 
     return product
 
 
-def m2(
-    l0: AffineLagrangian,
-    l1: AffineLagrangian,
-    l2: AffineLagrangian,
-    x0: IntersectionPoint,
-    x1: IntersectionPoint,
-    cutoff,
-) -> Dict[IntersectionPoint, NovikovElem]:
+def m2(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian, x0: IntersectionPoint,
+       x1: IntersectionPoint, cutoff) -> Dict[IntersectionPoint, NovikovElem]:
     """Triangle product on (x0, x1), as a map to Hom(L_0, L_2) over C_eps.
 
     The output assigns a truncated Novikov element to every intersection
@@ -223,16 +235,15 @@ def m2(
     are enumerated in the universal cover: the lift of x0 is fixed and the
     lift of x1 ranges over its full coset, which exhausts the deck orbits
     exactly once.  The weight is a positive-definite quadratic in the
-    lattice translate, so ``lattice_points`` finds every configuration below
-    the cutoff, each weight an integer numerator over its one denominator;
-    a target's weights are gathered and become one NovikovElem.
+    lattice translate, and the triple's integer form of it (module doc) lets
+    ``form_points`` find every configuration below the cutoff, each weight an
+    integer numerator over D; a target's weights become one NovikovElem.
     """
     return _triangle_products(l0, l1, l2)(x0, x1, cutoff)
 
 
-def triangle_product_table(
-    l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian, cutoff
-) -> Dict[Tuple, NovikovElem]:
+def triangle_product_table(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian,
+                           cutoff) -> Dict[Tuple, NovikovElem]:
     """All m2 products of the triple, keyed by intersection-coset triples.
 
     Targets that no triangle reaches below the cutoff keep an explicit zero.
@@ -242,8 +253,7 @@ def triangle_product_table(
     product = _triangle_products(l0, l1, l2)
     for x0 in intersections(l0, l1):
         for x1 in points12:
-            out = product(x0, x1, cutoff)
-            for x2, value in out.items():
+            for x2, value in product(x0, x1, cutoff).items():
                 table[(x0.coset, x1.coset, x2.coset)] = value
     return table
 
@@ -293,20 +303,9 @@ def mk_vanishing_certificate(seq: Sequence[AffineLagrangian], k: int) -> Vanishi
         raise ValueError("sequence is not transversal")
     for a, b in zip(seq, seq[1:]):
         if not is_positive_definite(_increment(a, b)):
-            return VanishingCertificate(
-                certified=False,
-                arity=k,
-                reason="not certifiable: ordering is not convex "
-                "(a slope increment is not positive definite)",
-            )
-    degrees = tuple(
-        inertia(_increment(seq[i], seq[j]))[0]
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-    )
+            return VanishingCertificate(False, k, "not certifiable: ordering is not convex "
+                                        "(a slope increment is not positive definite)")
+    degrees = tuple(inertia(_increment(seq[i], seq[j]))[0]
+                    for i in range(len(seq)) for j in range(i + 1, len(seq)))
     return VanishingCertificate(
-        certified=True,
-        arity=k,
-        reason=f"all generators have degree 0 and the target degree 2-{k} < 0",
-        generator_degrees=degrees,
-    )
+        True, k, f"all generators have degree 0 and the target degree 2-{k} < 0", degrees)

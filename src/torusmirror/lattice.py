@@ -4,20 +4,28 @@ The package's one home for exact linear algebra: rational matrix arithmetic
 on tuples of Fractions; one Fraction Gauss-Jordan reduction, read by det,
 inverse, rank and nullspace; inertia by symmetric elimination; coset
 representatives of Z^n modulo an integer matrix via an integer Hermite
-normal form; and one integer kernel that enumerates the lattice points
-where a positive-definite rational quadratic stays below a bound, each with
-its value as an integer numerator over one denominator.  RREF, HNF and
-inertia are canonical, so no result depends on the elimination order.
-det, inverse, inertia, HNF and coset representatives are memoized by value,
-since checks keep meeting the same few small slope matrices; rank and
-nullspace, which other layers call on one-off matrices, are not.
+normal form; and one integer kernel, ``form_points``, that lists every t in
+Z^n with Q(t) = (1/2) t^T h t + lin . t + const <= top, for h positive
+definite with an even diagonal and all data ints, each t with its int Q(t).
+Completeness: with u = adj(h) lin and t0 = -u / det h the real minimizer,
+Q(t) - Q(t0) = (1/2)(t - t0)^T h (t - t0) >= (t_d - t0_d)^2 det / (2 adj_dd),
+so times det^2, Q(t) <= top forces |det t_d + u_d| <= isqrt(g adj_dd) with
+g = 2 det (top - const) + lin . u, the range of each of the first n - 1
+coordinates; with those fixed, Q is an integer quadratic in the last one,
+and the isqrt of its discriminant gives exactly the x with Q <= top.
+``lattice_points`` is the rational front door, and the only place here that
+scales Fractions to that integer form.  RREF, HNF and inertia are
+canonical, so no result depends on the elimination order.  det, inverse,
+inertia, HNF, coset representatives and each integer form's adj and det are
+memoized by value, since checks keep meeting the same few small matrices;
+rank and nullspace, which other layers call on one-off matrices, are not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import ceil, floor, isqrt, lcm
+from math import ceil, isqrt, lcm
 from numbers import Rational
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -61,10 +69,6 @@ def vec_add(x: Vec, y: Vec) -> Vec:
 
 def vec_sub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def dot(x: Vec, y: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
 def is_symmetric(a: Mat) -> bool:
@@ -155,10 +159,6 @@ def nullspace(a: Sequence[Sequence], ncols: Optional[int] = None) -> list:
             x[p] = -row[free]
         basis.append(tuple(x))
     return basis
-
-
-def quad_form(a: Mat, x: Vec) -> Fraction:
-    return dot(x, mat_vec(a, x))
 
 
 @_by_value
@@ -252,53 +252,29 @@ def coset_representatives(a: Mat) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=256)
-def _definite_form(m: Mat) -> Tuple[Mat, int]:
-    """m^{-1} and the least d with d m integral and d m_ii even, checked once per
-    matrix of ints or Fractions (a float matrix would hit its rational twin's
-    cache entry, so :func:`lattice_points` rejects floats before the call)."""
-    if not is_positive_definite(m):
-        raise ValueError("quadratic form must be positive definite")
-    return mat_inv(m), lcm(*(x.denominator for row in m for x in row),
-                           *(Fraction(m[i][i], 2).denominator for i in range(len(m))))
+def _definite(h: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """adj(h) and det(h), once h is checked positive definite with an even diagonal."""
+    if not is_positive_definite(h) or any(h[i][i] % 2 for i in range(len(h))):
+        raise ValueError("quadratic form must be positive definite, with an even diagonal")
+    det = int(mat_det(h))
+    return tuple(tuple(int(x * det) for x in row) for row in mat_inv(h)), det
 
 
-def _int_range(center: Fraction, rad2: Fraction) -> range:
-    """The integers x with (x - center)^2 <= rad2."""
-    if rad2 < 0:
-        return range(0)
-    p, q = center.numerator, center.denominator
-    r = isqrt(floor(rad2 * q * q))
-    return range(-((r - p) // q), (p + r) // q + 1)
-
-
-def lattice_points(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Tuple[int, list]:
-    """A denominator D and every (t, D q(t)) with q(t) = (1/2) t^T m t + v^T t + c < bound.
-
-    t runs over the integer vectors in lexicographic order, and each D q(t)
-    is an integer.  m must be symmetric positive definite.  Completeness
-    rests on nested bounds: with t0 the real minimizer, q(t) - q(t0) =
-    (1/2)(t-t0)^T m (t-t0) >= (t_d - t0_d)^2 / (2 (m^{-1})_dd), which
-    confines each of the first n - 1 coordinates to an exact interval; once
-    they are fixed, D q is an integer quadratic a x^2 + b x + C in the last
-    coordinate, and the isqrt of its integer discriminant gives exactly the x
-    with D q < D bound.  Partial sums of D q are updated in integers.
-    """
-    if not all(isinstance(x, Rational) for row in m for x in row):
-        raise ValueError("quadratic form entries must be exact rationals")
-    minv, dm = _definite_form(m)
-    n = len(m)
-    den = lcm(dm, c.denominator, *(x.denominator for x in v))
-    h = [[int(x * den) for x in row] for row in m]
-    top = ceil(den * bound) - 1  # largest D q(t) kept
-    a = h[-1][-1] // 2
-    out: list = []
-    if n > 1:
-        t0 = [-x for x in mat_vec(minv, v)]
-        gap = bound - c - dot(v, t0) / 2  # bound - q(t0)
-        ranges = [_int_range(t0[d], 2 * gap * minv[d][d]) for d in range(n - 1)]
+def form_points(h: Tuple[Tuple[int, ...], ...], lin: Sequence[int], const: int,
+                top: int) -> list:
+    """Every (t, Q(t)) with Q(t) = (1/2) t^T h t + lin . t + const <= top, in
+    lexicographic order of t; h is a tuple of int tuples (see the module doc)."""
+    adj, det = _definite(h)
+    n, a, out = len(h), h[-1][-1] // 2, []
+    u = [sum(x * y for x, y in zip(row, lin)) for row in adj]
+    g = 2 * det * (top - const) + sum(x * y for x, y in zip(lin, u))  # 2 det (top - Q(t0))
+    if g < 0:
+        return out
+    radii = (isqrt(g * adj[d][d]) for d in range(n - 1))
+    ranges = [range(-((r + u[d]) // det), (r - u[d]) // det + 1) for d, r in enumerate(radii)]
 
     def descend(k, prefix, lin, const):
-        # lin[i], const: the coefficients of t_i and 1 in D q once t_<k is fixed
+        # lin[i], const: the coefficients of t_i and 1 in Q once t_<k is fixed
         if k < n - 1:
             for x in ranges[k]:
                 descend(k + 1, prefix + (x,), [b + row[k] * x for b, row in zip(lin, h)],
@@ -316,9 +292,23 @@ def lattice_points(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Tuple[int, l
             val += a * (2 * x + 1) + b
             x += 1
 
-    descend(0, (), [x.numerator * (den // x.denominator) for x in v],
-            c.numerator * (den // c.denominator))
-    return den, out
+    descend(0, (), list(lin), const)
+    return out
+
+
+def lattice_points(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Tuple[int, list]:
+    """A denominator D and every (t, D q(t)) with q(t) = (1/2) t^T m t + v^T t + c < bound:
+    one form_points call on the data scaled by the least D with D m, D v and D c integral
+    and D m_ii even, below ceil(D bound) - 1.  Floats are refused: they have no exact
+    scaling to integers."""
+    if not all(isinstance(x, Rational) for row in m for x in row):
+        raise ValueError("quadratic form entries must be exact rationals")
+    den = lcm(*(x.denominator for row in m for x in row), c.denominator,
+              *(Fraction(m[i][i], 2).denominator for i in range(len(m))),
+              *(x.denominator for x in v))
+    return den, form_points(tuple(tuple(int(x * den) for x in row) for row in m),
+                            [x.numerator * (den // x.denominator) for x in v],
+                            c.numerator * (den // c.denominator), ceil(den * bound) - 1)
 
 
 def enumerate_below(m: Mat, v: Vec, c: Fraction, bound: Fraction) -> Iterator[Tuple[int, ...]]:

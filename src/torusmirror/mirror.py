@@ -9,6 +9,13 @@ is theta_j = sum over m = j mod A of q^{w(m)} z^m with
 w(m) = (1/2)(m - b)^T A^{-1} (m - b).  With this convention the structure
 constants of theta multiplication coincide term-by-term with the triangle
 product, and the basis rescaling relating the two sides is the identity.
+
+Weights are integer numerators: G w(m) = (S m - B)^T adj(A) (S m - B) over
+G = _grid(e) = 2 S^2 det A, with S the denominator of b and B = S b, is an
+integer quadratic in m, so one call of the lattice kernel per bundle lists
+every section term and no Fraction is built per point, product or coset:
+they remain in the cutoffs, the shifts, each form's set-up and the
+NovikovElem terms.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import ceil, lcm
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
@@ -28,15 +36,14 @@ from .lattice import (
     Vec,
     coset_reduce,
     coset_representatives,
+    form_points,
     hnf,
     is_positive_definite,
-    lattice_points,
     mat_add,
     mat_det,
     mat_inv,
     mat_sub,
-    quad_form,
-    vec,
+    mat_vec,
     vec_add,
     vec_sub,
 )
@@ -66,9 +73,7 @@ class LaurentSeriesNd:
             if a.is_zero() and a.cutoff is None:
                 continue
             seen[k] = a
-        object.__setattr__(
-            self, "terms", tuple(sorted(seen.items()))
-        )
+        object.__setattr__(self, "terms", tuple(sorted(seen.items())))
 
     def multiply(self, other: "LaurentSeriesNd") -> "LaurentSeriesNd":
         if self.n != other.n:
@@ -109,20 +114,13 @@ class LineBundleObj:
     def tensor(self, other: "LineBundleObj") -> "LineBundleObj":
         a = mat_add(self.lagrangian.slope, other.lagrangian.slope)
         b = vec_add(self.lagrangian.shift, other.lagrangian.shift)
-        hol = tuple(
-            u * v for u, v in zip(self.lagrangian.holonomy, other.lagrangian.holonomy)
-        )
+        hol = tuple(u * v for u, v in zip(self.lagrangian.holonomy, other.lagrangian.holonomy))
         return LineBundleObj(AffineLagrangian(a, b, hol))
-
-
-def _theta_weight(ainv: Mat, center: Vec, m: Vec) -> Fraction:
-    d = vec_sub(m, center)
-    return Fraction(1, 2) * quad_form(ainv, d)
 
 
 def _weight_numerator(ainv: Mat, center: Vec):
     """(N, W) with N(m) / W = (1/2)(m - center)^T A^{-1} (m - center), N integral over the common
-    denominators of ainv and center: the check's own weight, apart from the kernel's _theta_weight."""
+    denominators of ainv and center: the check's own weight, apart from the kernel's section form."""
     g, S = lcm(*(x.denominator for row in ainv for x in row)), lcm(*(x.denominator for x in center))
     G, sc = [[int(x * g) for x in row] for row in ainv], [int(x * S) for x in center]
 
@@ -132,50 +130,50 @@ def _weight_numerator(ainv: Mat, center: Vec):
     return num, 2 * g * S * S
 
 
-def _coset_points(a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...], bound: Fraction):
-    """Denominator D and the (m, D w(m)) with m = j + A t and w(m) < bound, t in the
-    kernel's order: w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j)."""
-    den, points = lattice_points(a, vec_sub(vec(j), center), _theta_weight(ainv, center, vec(j)),
-                                 bound)
-    rows = [[int(x) for x in row] for row in a]
-    return den, [(tuple(x + sum(r * y for r, y in zip(row, t)) for x, row in zip(j, rows)), w)
-                 for t, w in points]
-
-
-def _coset_minimum(
-    a: Mat, ainv: Mat, center: Vec, j: Tuple[int, ...]
-) -> Tuple[Tuple[int, ...], Fraction]:
-    """Representative s = j mod A minimizing (1/2)(s-center)^T A^{-1} (s-center).
-
-    The bound doubles until some point falls below it; of equal minima, the
-    first in the kernel's order wins.
-    """
-    bound = Fraction(1)
-    while True:
-        den, points = _coset_points(a, ainv, center, j, bound)
-        if points:
-            s, w = min(points, key=lambda p: p[1])
-            return s, Fraction(w, den)
-        bound *= 2
-
-
 def _grid(e: LineBundleObj) -> int:
-    """A denominator of every theta weight (1/2)(m-b)^T A^{-1} (m-b) of e: 2 q^2 |det A|
-    with q the denominator of b, which is also a multiple of each kernel denominator."""
+    """The denominator G = 2 S^2 det A of e's integer weight form, S the denominator of b:
+    G w(m) = (S m - B)^T adj(A) (S m - B) with B = S b is an integer for every m."""
     q = lcm(*(x.denominator for x in e.lagrangian.shift))
     return 2 * q * q * e.rank_of_sections
 
 
+def _cosets(e: LineBundleObj, bound: Fraction) -> Dict[Tuple[int, ...], list]:
+    """The (m, G w(m)) with w(m) < bound, G = _grid(e), by coset of m modulo the slope
+    lattice (cosets with no such m left out), m in lexicographic order: one kernel
+    call on G w(m) = S^2 m^T adj(A) m - 2 S m^T adj(A) B + B^T adj(A) B."""
+    a, b = e.lagrangian.slope, e.lagrangian.shift
+    S, det = lcm(*(x.denominator for x in b)), e.rank_of_sections
+    B = [x.numerator * (S // x.denominator) for x in b]
+    adj = [[int(x * det) for x in row] for row in mat_inv(a)]
+    adj_b = [sum(x * y for x, y in zip(row, B)) for row in adj]
+    h, out = hnf(a), {}
+    for m, w in form_points(tuple(tuple(2 * S * S * x for x in row) for row in adj),
+                            [-2 * S * x for x in adj_b], sum(x * y for x, y in zip(B, adj_b)),
+                            ceil(_grid(e) * bound) - 1):
+        out.setdefault(coset_reduce(h, m), []).append((m, w))
+    return out
+
+
+def _minima(e: LineBundleObj) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]]:
+    """{j: (s, G w(s))} with s = j mod A of least weight, G = _grid(e), from one
+    enumeration whose bound doubles until every coset has a point.  Of equal
+    minima, the first in the order of t, for s = j + A t, wins."""
+    ainv, reps, bound = mat_inv(e.lagrangian.slope), coset_representatives(e.lagrangian.slope), 1
+    while len(points := _cosets(e, bound)) < len(reps):
+        bound *= 2
+    out = {}
+    for j in reps:  # t = A^{-1} (s - j), so A^{-1} s orders the ties as t does
+        low = min(w for _m, w in points[j])
+        out[j] = min((m for m, w in points[j] if w == low), key=lambda s: mat_vec(ainv, s)), low
+    return out
+
+
 def _sections(e: LineBundleObj, cutoff: Fraction, den: int) -> list:
     """Theta sections of e below the cutoff, as (j, [(m, den w(m))]) by increasing weight
-    (ties in the kernel's order); _grid(e) divides den."""
-    a = e.lagrangian.slope
-    ainv = mat_inv(a)
-    out = []
-    for j in coset_representatives(a):
-        d, points = _coset_points(a, ainv, e.lagrangian.shift, j, cutoff)
-        out.append((j, sorted(((m, w * (den // d)) for m, w in points), key=lambda p: p[1])))
-    return out
+    (ties in lexicographic order of m); _grid(e) divides den."""
+    scale, points = den // _grid(e), _cosets(e, cutoff)
+    return [(j, sorted(((m, w * scale) for m, w in points.get(j, ())), key=itemgetter(1)))
+            for j in coset_representatives(e.lagrangian.slope)]
 
 
 @dataclass(frozen=True)
@@ -191,12 +189,10 @@ def theta_basis(e: LineBundleObj, cutoff) -> ThetaBasis:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     den = _grid(e)
-    sections = [
+    return ThetaBasis(e, cutoff, tuple(
         (j, LaurentSeriesNd(e.n, tuple((m, NovikovElem.q_power(Fraction(w, den), 1, cutoff))
                                        for m, w in terms)))
-        for j, terms in _sections(e, cutoff, den)
-    ]
-    return ThetaBasis(e, cutoff, tuple(sections))
+        for j, terms in _sections(e, cutoff, den)))
 
 
 class ThetaSolveError(ValueError):
@@ -211,8 +207,11 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
     triangle_product_table.
 
     Every theta term is a monomial q^w z^m, so sections are read as (m, L w)
-    pairs, with L w the kernel's integer numerator put over one denominator L
-    for all weights.  Each m is packed into one int, so that z^m1 z^m2 is one
+    pairs, with L w the kernel's numerator over _grid(e) put over one
+    denominator L for all weights; each bundle's sections come from one kernel
+    call, bucketed by coset, and the least weight w* of every target coset from
+    one enumeration of the tensor bundle, its bound doubled until every coset
+    has a point.  Each m is packed into one int, so that z^m1 z^m2 is one
     integer sum, and a product of two sections is a count of packed (s, L
     q-exponent) keys, summed by C-level calls over the terms of the second
     section; the solve and the consistency check run on these integers, and
@@ -234,15 +233,14 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
         raise ValueError("dimension mismatch")
     e3 = e1.tensor(e2)
     gamma = e3.lagrangian.slope
-    ginv = mat_inv(gamma)
     c3 = e3.lagrangian.shift
     gamma_h = hnf(gamma)
     target_cosets = coset_representatives(gamma)
-    minima = {j3: _coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
-    internal = cutoff + max(w for _s, w in minima.values()) + 1
+    minima, g3 = _minima(e3), _grid(e3)
+    internal = cutoff + Fraction(max(w for _s, w in minima.values()), g3) + 1
 
     # one integer grid for the section, product and target weights
-    den = lcm(_grid(e1), _grid(e2), _grid(e3), *(w.denominator for _s, w in minima.values()))
+    den = lcm(_grid(e1), _grid(e2), g3)
     sections1, sections2 = _sections(e1, internal, den), _sections(e2, internal, den)
     top, low = ceil(internal * den), ceil(cutoff * den)  # a product term is kept iff L w < top
     # m packs to k(m) = sum m_i B^(n-1-i), with B > 4 max|m_i| and every |s*_i| <= half:
@@ -266,8 +264,8 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
     packed1 = [(j1, [(pack(m), w) for m, w in t]) for j1, t in sections1]
     packed2 = [(j2, [pack(m) for m, _w in t], [w for _m, w in t], [pack(m) * top + w for m, w in t])
                for j2, t in sections2]
-    stars = {j3: (pack(s), int(w * den)) for j3, (s, w) in minima.items()}
-    wnum, wden = _weight_numerator(ginv, c3)
+    stars = {j3: (pack(s), w * (den // g3)) for j3, (s, w) in minima.items()}
+    wnum, wden = _weight_numerator(mat_inv(gamma), c3)
     target = {}  # k(s) -> (coset of s, L w(s))
     coeffs = {}
     for j1, t1 in packed1:
@@ -285,7 +283,8 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
             # and a product row is complete below internal.  Divided by q^w*
             # it is complete below internal - w* > cutoff, so every solved
             # coefficient is stored with exactly the requested cutoff.
-            solved = {j3: {K - k * top - w_star: c for K, c in row(k * top, (k + 1) * top)}
+            # solved[j3]: the row at s* as (L w - L w*, count) pairs, by weight
+            solved = {j3: [(K - k * top - w_star, c) for K, c in row(k * top, (k + 1) * top)]
                       for j3, (k, w_star) in stars.items()}
             for k in sorted(reached):
                 if k not in target:
@@ -296,14 +295,15 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
                     target[k] = (coset_reduce(gamma_h, s), wl)
                 j3, wl = target[k]
                 common, base = min(top, low + wl), k * top
-                want = [(base + l + wl, c) for l, c in solved[j3].items() if l + wl < common]
-                if row(base, base + common) != want:
+                # the row below common against the solved prefix below common - w(s)
+                have = [(K - base - wl, c) for K, c in row(base, base + common)]
+                if have != solved[j3][:bisect_left(solved[j3], (common - wl,))]:
                     raise ThetaSolveError(
                         f"inconsistent theta solve at z^{unpack(k)} for pair ({j1}, {j2})",
                         cutoff + Fraction(wl, den) + 1,
                     )
             for j3 in target_cosets:
-                coeffs[j1, j2, j3] = NovikovElem._over(solved[j3], den, cutoff)
+                coeffs[j1, j2, j3] = NovikovElem._over(dict(solved[j3]), den, cutoff)
     return coeffs
 
 

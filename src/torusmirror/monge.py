@@ -95,6 +95,8 @@ class ConvexGridFunction:
             raise ValueError(f"values shape {vals.shape} != grid shape {shape}")
         if any(s < 3 for s in shape):
             raise ValueError("need at least 3 nodes per axis for interior checks")
+        if not np.isfinite(vals).all():  # a NaN margin would pass the certificate
+            raise ValueError("values must be finite")
         margin = float(np.min(np.linalg.eigvalsh(_hessian_field(vals, float(self.h)))))
         object.__setattr__(self, "convexity_margin", margin)
         if margin < -1e-9:

@@ -291,6 +291,12 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
         code, rep = run(capsys, "legendre", str(bad))
         assert (code, rep["status"], rep["payload"]) == (
             1, "ERROR", {"error": f"ValueError: infinite number {error}"})
+    # a NaN or Infinity sample, which would pass the convexity certificate
+    for values in ("[0.5, NaN, 0.5]", "[0.5, 0.0, Infinity]"):
+        bad.write_text(grid.replace("[0.5, 0.0, 0.5]", values) % 1)
+        code, rep = run(capsys, "legendre", str(bad))
+        assert (code, rep["status"], rep["payload"]) == (
+            1, "ERROR", {"error": "values must be finite"})
     bad.write_text("[1, 2]")  # top-level list
     for argv in (["check-ainfty"], ["transfer"], ["morse", "crit"], ["legendre"]):
         code, rep = run(capsys, *argv, str(bad))

@@ -2,6 +2,7 @@
 product, associativity, and the degree certificate for higher products."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from torusmirror.ainfty import AInftyStructure, MultilinearOp, add_into, relatio
 from torusmirror.criteria import circle_sections
 from torusmirror.fukaya_oh import (
     AffineLagrangian,
+    _holonomy_factor,
     fukaya_sequence,
     intersections,
     m2,
@@ -16,6 +18,20 @@ from torusmirror.fukaya_oh import (
     transversal,
     triangle_product_table,
 )
+from torusmirror.lattice import (
+    coset_reduce,
+    coset_representatives,
+    hnf,
+    lattice_points,
+    mat_inv,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    vec,
+    vec_add,
+    vec_sub,
+)
+from torusmirror.mirror import mirror_compare
 from torusmirror.novikov import NovikovElem
 
 
@@ -44,6 +60,34 @@ def test_intersection_count_is_slope_determinant():
         assert all(0 <= c < 1 for c in p.position)
         assert p.degree == 0
     assert len({p.coset for p in pts}) == 5
+
+
+def test_lagrangians_of_different_dimensions_are_refused():
+    """Every pairwise computation refuses a 1D and a 2D section, or a 2D and a 3D
+    one, instead of zipping their slope rows down to the shorter one."""
+    one = line(1)
+    two = [AffineLagrangian(((k, 0), (0, k)), (0, 0)) for k in (1, 2, 3)]
+    three = AffineLagrangian(((3, 0, 0), (0, 3, 0), (0, 0, 3)), (0, 0, 0))
+    for call in (lambda: transversal([line(0), *two[1:]]),
+                 lambda: intersections(one, two[1]),
+                 lambda: mirror_compare(*two[:2], three, 4),
+                 lambda: triangle_product_table(line(0), *two[1:], 4)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+
+
+def test_intersection_positions_solve_the_pair_equation():
+    """Each position, computed over one integer denominator, is the Fraction
+    solution y = (A_j - A_i)^{-1} (m + b_i - b_j) read mod 1, also for a
+    negative determinant."""
+    pairs = [(line(0, Fraction(1, 3)), line(3, Fraction(-1, 4))), (line(2, Fraction(1, 2)), line(0)),
+             (AffineLagrangian(((0, 0), (0, 0)), (Fraction(1, 2), Fraction(-2, 3))),
+              AffineLagrangian(((0, 3), (3, 1)), (Fraction(1, 5), 0)))]
+    for li, lj in pairs:
+        alpha_inv = mat_inv(mat_sub(lj.slope, li.slope))
+        for p in intersections(li, lj):
+            y = mat_vec(alpha_inv, vec_add(vec(p.coset), vec_sub(li.shift, lj.shift)))
+            assert p.position == tuple(c - (c.numerator // c.denominator) for c in y)
 
 
 def test_grading_counts_negative_eigenvalues():
@@ -213,3 +257,66 @@ def test_vanishing_certificate():
         mk_vanishing_certificate(ls, 2)
     with pytest.raises(ValueError):
         mk_vanishing_certificate([line(0), line(0)], 3)
+
+
+def quad_form(a, x):
+    return sum(xi * yi for xi, yi in zip(x, mat_vec(a, x)))
+
+
+def reference_triangle_table(l0, l1, l2, cutoff):
+    """The triangle table with each product's weight built in Fractions, as
+    W(t) = (1/2) t^T M t + v^T t + c for M = beta (b^{-1} - g^{-1}) beta,
+    v = beta (b^{-1} - g^{-1}) k0 - beta g^{-1} m and c = Q(m, k0), and
+    enumerated by the rational lattice_points, one call per product."""
+    alpha, beta, gamma = (mat_sub(y.slope, x.slope) for x, y in ((l0, l1), (l1, l2), (l0, l2)))
+    ainv, binv, ginv = mat_inv(alpha), mat_inv(beta), mat_inv(gamma)
+    c01, c12 = vec_sub(l1.shift, l0.shift), vec_sub(l2.shift, l1.shift)
+    bg = mat_mul(beta, mat_sub(binv, ginv))
+    mq, bginv = mat_mul(bg, beta), mat_mul(beta, ginv)
+    table = {}
+    for j0 in coset_representatives(alpha):
+        for j1 in coset_representatives(beta):
+            m, k0 = vec_sub(vec(j0), c01), vec_sub(vec(j1), c12)
+            vq = vec_sub(mat_vec(bg, k0), mat_vec(bginv, m))
+            cq = (quad_form(ainv, m) + quad_form(binv, k0) - quad_form(ginv, vec_add(m, k0))) / 2
+            rows = {j2: {} for j2 in coset_representatives(gamma)}
+            den, points = lattice_points(mq, vq, cq, Fraction(cutoff))
+            for t, w in points:
+                bt = mat_vec(beta, t)
+                k = vec_add(k0, bt)
+                j2 = coset_reduce(hnf(gamma), [a + b + c for a, b, c in zip(j0, j1, bt)])
+                hol = _holonomy_factor((l0, l1, l2), mat_vec(ainv, m), mat_vec(binv, k),
+                                       mat_vec(ginv, vec_add(m, k)))
+                rows[j2][w] = rows[j2].get(w, 0) + hol
+            for j2, row in rows.items():
+                table[j0, j1, j2] = NovikovElem([(Fraction(w, den), c) for w, c in row.items()],
+                                                cutoff)
+    return table
+
+
+SHIFT_TRIPLES_1D = ((0, 0, 0), (0, Fraction(1, 2), 0), (Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5)),
+                    (Fraction(-5, 4), Fraction(7, 3), Fraction(1, 2)))
+I2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("ls, cutoff", [
+    *((circle_sections(slopes, shifts), 10)
+      for slopes in combinations(range(5), 3) for shifts in SHIFT_TRIPLES_1D),
+    ([AffineLagrangian(a, b) for a, b in zip((((0, 0), (0, 0)), I2, ((3, 1), (1, 2))),
+                                              ((0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 2))))], 6),
+    ([AffineLagrangian(a, b) for a, b in zip((I2, ((3, 1), (1, 3)), ((5, 1), (1, 5))),
+                                              ((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))))], 2),
+    ([AffineLagrangian(a, b) for a, b in zip(
+        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         ((3, 1, 0), (1, 3, 1), (0, 1, 3))),
+        ((0, 0, 0), (Fraction(1, 2), 0, Fraction(1, 3)), (0, Fraction(1, 5), 0)))], 4),
+    ([AffineLagrangian(((0, 0), (0, 0)), (0, 0)),
+      AffineLagrangian(I2, (Fraction(1, 3), 0), (2, Fraction(1, 3))),
+      AffineLagrangian(((3, 1), (1, 2)), (0, Fraction(1, 2)), (Fraction(1, 2), 3))], 3),
+])
+def test_triangle_table_matches_the_fraction_weight_reference(ls, cutoff):
+    """One integer form per triple gives the same table, entry by entry, as a
+    Fraction weight form built afresh for every product: on the 10 convex 1D
+    slope triples with 4 shift triples, the 2D and 3D off-diagonal cases, and a
+    twisted-holonomy triple."""
+    assert triangle_product_table(*ls, cutoff) == reference_triangle_table(*ls, cutoff)

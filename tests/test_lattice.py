@@ -26,6 +26,7 @@ from torusmirror.lattice import (
     coset_reduce,
     coset_representatives,
     enumerate_below,
+    form_points,
     hnf,
     inertia,
     lattice_points,
@@ -296,6 +297,55 @@ def test_lattice_points_match_a_box_scan_with_exact_numerators(form):
         assert isinstance(num, int) and Fraction(num, den) == q_of(m, v, c, t)
 
 
+@st.composite
+def integer_forms(draw):
+    """(h, lin, const, top): h symmetric with an even positive diagonal, off-diagonal
+    entries odd or even, strictly diagonally dominant, hence positive definite; top
+    is below const, at the value of a drawn point, or free."""
+    n = draw(st.integers(1, 3))
+    h = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            h[i][j] = h[j][i] = draw(st.integers(-5, 5))
+    for i in range(n):
+        h[i][i] = 2 * ((sum(abs(x) for x in h[i]) + 2) // 2 + draw(st.integers(0, 3)))
+    lin = [draw(st.integers(-12, 12)) for _ in range(n)]
+    const = draw(st.integers(-20, 20))
+    kind = draw(st.sampled_from(("below const", "attained", "free")))
+    if kind == "below const":
+        top = const - draw(st.integers(1, 10))
+    elif kind == "attained":
+        t = [draw(st.integers(-3, 3)) for _ in range(n)]
+        top = int(q_of(h, lin, const, t))
+    else:
+        top = draw(st.integers(-30, 60))
+    return tuple(map(tuple, h)), lin, const, top
+
+
+@settings(max_examples=200)
+@given(integer_forms())
+def test_form_points_match_a_box_scan(form):
+    """The integer core keeps exactly the t with Q(t) <= top, Q(t) an int, in
+    lexicographic order; a value at top is kept."""
+    h, lin, const, top = form
+    points = form_points(h, lin, const, top)
+    ts = [t for t, _ in points]
+    assert ts == box_scan(mat(h), lin, const, top + 1)  # Q integral: Q <= top iff Q < top + 1
+    assert all(s < t for s, t in zip(ts, ts[1:]))
+    for t, val in points:
+        assert type(val) is int and val == q_of(h, lin, const, t) <= top
+
+
+def test_form_points_edge_values():
+    h = ((4, 3, 0), (3, 6, 1), (0, 1, 2))  # odd off-diagonals
+    assert form_points(h, [0, 0, 0], 7, 6) == []  # top < const = the minimum Q(0)
+    assert form_points(h, [0, 0, 0], 7, 7) == [((0, 0, 0), 7)]  # top attained: kept
+    assert form_points(((2,),), [-3], 0, -2) == [((1,), -2), ((2,), -2)]  # both ties kept
+    assert form_points(((2,),), [-3], 0, -3) == []
+    with pytest.raises(ValueError, match="even diagonal"):
+        form_points(((3,),), [0], 0, 5)
+
+
 @settings(max_examples=60)
 @given(definite_forms(), st.fractions(min_value=0, max_value=2, max_denominator=4))
 def test_a_bound_at_or_below_the_minimum_yields_nothing(form, drop):
@@ -307,14 +357,17 @@ def test_a_bound_at_or_below_the_minimum_yields_nothing(form, drop):
 
 
 def test_repeated_enumeration_checks_definiteness_once(monkeypatch):
+    """The check runs once per integer form: lattice_points scales m by D = 6 here,
+    and the core called on that scaled form directly hits the same entry."""
     calls = []
     real = lattice.inertia
     monkeypatch.setattr(lattice, "inertia", lambda a: calls.append(a) or real(a))
-    lattice._definite_form.cache_clear()
+    lattice._definite.cache_clear()
     m = mat([[4, 1], [1, 3]])
     for bound in range(1, 8):
         list(enumerate_below(m, (Fraction(1, 3), Fraction(-1, 2)), Fraction(0), Fraction(bound)))
-    assert calls == [m]
+    form_points(((24, 6), (6, 18)), [1, 2], 0, 50)
+    assert calls == [((24, 6), (6, 18))]
 
 
 def test_enumerate_below_rejects_indefinite_and_semidefinite_forms():
@@ -331,7 +384,7 @@ def test_a_matrix_of_python_ints_enumerates_like_its_fraction_matrix():
     for rows, v, bound, count in cases:
         results = []
         for m in (rows, mat(rows)):
-            lattice._definite_form.cache_clear()  # equal matrices share one cache entry
+            lattice._definite.cache_clear()  # equal matrices share one cache entry
             results.append(lattice_points(m, v, 0, bound))
             assert list(enumerate_below(m, v, 0, bound)) == [t for t, _ in results[-1][1]]
         assert results[0] == results[1] and len(results[0][1]) == count

@@ -10,7 +10,15 @@ import pytest
 
 from torusmirror import cli, mirror
 from torusmirror.fukaya_oh import AffineLagrangian
-from torusmirror.lattice import coset_representatives, hnf, mat_inv, quad_form, vec, vec_sub
+from torusmirror.lattice import (
+    coset_representatives,
+    hnf,
+    lattice_points,
+    mat_inv,
+    mat_vec,
+    vec,
+    vec_sub,
+)
 from torusmirror.mirror import (
     LaurentSeriesNd,
     LineBundleObj,
@@ -101,11 +109,54 @@ def test_theta_products_of_slope_one_are_jacobi_theta_constants():
     }
 
 
+def quad_form(a, x):
+    return sum(xi * yi for xi, yi in zip(x, mat_vec(a, x)))
+
+
+def theta_weight(ainv, center, m):
+    return Fraction(1, 2) * quad_form(ainv, vec_sub(m, center))
+
+
+def coset_points(a, ainv, center, j, bound):
+    """Denominator D and the (m, D w(m)) with m = j + A t and w(m) < bound, t in the
+    kernel's order: w(j + A t) = (1/2) t^T A t + t . (j - center) + w(j), one rational
+    lattice_points call per coset."""
+    den, points = lattice_points(a, vec_sub(vec(j), center), theta_weight(ainv, center, vec(j)),
+                                 bound)
+    return den, [(tuple(x + sum(r * y for r, y in zip(row, t)) for x, row in zip(j, a)), w)
+                 for t, w in points]
+
+
+def coset_minimum(a, ainv, center, j):
+    """Representative s = j mod A of least weight, as a Fraction: the bound doubles until
+    some point of the coset falls below it; of equal minima, the first in t order wins."""
+    bound = Fraction(1)
+    while True:
+        den, points = coset_points(a, ainv, center, j, bound)
+        if points:
+            s, w = min(points, key=lambda p: p[1])
+            return s, Fraction(w, den)
+        bound *= 2
+
+
+def reference_sections(e, cutoff, den):
+    """The sections of e below the cutoff as (j, [(m, den w(m))]), coset by coset."""
+    a = e.lagrangian.slope
+    ainv = mat_inv(a)
+    out = []
+    for j in coset_representatives(a):
+        d, points = coset_points(a, ainv, e.lagrangian.shift, j, cutoff)
+        out.append((j, sorted(((m, w * (den // d)) for m, w in points), key=lambda p: p[1])))
+    return out
+
+
 def reference_theta_multiply(e1, e2, cutoff, rows=None):
     """theta_multiply's product, solve and check as a loop over term pairs into
     dicts {s: {L w: count}}, the model its packed-int convolution must match
-    byte for byte; rows, if given, receives each pair's product table.  It reads
-    the same private helpers through the module, so a monkeypatch reaches both."""
+    byte for byte; rows, if given, receives each pair's product table.  Its
+    sections and minima come from one rational lattice_points call per coset
+    (coset_points above), not from the module's kernel calls; the target weight
+    is read through mirror._weight_numerator, so a monkeypatch reaches both."""
     cutoff = Fraction(cutoff)
     e3 = e1.tensor(e2)
     gamma = e3.lagrangian.slope
@@ -113,11 +164,11 @@ def reference_theta_multiply(e1, e2, cutoff, rows=None):
     c3 = e3.lagrangian.shift
     gamma_h = hnf(gamma)
     target_cosets = coset_representatives(gamma)
-    minima = {j3: mirror._coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
+    minima = {j3: coset_minimum(gamma, ginv, c3, j3) for j3 in target_cosets}
     internal = cutoff + max(w for _s, w in minima.values()) + 1
     den = lcm(mirror._grid(e1), mirror._grid(e2), mirror._grid(e3),
               *(w.denominator for _s, w in minima.values()))
-    sections1, sections2 = mirror._sections(e1, internal, den), mirror._sections(e2, internal, den)
+    sections1, sections2 = reference_sections(e1, internal, den), reference_sections(e2, internal, den)
     top, low = ceil(internal * den), ceil(cutoff * den)
     stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
     wnum, wden = mirror._weight_numerator(ginv, c3)
@@ -217,8 +268,13 @@ def test_every_reached_exponent_is_checked(monkeypatch, e1, e2, cut):
     expansion bound; with a shift of -37 + 2/5 the exponents are negative and
     the extreme sums sit at the packing radix's digit bound."""
     seen = []
-    real = mirror.coset_reduce
-    monkeypatch.setattr(mirror, "coset_reduce", lambda h, s: seen.append(s) or real(h, s))
+    real = mirror._weight_numerator
+
+    def recording(ginv, c):  # the check's target lookups, one per new exponent
+        num, den = real(ginv, c)
+        return (lambda s: seen.append(s) or num(s)), den
+
+    monkeypatch.setattr(mirror, "_weight_numerator", recording)
     new = theta_multiply(e1, e2, cut)
     packed, rows = set(seen), []
     seen.clear()
@@ -231,16 +287,23 @@ def test_every_reached_exponent_is_checked(monkeypatch, e1, e2, cut):
 
 
 def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
-    """Negative control: with every w* raised by 1/2 the solved coefficients
-    no longer reproduce the product, and the solve reports a larger cutoff,
-    at the same z^s and pair and with the same text as the reference loop."""
-    minimum = mirror._coset_minimum
+    """Negative control: with the w* of the zero coset raised by 1/2 the solved
+    coefficients no longer reproduce the product, and the solve reports a larger
+    cutoff, at the same z^s and pair and with the same text as the reference loop
+    with the same minimum raised."""
+    minima, minimum = mirror._minima, coset_minimum
 
-    def raised(*args):
-        s, w = minimum(*args)
-        return s, w + Fraction(1, 2)
+    def raised(e):
+        out = minima(e)
+        zero = (0,) * e.n
+        return {**out, zero: (out[zero][0], out[zero][1] + mirror._grid(e) // 2)}
 
-    monkeypatch.setattr(mirror, "_coset_minimum", raised)
+    def raised_reference(a, ainv, center, j):
+        s, w = minimum(a, ainv, center, j)
+        return s, w + (Fraction(1, 2) if not any(j) else 0)
+
+    monkeypatch.setattr(mirror, "_minima", raised)
+    monkeypatch.setitem(globals(), "coset_minimum", raised_reference)
     cut = Fraction(10)
     with pytest.raises(ThetaSolveError) as err:
         theta_multiply(LineBundleObj(line(1)), LineBundleObj(line(2)), cut)
@@ -259,6 +322,31 @@ def test_theta_consistency_check_catches_a_wrong_leading_weight(monkeypatch):
     assert "retry with cutoff >=" in rep.payload["error"]
 
 
+def test_theta_consistency_check_catches_a_missing_term(monkeypatch):
+    """Negative control: with the heaviest term of every slope-2 section dropped,
+    some product row lacks a term that its solved coefficient has, below the
+    cutoff; the check compares the row with the whole solved prefix, not with as
+    many terms as the row holds, and reports the same z^s, pair and cutoff as
+    the reference loop."""
+    sections, reference = mirror._sections, reference_sections
+
+    def dropping(real):
+        def dropped(e, cutoff, den):
+            out = real(e, cutoff, den)
+            return [(j, t[:-1]) for j, t in out] if e.lagrangian.slope == ((2,),) else out
+        return dropped
+
+    monkeypatch.setattr(mirror, "_sections", dropping(sections))
+    monkeypatch.setitem(globals(), "reference_sections", dropping(reference))
+    e1, e2 = LineBundleObj(line(1)), LineBundleObj(line(2, shift=Fraction(1, 3)))
+    with pytest.raises(ThetaSolveError) as new:
+        theta_multiply(e1, e2, 10)
+    with pytest.raises(ThetaSolveError) as ref:
+        reference_theta_multiply(e1, e2, 10)
+    assert str(new.value) == str(ref.value)
+    assert "at z^(-7,) for pair ((0,), (0,))" in str(new.value)
+
+
 @pytest.mark.parametrize(
     "slope, shift",
     [
@@ -274,6 +362,23 @@ def test_integer_target_weight_is_the_fraction_quadratic_form(slope, shift):
     num, den = mirror._weight_numerator(ginv, shift)
     for s in itertools.product(range(-3, 4), repeat=len(shift)):
         assert Fraction(num(s), den) == Fraction(1, 2) * quad_form(ginv, vec_sub(vec(s), shift))
+
+
+def test_minima_keep_the_first_tie_in_t_order():
+    """The least-weight representative of every coset is the reference's, found by
+    one enumeration of the bundle; ties go to the first s = j + A t in the order of
+    t, which on the slope (2, -1; -1, 2) is not the lexicographic order of s."""
+    e = bundle(((2, -1), (-1, 2)), (0, 0))
+    ties = [s for s, w in mirror._cosets(e, Fraction(1))[(1, 0)] if w == mirror._grid(e) // 3]
+    assert sorted(ties) == [(-1, 1), (0, -1), (1, 0)]
+    assert mirror._minima(e)[(1, 0)] == ((0, -1), mirror._grid(e) // 3)
+    for e in [e, bundle(((5,),), (Fraction(-7, 3),)),
+              *(bundle(x, c).tensor(bundle(y, d)) for x, y, c, d in PAIRS_ND),
+              *(bundle(y, d) for _x, y, _c, d in PAIRS_ND)]:
+        ainv, grid = mat_inv(e.lagrangian.slope), mirror._grid(e)
+        assert mirror._minima(e) == {
+            j: (s, int(w * grid)) for j in coset_representatives(e.lagrangian.slope)
+            for s, w in [coset_minimum(e.lagrangian.slope, ainv, e.lagrangian.shift, j)]}
 
 
 def test_theta_coefficient_bytes_are_pinned():
