@@ -23,13 +23,13 @@ Conventions (fixed once, shared with the theta-function side):
 
 m2 runs on one integer form per triple.  Fixing the lift m of x0 and taking
 k0 + beta t for x1, W(t) = Q(m, k0 + beta t) with Q(x, y) = (1/2)(x^T a^{-1} x
-+ y^T b^{-1} y - (x+y)^T g^{-1} (x+y)).  With P the common denominator of the
-three inverses (Ai = P a^{-1}, Bi, Gi) and S that of the shifts, M = S m and
++ y^T b^{-1} y - (x+y)^T g^{-1} (x+y)).  With P the lcm of the three |det|
+(Ai = P a^{-1} = (P / det a) adj a, Bi, Gi) and S the shifts' denominator, M = S m and
 K = S k0 are integer vectors and D W(t), D = 2 P S^2, is the integer quadratic
 M^T Ai M + (K + S beta t)^T Bi (K + S beta t) - (M+K + S beta t)^T Gi (M+K + S beta t):
 its t^T t part is fixed per triple, its linear and constant parts are integer
 dot products per product.  Fractions remain only in the intersection
-positions, the twisted holonomy and the NovikovElem terms.
+positions, the holonomy factors and the NovikovElem terms.
 """
 
 from __future__ import annotations
@@ -44,21 +44,19 @@ from .ainfty import AInftyStructure, GradedBasis, MultilinearOp, assemble_sequen
 from .lattice import (
     Mat,
     Vec,
+    adjugate,
     coset_reduce,
     coset_representatives,
     form_points,
     hnf,
     inertia,
+    integer_shift,
     is_positive_definite,
     is_symmetric,
-    mat,
     mat_det,
-    mat_inv,
     mat_mul,
     mat_sub,
-    mat_vec,
     vec,
-    vec_add,
     vec_sub,
 )
 from .novikov import NovikovElem
@@ -78,9 +76,12 @@ class AffineLagrangian:
     holonomy: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        slope = mat(self.slope)
+        slope = tuple(tuple(e if type(e) is int else Fraction(e) for e in row) for row in self.slope)
         object.__setattr__(self, "shift", vec(self.shift))
         n = len(slope)
+        if any(len(row) != n for row in slope):
+            raise ValueError("ragged matrix" if len(set(map(len, slope))) > 1
+                             else "slope matrix must be square")
         if len(self.shift) != n:
             raise ValueError("shift dimension mismatch")
         if not is_symmetric(slope):
@@ -126,16 +127,12 @@ def transversal(seq: Sequence[AffineLagrangian]) -> bool:
 def intersections(li: AffineLagrangian, lj: AffineLagrangian) -> list:
     """All intersection points of the ordered pair, |det(A_j - A_i)| of them."""
     alpha = _increment(li, lj)
-    det = int(mat_det(alpha))
-    if det == 0:
+    if mat_det(alpha) == 0:
         raise ValueError("non-transversal pair")
-    # y = alpha^{-1} (m + delta) = adj (S m + S delta) / q with adj = |det| alpha^{-1}, an
-    # integer matrix, and q = |det| S over the denominator S of delta: y mod 1 is an int mod q
-    delta = vec_sub(li.shift, lj.shift)
-    S = lcm(*(x.denominator for x in delta))
-    sd, q = [x.numerator * (S // x.denominator) for x in delta], abs(det) * S
-    adj = [[int(x * abs(det)) for x in row] for row in mat_inv(alpha)]
-    degree = inertia(alpha)[0]
+    # y = alpha^{-1} (m + delta) = adj(alpha) (S m + S delta) / q with q = det S: y mod 1
+    # is an int mod q over q, which is in [0, 1) for either sign of q
+    (adj, det), (S, sd) = adjugate(alpha), integer_shift(vec_sub(li.shift, lj.shift))
+    q, degree = det * S, inertia(alpha)[0]
     points = []
     for m in coset_representatives(alpha):
         v = [S * x + d for x, d in zip(m, sd)]
@@ -166,26 +163,25 @@ def _holonomy_factor(lagrangians: Sequence[AffineLagrangian], y0: Vec, y1: Vec,
 
 def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLagrangian):
     """m2 of one triple as a function of (x0, x1, cutoff).  What its products
-    share (transversality, the points of (L_0, L_2), the inverses, the weight
+    share (transversality, the points of (L_0, L_2), the adjugates, the weight
     form, the HNF of gamma) is computed once, here."""
     if not transversal([l0, l1, l2]):
         raise ValueError("non-transversal triple")
     alpha, beta, gamma = _increment(l0, l1), _increment(l1, l2), _increment(l0, l2)
     convex = is_positive_definite(alpha) and is_positive_definite(beta)
     points02 = intersections(l0, l2)
-    ainv, binv, ginv = mat_inv(alpha), mat_inv(beta), mat_inv(gamma)
-    c01, c12 = vec_sub(l1.shift, l0.shift), vec_sub(l2.shift, l1.shift)
+    adjs = [adjugate(x) for x in (alpha, beta, gamma)]
+    S, lifts = integer_shift(vec_sub(l1.shift, l0.shift) + vec_sub(l2.shift, l1.shift))
+    lift01, lift12 = lifts[:l0.n], lifts[l0.n:]
     gamma_h = hnf(gamma)
     twisted = any(u != 1 for l in (l0, l1, l2) for u in l.holonomy)
     # D W(t) (module doc) as (1/2) t^T h t + lin . t + const, with lin = lin_km (K, M)
-    P = lcm(*(x.denominator for inv in (ainv, binv, ginv) for row in inv for x in row))
-    S = lcm(*(x.denominator for x in c01 + c12))
-    Ai, Bi, Gi = ([[int(x * P) for x in row] for row in inv] for inv in (ainv, binv, ginv))
+    P = lcm(*(abs(det) for _adj, det in adjs))
+    Ai, Bi, Gi = ([[x * (P // det) for x in row] for row in adj] for adj, det in adjs)
     D, bb = 2 * P * S * S, mat_mul(beta, mat_sub(Bi, Gi))
     h = tuple(tuple(2 * S * S * x for x in row) for row in mat_mul(bb, beta))
     lin_km = [[2 * S * x for x in rk] + [-2 * S * x for x in rm]
               for rk, rm in zip(bb, mat_mul(beta, Gi))]
-    lift01, lift12 = [int(S * x) for x in c01], [int(S * x) for x in c12]
 
     def form(a, x) -> int:
         return sum(xi * sum(r * y for r, y in zip(row, x)) for xi, row in zip(x, a))
@@ -215,10 +211,11 @@ def _triangle_products(l0: AffineLagrangian, l1: AffineLagrangian, l2: AffineLag
             if row is None:
                 continue
             hol = 1  # the count stays an int unless some holonomy is nontrivial
-            if twisted:
-                m, k = vec_sub(x0.coset, c01), vec_add(vec_sub(x1.coset, c12), bt)
-                hol = _holonomy_factor((l0, l1, l2), mat_vec(ainv, m), mat_vec(binv, k),
-                                       mat_vec(ginv, vec_add(m, k)))
+            if twisted:  # y0, y1, y2 are Ai M, Bi Kt, Gi (M + Kt) over P S: pass their floors
+                Kt = [k + S * b for k, b in zip(K, bt)]
+                hol = _holonomy_factor((l0, l1, l2), *(
+                    [sum(a * y for a, y in zip(row, v)) // (P * S) for row in inv]
+                    for inv, v in ((Ai, M), (Bi, Kt), (Gi, [x + y for x, y in zip(M, Kt)]))))
             row[weight] = row.get(weight, 0) + hol
         return {p: NovikovElem._over(acc[c], D, cutoff) for c, p in targets.items()}
 

@@ -13,12 +13,12 @@ so times det^2, Q(t) <= top forces |det t_d + u_d| <= isqrt(g adj_dd) with
 g = 2 det (top - const) + lin . u, the range of each of the first n - 1
 coordinates; with those fixed, Q is an integer quadratic in the last one,
 and the isqrt of its discriminant gives exactly the x with Q <= top.
-``lattice_points`` is the rational front door, and the only place here that
-scales Fractions to that integer form.  RREF, HNF and inertia are
-canonical, so no result depends on the elimination order.  det, inverse,
-inertia, HNF, coset representatives and each integer form's adj and det are
-memoized by value, since checks keep meeting the same few small matrices;
-rank and nullspace, which other layers call on one-off matrices, are not.
+``lattice_points`` is the rational front door; ``adjugate`` (integer adj and
+det) and ``integer_shift`` ((S, S b) for a rational b) give every slope and
+shift its integer form.  RREF, HNF and inertia are canonical, so no result
+depends on the elimination order.  det, inverse, adjugate, inertia, HNF and
+coset representatives are memoized by value, since checks keep meeting the
+same few small matrices; rank and nullspace, called on one-off matrices, are not.
 """
 
 from __future__ import annotations
@@ -138,6 +138,19 @@ def mat_inv(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+@_by_value
+def adjugate(a: Mat) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """(adj a, det a) of a nonsingular integer matrix, both in ints: adj a . a = det(a) I."""
+    inv, det = mat_inv(a), mat_det(a)
+    return tuple(tuple(int(x * det) for x in row) for row in inv), int(det)
+
+
+def integer_shift(b: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(S, S b): the least S > 0 with S b integral, and S b."""
+    S = lcm(*(x.denominator for x in b))
+    return S, tuple(x.numerator * (S // x.denominator) for x in b)
+
+
 def rank(a: Sequence[Sequence]) -> int:
     return len(_gauss_jordan(a)[1])
 
@@ -231,7 +244,7 @@ def hnf(a: Mat) -> Tuple[Tuple[int, ...], ...]:
 def coset_reduce(h: Tuple[Tuple[int, ...], ...], x: Sequence[int]) -> Tuple[int, ...]:
     """Canonical representative of x modulo the column lattice of upper-triangular h."""
     n = len(h)
-    y = [int(v) for v in x]
+    y = list(x)
     for i in range(n - 1, -1, -1):
         q = y[i] // h[i][i]
         if q:
@@ -251,20 +264,13 @@ def coset_representatives(a: Mat) -> Tuple[Tuple[int, ...], ...]:
     return tuple(coset_reduce(h, x) for x in sorted(reps))
 
 
-@lru_cache(maxsize=256)
-def _definite(h: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """adj(h) and det(h), once h is checked positive definite with an even diagonal."""
-    if not is_positive_definite(h) or any(h[i][i] % 2 for i in range(len(h))):
-        raise ValueError("quadratic form must be positive definite, with an even diagonal")
-    det = int(mat_det(h))
-    return tuple(tuple(int(x * det) for x in row) for row in mat_inv(h)), det
-
-
 def form_points(h: Tuple[Tuple[int, ...], ...], lin: Sequence[int], const: int,
                 top: int) -> list:
     """Every (t, Q(t)) with Q(t) = (1/2) t^T h t + lin . t + const <= top, in
     lexicographic order of t; h is a tuple of int tuples (see the module doc)."""
-    adj, det = _definite(h)
+    if not is_positive_definite(h) or any(h[i][i] % 2 for i in range(len(h))):
+        raise ValueError("quadratic form must be positive definite, with an even diagonal")
+    adj, det = adjugate(h)
     n, a, out = len(h), h[-1][-1] // 2, []
     u = [sum(x * y for x, y in zip(row, lin)) for row in adj]
     g = 2 * det * (top - const) + sum(x * y for x, y in zip(lin, u))  # 2 det (top - Q(t0))

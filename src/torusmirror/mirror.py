@@ -11,11 +11,11 @@ constants of theta multiplication coincide term-by-term with the triangle
 product, and the basis rescaling relating the two sides is the identity.
 
 Weights are integer numerators: G w(m) = (S m - B)^T adj(A) (S m - B) over
-G = _grid(e) = 2 S^2 det A, with S the denominator of b and B = S b, is an
-integer quadratic in m, so one call of the lattice kernel per bundle lists
-every section term and no Fraction is built per point, product or coset:
-they remain in the cutoffs, the shifts, each form's set-up and the
-NovikovElem terms.
+G = _grid(e) = 2 S^2 det A, with adj(A), det A from lattice.adjugate and
+(S, B = S b) from lattice.integer_shift, is an integer quadratic in m, so one
+kernel call per bundle lists every section term, and the check's own target
+weight reads the same two; no Fraction is built per point, product or coset:
+they remain in the cutoffs, the shifts and the NovikovElem terms.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .fukaya_oh import AffineLagrangian, transversal, triangle_product_table
 from .lattice import (
     Mat,
     Vec,
+    adjugate,
     coset_reduce,
     coset_representatives,
     form_points,
     hnf,
+    integer_shift,
     is_positive_definite,
     mat_add,
-    mat_det,
-    mat_inv,
     mat_sub,
     mat_vec,
     vec_add,
@@ -109,7 +109,7 @@ class LineBundleObj:
 
     @property
     def rank_of_sections(self) -> int:
-        return int(abs(mat_det(self.lagrangian.slope)))
+        return adjugate(self.lagrangian.slope)[1]  # A is positive definite, so det A > 0
 
     def tensor(self, other: "LineBundleObj") -> "LineBundleObj":
         a = mat_add(self.lagrangian.slope, other.lagrangian.slope)
@@ -118,35 +118,32 @@ class LineBundleObj:
         return LineBundleObj(AffineLagrangian(a, b, hol))
 
 
-def _weight_numerator(ainv: Mat, center: Vec):
-    """(N, W) with N(m) / W = (1/2)(m - center)^T A^{-1} (m - center), N integral over the common
-    denominators of ainv and center: the check's own weight, apart from the kernel's section form."""
-    g, S = lcm(*(x.denominator for row in ainv for x in row)), lcm(*(x.denominator for x in center))
-    G, sc = [[int(x * g) for x in row] for row in ainv], [int(x * S) for x in center]
+def _weight_numerator(slope: Mat, center: Vec):
+    """(N, W) with N(m) / W = (1/2)(m - center)^T A^{-1} (m - center) for A = slope: N(m) =
+    (S m - C)^T G (S m - C) over W = 2 S^2 det A, for G = adj(A) and (S, C) the integer form
+    of center.  The check's own weight, apart from the kernel's section form."""
+    (G, det), (S, sc) = adjugate(slope), integer_shift(center)
 
     def num(m) -> int:
         d = [S * x - y for x, y in zip(m, sc)]
         return sum(x * sum(a * y for a, y in zip(row, d)) for x, row in zip(d, G))
-    return num, 2 * g * S * S
+    return num, 2 * det * S * S
 
 
 def _grid(e: LineBundleObj) -> int:
     """The denominator G = 2 S^2 det A of e's integer weight form, S the denominator of b:
     G w(m) = (S m - B)^T adj(A) (S m - B) with B = S b is an integer for every m."""
-    q = lcm(*(x.denominator for x in e.lagrangian.shift))
-    return 2 * q * q * e.rank_of_sections
+    S = integer_shift(e.lagrangian.shift)[0]
+    return 2 * S * S * e.rank_of_sections
 
 
 def _cosets(e: LineBundleObj, bound: Fraction) -> Dict[Tuple[int, ...], list]:
     """The (m, G w(m)) with w(m) < bound, G = _grid(e), by coset of m modulo the slope
     lattice (cosets with no such m left out), m in lexicographic order: one kernel
     call on G w(m) = S^2 m^T adj(A) m - 2 S m^T adj(A) B + B^T adj(A) B."""
-    a, b = e.lagrangian.slope, e.lagrangian.shift
-    S, det = lcm(*(x.denominator for x in b)), e.rank_of_sections
-    B = [x.numerator * (S // x.denominator) for x in b]
-    adj = [[int(x * det) for x in row] for row in mat_inv(a)]
+    adj, (S, B) = adjugate(e.lagrangian.slope)[0], integer_shift(e.lagrangian.shift)
     adj_b = [sum(x * y for x, y in zip(row, B)) for row in adj]
-    h, out = hnf(a), {}
+    h, out = hnf(e.lagrangian.slope), {}
     for m, w in form_points(tuple(tuple(2 * S * S * x for x in row) for row in adj),
                             [-2 * S * x for x in adj_b], sum(x * y for x, y in zip(B, adj_b)),
                             ceil(_grid(e) * bound) - 1):
@@ -158,13 +155,13 @@ def _minima(e: LineBundleObj) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], in
     """{j: (s, G w(s))} with s = j mod A of least weight, G = _grid(e), from one
     enumeration whose bound doubles until every coset has a point.  Of equal
     minima, the first in the order of t, for s = j + A t, wins."""
-    ainv, reps, bound = mat_inv(e.lagrangian.slope), coset_representatives(e.lagrangian.slope), 1
+    adj, reps, bound = adjugate(e.lagrangian.slope)[0], coset_representatives(e.lagrangian.slope), 1
     while len(points := _cosets(e, bound)) < len(reps):
         bound *= 2
     out = {}
-    for j in reps:  # t = A^{-1} (s - j), so A^{-1} s orders the ties as t does
+    for j in reps:  # t = A^{-1} (s - j) and det A > 0, so adj(A) s orders the ties as t does
         low = min(w for _m, w in points[j])
-        out[j] = min((m for m, w in points[j] if w == low), key=lambda s: mat_vec(ainv, s)), low
+        out[j] = min((m for m, w in points[j] if w == low), key=lambda s: mat_vec(adj, s)), low
     return out
 
 
@@ -222,8 +219,8 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
     Every z^s that some pair of terms reaches, also one whose pairs all weigh
     internal or more, is then checked against its solved coefficient below
     min(internal, cutoff + w(s)).  The target weight w(s) = (1/2)(s - c)^T
-    Gamma^{-1} (s - c) is computed afresh, in integers from Gamma^{-1} and the
-    shift c over their common denominators, and never read from the kernel;
+    Gamma^{-1} (s - c) is computed afresh, in integers from adj(Gamma) and the
+    integer form of the shift c, and never read from the kernel;
     a mismatch reports the cutoff that would be required.
     """
     cutoff = Fraction(cutoff)
@@ -265,7 +262,7 @@ def theta_multiply(e1: LineBundleObj, e2: LineBundleObj, cutoff) -> Dict[Tuple, 
     packed2 = [(j2, [pack(m) for m, _w in t], [w for _m, w in t], [pack(m) * top + w for m, w in t])
                for j2, t in sections2]
     stars = {j3: (pack(s), w * (den // g3)) for j3, (s, w) in minima.items()}
-    wnum, wden = _weight_numerator(mat_inv(gamma), c3)
+    wnum, wden = _weight_numerator(gamma, c3)
     target = {}  # k(s) -> (coset of s, L w(s))
     coeffs = {}
     for j1, t1 in packed1:

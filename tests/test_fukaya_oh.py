@@ -48,6 +48,10 @@ def test_lagrangian_validation():
         AffineLagrangian(((Fraction(1, 2),),), (0,))  # non-integral slope
     with pytest.raises(ValueError):
         AffineLagrangian(((1,),), (0,), (0,))  # zero holonomy
+    with pytest.raises(ValueError, match="square"):
+        AffineLagrangian(((1, 2),), (0,))  # one row of two: no 1 x 1 slope
+    with pytest.raises(ValueError, match="ragged"):
+        AffineLagrangian(((1, 2), (2,)), (0, 0))
 
 
 def test_intersection_count_is_slope_determinant():

@@ -23,12 +23,14 @@ from sympy.matrices.normalforms import hermite_normal_form
 import torusmirror
 from torusmirror import lattice
 from torusmirror.lattice import (
+    adjugate,
     coset_reduce,
     coset_representatives,
     enumerate_below,
     form_points,
     hnf,
     inertia,
+    integer_shift,
     lattice_points,
     mat,
     mat_det,
@@ -98,6 +100,31 @@ def test_row_reduction_kernels_match_sympy():
         else:
             with pytest.raises(ValueError, match="singular"):
                 mat_inv(sq)
+
+
+def test_adjugate_times_the_matrix_is_det_times_identity():
+    """adj(a) a = det(a) I in ints, on seeded integer matrices up to 4 x 4 with
+    determinants of both signs; a singular matrix raises."""
+    rng, signs = random.Random(3), set()
+    for _ in range(DRAWS):
+        n = rng.randint(1, 4)
+        a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+        if mat_det(a) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                adjugate(a)
+            continue
+        adj, det = adjugate(a)
+        assert type(det) is int and det == sympy.Matrix(a).det()
+        assert all(type(x) is int for row in adj for x in row)
+        assert [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+        signs.add(det > 0)
+    assert signs == {True, False}
+
+
+def test_integer_shift_is_the_least_common_denominator():
+    assert integer_shift((Fraction(1, 2), Fraction(-2, 3), 0)) == (6, (3, -4, 0))
+    assert integer_shift((Fraction(4), Fraction(-5, 1))) == (1, (4, -5))
 
 
 def test_nullspace_of_zero_full_rank_and_empty_matrices():
@@ -173,7 +200,7 @@ def test_coset_representatives_are_canonical_and_complete():
         h = hnf(a)
         reps = coset_representatives(a)
         assert len(reps) == len(set(reps)) == abs(mat_det(a))
-        assert all(coset_reduce(h, r) == r for r in reps)
+        assert all(coset_reduce(h, r) == r == coset_reduce(h, list(r)) for r in reps)
         n = len(rows)
         # every point of a box reduces onto a representative, and moving by a
         # lattice vector does not change it
@@ -181,12 +208,13 @@ def test_coset_representatives_are_canonical_and_complete():
             r = coset_reduce(h, x)
             assert r in reps
             shifted = [x[i] + sum(int(rows[i][j]) * (j + 1) for j in range(n)) for i in range(n)]
-            assert coset_reduce(h, shifted) == r
+            kept = list(shifted)
+            assert coset_reduce(h, shifted) == r and shifted == kept  # a list is not changed
 
 
 # -- memoization by value ---------------------------------------------------------
 
-MEMOIZED = (mat_det, mat_inv, inertia, hnf, coset_representatives)
+MEMOIZED = (mat_det, mat_inv, adjugate, inertia, hnf, coset_representatives)
 
 
 def test_memoized_kernels_share_one_entry_for_list_and_tuple_inputs():
@@ -210,7 +238,7 @@ def test_a_cached_result_cannot_be_changed_by_a_caller():
 
 
 def test_a_singular_matrix_raises_on_every_call():
-    for f in (mat_inv, hnf, coset_representatives):
+    for f in (mat_inv, adjugate, hnf, coset_representatives):
         f.cache_clear()
         for _ in range(3):
             with pytest.raises(ValueError, match="singular"):
@@ -356,18 +384,17 @@ def test_a_bound_at_or_below_the_minimum_yields_nothing(form, drop):
     assert points and all(Fraction(num, den) == lowest for _t, num in points)
 
 
-def test_repeated_enumeration_checks_definiteness_once(monkeypatch):
-    """The check runs once per integer form: lattice_points scales m by D = 6 here,
-    and the core called on that scaled form directly hits the same entry."""
-    calls = []
-    real = lattice.inertia
-    monkeypatch.setattr(lattice, "inertia", lambda a: calls.append(a) or real(a))
-    lattice._definite.cache_clear()
+def test_repeated_enumeration_checks_definiteness_once():
+    """The elimination runs once per integer form: lattice_points scales m by D = 6
+    here, and the core called on that scaled form directly hits the same entry."""
+    lattice.inertia.cache_clear()
     m = mat([[4, 1], [1, 3]])
     for bound in range(1, 8):
         list(enumerate_below(m, (Fraction(1, 3), Fraction(-1, 2)), Fraction(0), Fraction(bound)))
     form_points(((24, 6), (6, 18)), [1, 2], 0, 50)
-    assert calls == [((24, 6), (6, 18))]
+    inertia(((24, 6), (6, 18)))  # the one eliminated form is this one
+    info = lattice.inertia.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 8, 1)
 
 
 def test_enumerate_below_rejects_indefinite_and_semidefinite_forms():
@@ -384,7 +411,7 @@ def test_a_matrix_of_python_ints_enumerates_like_its_fraction_matrix():
     for rows, v, bound, count in cases:
         results = []
         for m in (rows, mat(rows)):
-            lattice._definite.cache_clear()  # equal matrices share one cache entry
+            adjugate.cache_clear()  # equal matrices share one cache entry
             results.append(lattice_points(m, v, 0, bound))
             assert list(enumerate_below(m, v, 0, bound)) == [t for t, _ in results[-1][1]]
         assert results[0] == results[1] and len(results[0][1]) == count

@@ -171,7 +171,7 @@ def reference_theta_multiply(e1, e2, cutoff, rows=None):
     sections1, sections2 = reference_sections(e1, internal, den), reference_sections(e2, internal, den)
     top, low = ceil(internal * den), ceil(cutoff * den)
     stars = {j3: (s, int(w * den)) for j3, (s, w) in minima.items()}
-    wnum, wden = mirror._weight_numerator(ginv, c3)
+    wnum, wden = mirror._weight_numerator(gamma, c3)
     target = {}
     coeffs = {}
     for j1, sec1 in sections1:
@@ -270,8 +270,8 @@ def test_every_reached_exponent_is_checked(monkeypatch, e1, e2, cut):
     seen = []
     real = mirror._weight_numerator
 
-    def recording(ginv, c):  # the check's target lookups, one per new exponent
-        num, den = real(ginv, c)
+    def recording(gamma, c):  # the check's target lookups, one per new exponent
+        num, den = real(gamma, c)
         return (lambda s: seen.append(s) or num(s)), den
 
     monkeypatch.setattr(mirror, "_weight_numerator", recording)
@@ -359,7 +359,7 @@ def test_integer_target_weight_is_the_fraction_quadratic_form(slope, shift):
     """The consistency check's w(s), an integer numerator over one denominator,
     is (1/2)(s - c)^T Gamma^{-1} (s - c) evaluated in Fractions."""
     ginv = mat_inv(slope)
-    num, den = mirror._weight_numerator(ginv, shift)
+    num, den = mirror._weight_numerator(slope, shift)
     for s in itertools.product(range(-3, 4), repeat=len(shift)):
         assert Fraction(num(s), den) == Fraction(1, 2) * quad_form(ginv, vec_sub(vec(s), shift))
 
