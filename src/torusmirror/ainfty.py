@@ -69,6 +69,9 @@ class GradedBasis:
     elements: Tuple[Tuple[Label, int], ...]
 
     def __post_init__(self):
+        for l, d in self.elements:
+            if d % 1:  # a fraction, which int() would truncate, or inf or nan
+                raise ValueError(f"degree {d} of basis label {l} must be an integer")
         object.__setattr__(self, "elements", tuple((l, int(d)) for l, d in self.elements))
         labels = [l for l, _ in self.elements]
         if len(set(labels)) != len(labels):

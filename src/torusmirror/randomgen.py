@@ -190,7 +190,7 @@ def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> Retrac
     for k, src in sorted(by_deg.items()):
         rows = [[d.get((l,), {}).get(o, Q(0)) for l in src] for o in by_deg.get(k + 1, [])]
         ker[k] = nullspace(rows, len(src))
-        C[k] = _random_complement(ker[k], len(src), len(src) - len(ker[k]), rng)
+        C[k] = _random_complement_within([vec(int(s == t) for s in src) for t in src], ker[k], rng)
         dC[k] = [mat_vec(rows, c) for c in C[k]]
 
     sub_elems = []
@@ -221,26 +221,13 @@ def retraction_onto_cohomology(A: AInftyStructure, rng: random.Random) -> Retrac
     )
 
 
-def _random_complement(ker: List[Vec], dim: int, count: int, rng) -> List[Vec]:
-    """count random integer vectors that complement span(ker) in Q^dim."""
-    cols: List[Vec] = []
-    while len(cols) < count:
-        v = vec(rng.randint(-2, 2) for _ in range(dim))
-        if rank(ker + cols + [v]) == len(ker) + len(cols) + 1:
-            cols.append(v)
-    return cols
-
-
 def _random_complement_within(ambient: List[Vec], sub: List[Vec], rng) -> List[Vec]:
     """Random vectors of span(ambient) complementing span(sub) inside it
-    (the ambient vectors are independent)."""
+    (the ambient vectors are independent), each with coefficients drawn
+    from -2..2; a complement in Q^n is drawn with the identity as ambient."""
     cols: List[Vec] = []
-    attempts = 0
     while len(cols) < len(ambient) - len(sub):
-        attempts += 1
         coeffs = [rng.randint(-2, 2) for _ in ambient]
-        if attempts > 50:
-            coeffs = [rng.randint(-5, 5) for _ in ambient]
         v = tuple(sum(c * a[s] for c, a in zip(coeffs, ambient)) for s in range(len(ambient[0])))
         if rank(sub + cols + [v]) == len(sub) + len(cols) + 1:
             cols.append(v)

@@ -112,52 +112,43 @@ class RetractionData:
 
 def validate(r: RetractionData) -> CheckReport:
     """Exact check of the retraction identities; failures list matrix
-    entries.  i, p, H and m_1 are composed as integer forms, and a failing
-    value is printed as the rational (or Novikov) entry it stands for."""
-    failures: List[str] = []
-    A, B = r.ambient.basis, r.sub_basis
+    entries.  Each identity is a table that must vanish, p i - 1,
+    d ip - ip d and 1 - ip - dH - Hd, summed by :func:`_sum_pairs` from
+    integer-form composites of i, p, H and m_1, as the defects are.  The
+    tables are read over the labels in basis order, so the failures do not
+    depend on the hash seed, and a failing value is printed as the rational
+    (or Novikov) entry it stands for; a (p i) entry prints p i itself."""
     pairs = _integral({"i": r.include.entries, "p": r.project.entries, "H": r.homotopy.entries,
                        "d": r.ambient.m(1).entries})
     i, p, H, d = pairs["i"], pairs["p"], pairs["H"], pairs["d"]
+    A, B = r.ambient.basis.labels, r.sub_basis.labels
+    ip = _compose_pairs(i, [p])
 
-    def value(c, D):
-        return c if D == 1 else Fraction(c, D)
+    def one(labels) -> Pair:
+        return {(a,): {a: 1} for a in labels}, 1
 
-    sub_labels, labels = B.labels, A.labels  # basis order: no hash-seed dependence
+    def minus(pair: Pair) -> Pair:
+        return signed(pair[0], lambda ins: -1), pair[1]
 
-    # p o i = identity on B
-    pi, D = _compose_pairs(p, [i])
-    for b in sub_labels:
-        row = pi.get((b,), {})
-        for o in sub_labels:
-            want = 1 if o == b else 0
-            got = row.get(o, 0)
-            if not is_zero_scalar(got - want * D):
-                failures.append(f"(p i)[{b} -> {o}] = {value(got, D)}, expected {want}")
-
-    # Pi = i o p commutes with d
-    ip, Dip = _compose_pairs(i, [p])
-    dPi, D = _compose_pairs(d, [(ip, Dip)])
-    Pid, _D = _compose_pairs((ip, Dip), [d])
-    for a in labels:
-        row_dPi, row_Pid = dPi.get((a,), {}), Pid.get((a,), {})
-        for o in labels:
-            diff = row_dPi.get(o, 0) - row_Pid.get(o, 0)
-            if not is_zero_scalar(diff):
-                failures.append(f"[d, i p][{a} -> {o}] = {value(diff, D)}")
-
-    # 1 - i p = d H + H d, over the denominators Dip and DH of i p and d H
-    dH, DH = _compose_pairs(d, [H])
-    Hd, _D = _compose_pairs(H, [d])
-    for a in labels:
-        row_ip, row_dH, row_Hd = ip.get((a,), {}), dH.get((a,), {}), Hd.get((a,), {})
-        for o in labels:
-            lhs = (Dip if o == a else 0) - row_ip.get(o, 0)
-            rhs = row_dH.get(o, 0) + row_Hd.get(o, 0)
-            diff = lhs * DH - rhs * Dip
-            if not is_zero_scalar(diff):
-                failures.append(f"(1 - ip - dH - Hd)[{a} -> {o}] = {value(diff, Dip * DH)}")
-
+    identities = (
+        ("(p i)", B, _sum_pairs([_compose_pairs(p, [i]), minus(one(B))])),
+        ("[d, i p]", A, _sum_pairs([_compose_pairs(d, [ip]), minus(_compose_pairs(ip, [d]))])),
+        ("(1 - ip - dH - Hd)", A, _sum_pairs([one(A), minus(ip), minus(_compose_pairs(d, [H])),
+                                               minus(_compose_pairs(H, [d]))])),
+    )
+    failures: List[str] = []
+    for name, labels, (table, D) in identities:
+        for a in labels:
+            row = table.get((a,), {})
+            for o in labels:
+                c = row.get(o, 0)
+                if is_zero_scalar(c):
+                    continue
+                c = c if D == 1 else Fraction(c, D)
+                if name == "(p i)":
+                    failures.append(f"(p i)[{a} -> {o}] = {c + int(o == a)}, expected {int(o == a)}")
+                else:
+                    failures.append(f"{name}[{a} -> {o}] = {c}")
     return CheckReport(ok=not failures, failures=failures)
 
 

@@ -221,13 +221,25 @@ def test_suite_module_error_keeps_other_modules(capsys, monkeypatch):
     assert rep["payload"]["novikov"]["status"] == "PASS"
 
 
+def test_suite_stdout_is_pinned(capsys):
+    """The default suite's report, byte for byte."""
+    code = main(["suite"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "2af2799129e33e604cc8ff9197748e31e7f2e1fa70b3cbd8d651a55fa1d8adff")
+
+
 def test_acceptance_scale_passes_and_a_failing_module_exits_1(capsys, monkeypatch):
     """`suite --scale acceptance` is the gate: exit 0 when every criterion
-    holds, exit 1 when one module's check fails."""
+    holds, with its report pinned byte for byte, and exit 1 when one
+    module's check fails."""
     from torusmirror import criteria
 
-    code, rep = run(capsys, "suite", "--scale", "acceptance")
-    assert code == 0 and rep["status"] == "PASS"
+    code = main(["suite", "--scale", "acceptance"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "f485ca0754b25c8e1f921466d7497c6af6afa87f29dc275e15c09e468aca0643")
+    rep = json.loads(out)
     assert rep["payload"]["mirror"]["count"] == 32
     assert rep["payload"]["signs"]["corrupted"] == 20
 
@@ -297,6 +309,14 @@ def test_malformed_input_reports_error(capsys, tmp_path, ainfty_file):
         code, rep = run(capsys, "legendre", str(bad))
         assert (code, rep["status"], rep["payload"]) == (
             1, "ERROR", {"error": "values must be finite"})
+    # a non-integral or infinite degree, which the basis would truncate or
+    # refuse with an OverflowError
+    m1 = [{"arity": 1, "entries": [[["a"], "a", {"q": [1, 1]}]]}]
+    for degree, ops in ((0.5, []), (1.7, m1), (float("inf"), [])):
+        bad.write_text(json.dumps({"basis": [["a", degree]], "ops": ops}))
+        code, rep = run(capsys, "check-ainfty", str(bad))
+        assert (code, rep["status"], rep["payload"]) == (
+            1, "ERROR", {"error": f"ValueError: degree {degree} of basis label a must be an integer"})
     bad.write_text("[1, 2]")  # top-level list
     for argv in (["check-ainfty"], ["transfer"], ["morse", "crit"], ["legendre"]):
         code, rep = run(capsys, *argv, str(bad))

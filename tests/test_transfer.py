@@ -361,6 +361,65 @@ def test_validate_failure_values_are_pinned():
     ]
 
 
+def test_validate_commutator_failures_are_pinned():
+    """One i entry of the Massey retraction raised by 2/3 onto a, which d
+    does not kill: i p no longer commutes with d, and all three identities
+    fail, listed in basis order."""
+    r = retraction_onto_cohomology(conjugated(massey_dga(), random.Random(5)), random.Random(5))
+    table = {ins: dict(row) for ins, row in r.include.entries.items()}
+    table[(("h", 1, 0),)]["a"] += Fraction(2, 3)
+    include = MultilinearOp(1, r.sub_basis, r.ambient.basis, 0, table)
+    bad = RetractionData(r.ambient, r.sub_basis, include, r.project, r.homotopy)
+    assert validate(bad).failures == [
+        "(p i)[('h', 1, 0) -> ('h', 1, 0)] = 41/27, expected 1",
+        "(p i)[('h', 1, 0) -> ('h', 1, 1)] = -4/9, expected 0",
+        "(p i)[('h', 1, 0) -> ('h', 1, 2)] = 1/9, expected 0",
+        "[d, i p][a -> ab] = -28/81",
+        "[d, i p][a -> bc] = 56/81",
+        "[d, i p][a -> w] = -14/27",
+        "[d, i p][b -> ab] = 80/81",
+        "[d, i p][b -> bc] = -160/81",
+        "[d, i p][b -> w] = 40/27",
+        "[d, i p][c -> ab] = -20/81",
+        "[d, i p][c -> bc] = 40/81",
+        "[d, i p][c -> w] = -10/27",
+        "[d, i p][u -> ab] = -4/81",
+        "[d, i p][u -> bc] = 8/81",
+        "[d, i p][u -> w] = -2/27",
+        "[d, i p][v -> ab] = -32/81",
+        "[d, i p][v -> bc] = 64/81",
+        "[d, i p][v -> w] = -16/27",
+        "(1 - ip - dH - Hd)[a -> a] = -14/27",
+        "(1 - ip - dH - Hd)[b -> a] = 40/27",
+        "(1 - ip - dH - Hd)[c -> a] = -10/27",
+        "(1 - ip - dH - Hd)[u -> a] = -2/27",
+        "(1 - ip - dH - Hd)[v -> a] = -16/27",
+    ]
+
+
+def test_validate_novikov_failure_values_are_pinned():
+    """The bent Massey retraction with every scalar lifted to a Novikov
+    constant fails where the rational one does and prints Novikov values,
+    in basis order; a (p i) entry whose terms cancel prints as Nov(0)."""
+    bad = RetractionData.from_obj(_lift_scalars(bent_massey_retraction().to_obj()))
+    assert validate(bad).failures == [
+        "(p i)[('h', 1, 0) -> ('h', 1, 0)] = Nov(0), expected 1",
+        "(p i)[('h', 1, 1) -> ('h', 1, 0)] = Nov(-3/2*q^0), expected 0",
+        "(p i)[('h', 1, 2) -> ('h', 1, 0)] = Nov(1/2*q^0), expected 0",
+        "(1 - ip - dH - Hd)[a -> a] = Nov(11/9*q^0)",
+        "(1 - ip - dH - Hd)[a -> b] = Nov(3/4*q^0)",
+        "(1 - ip - dH - Hd)[a -> u] = Nov(-1/2*q^0)",
+        "(1 - ip - dH - Hd)[a -> v] = Nov(1/2*q^0)",
+        "(1 - ip - dH - Hd)[b -> a] = Nov(-8/9*q^0)",
+        "(1 - ip - dH - Hd)[c -> a] = Nov(10/9*q^0)",
+        "(1 - ip - dH - Hd)[u -> a] = Nov(2/9*q^0)",
+        "(1 - ip - dH - Hd)[v -> a] = Nov(10/9*q^0)",
+        "(1 - ip - dH - Hd)[ab -> ab] = Nov(2/9*q^0)",
+        "(1 - ip - dH - Hd)[ab -> bc] = Nov(-4/9*q^0)",
+        "(1 - ip - dH - Hd)[ab -> w] = Nov(1/3*q^0)",
+    ]
+
+
 def test_validate_failure_order_is_the_same_under_every_hash_seed():
     """validate walks target labels in basis order, not in the order of a
     set of str labels, so its failure list and the first three failures
